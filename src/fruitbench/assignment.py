@@ -10,12 +10,14 @@ and the ground truth's positive-token mask. Losses are normalized by the
 number of ground-truth instances; unmatched predictions contribute only
 their contrastive penalty against the all-negative mask (on by default).
 
-The solver is a hand-rolled Jonker-Volgenant style shortest-augmenting-path
-algorithm rather than a library call: the assignment must be bit-identical
-across platforms and library versions, including a pinned lexicographic
-tie-break among equal-cost optima, which off-the-shelf solvers do not
-promise. Optimality is cross-checked against brute-force enumeration in the
-test suite.
+The solver is a hand-rolled rectangular shortest-augmenting-path algorithm
+(Jonker & Volgenant, 1987; Crouse, 2016) on the short side of the matrix,
+padding nothing, rather than a library call: the assignment must be
+bit-identical across platforms and library versions, including a pinned
+tie-break among equal-cost optima (see ``hungarian``), which off-the-shelf
+solvers do not promise. Optimality and the tie-break are cross-checked
+against brute-force enumeration, and optimality at scale against SciPy, in
+the test suite.
 """
 
 from __future__ import annotations
@@ -118,161 +120,166 @@ class LossBreakdown:
     no_matches: bool = False
 
 
-def _solve_padded(cost: np.ndarray):
-    """Shortest-augmenting-path assignment on a square matrix.
+def _solve_short_side(cost: np.ndarray):
+    """Rectangular shortest-augmenting-path assignment (Crouse, 2016) for
+    ``rows <= cols``: every row is matched, each column at most once.
 
-    Returns (row_to_col, u, v) where the dual potentials u, v satisfy
-    ``u[i] + v[j] <= cost[i, j]`` for every cell with equality on matched
-    cells; by complementary slackness the zero-reduced-cost graph contains
-    exactly the optimal perfect matchings.
+    Returns (col_for_row, row_for_col, u, v), -1 marking unmatched, with
+    ``u[i] + v[j] <= cost[i, j]`` for every cell, equality on matched cells,
+    ``v <= 0``, and ``v[j] == 0`` on every unmatched column: each Dijkstra
+    round only lowers the potentials of the columns it scans, all of which
+    end the round matched.
     """
-    n = cost.shape[0]
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j, 1-based
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    col_for_row = np.full(n_rows, -1)
+    row_for_col = np.full(n_cols, -1)
+    for start in range(n_rows):
+        shortest = np.full(n_cols, np.inf)
+        path = np.full(n_cols, -1)
+        scanned = np.zeros(n_cols, dtype=bool)
+        rows_seen = []
+        min_val = 0.0
+        i = start
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = math.inf
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
+            rows_seen.append(i)
+            reduced = min_val + cost[i] - u[i] - v
+            better = ~scanned & (reduced < shortest)
+            shortest[better] = reduced[better]
+            path[better] = i
+            frontier = np.where(scanned, np.inf, shortest)
+            min_val = frontier.min()
+            ties = frontier == min_val
+            # Among equally short columns an unmatched one ends the round.
+            free = np.flatnonzero(ties & (row_for_col < 0))
+            j = int(free[0]) if free.size else int(np.argmax(ties))
+            scanned[j] = True
+            if row_for_col[j] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    row_to_col = [-1] * n
-    for j in range(1, n + 1):
-        if match[j]:
-            row_to_col[match[j] - 1] = j - 1
-    return row_to_col, u[1:], v[1:]
-
-
-def _has_perfect_completion(tight, n, fixed_rows, used_cols):
-    """Kuhn's algorithm: can every row outside ``fixed_rows`` be matched
-    into columns outside ``used_cols`` along tight edges?"""
-    col_owner = {}
-    for start in range(n):
-        if start in fixed_rows:
-            continue
-        # Iterative augmenting search from `start`.
-        visited = set()
-        stack = [(start, iter(tight[start]))]
-        parent = {start: None}
-        found = None
-        while stack:
-            row, it = stack[-1]
-            advanced = False
-            for col in it:
-                if col in used_cols or col in visited:
-                    continue
-                visited.add(col)
-                owner = col_owner.get(col)
-                if owner is None:
-                    found = col
-                    break
-                parent[owner] = (row, col)
-                stack.append((owner, iter(tight[owner])))
-                advanced = True
+            i = int(row_for_col[j])
+        u[start] += min_val
+        others = np.array(rows_seen[1:], dtype=int)
+        u[others] += min_val - shortest[col_for_row[others]]
+        v[scanned] -= min_val - shortest[scanned]
+        while True:
+            i = int(path[j])
+            row_for_col[j] = i
+            col_for_row[i], j = j, int(col_for_row[i])
+            if i == start:
                 break
-            if found is not None:
-                # Unwind the augmenting path.
-                col = found
-                while row is not None:
-                    col_owner[col] = row
-                    prev = parent[row]
-                    if prev is None:
-                        row = None
-                    else:
-                        row, col = prev
-                break
-            if not advanced:
-                stack.pop()
-        if found is None:
-            return False
-    return True
+    return col_for_row, row_for_col, u, v
 
 
-def _lexicographic_matching(cost: np.ndarray, row_to_col, u, v, n_rows, n_cols):
-    """Canonicalize to the lexicographically smallest optimal matching.
+def _alternate(start, adjacency, mate, other_mate, may_drop, blocked, parent) -> bool:
+    """Re-match the unmatched vertex ``start`` along an alternating path of
+    tight edges, in place. The path ends at a vertex of the other side that
+    is unmatched, or whose mate may go unmatched and is dropped. Vertices
+    for which ``blocked`` holds are never entered; ``parent`` (empty on
+    entry) collects every other-side vertex reached. Returns whether a path
+    was found; ``mate`` and ``other_mate`` are unchanged when none is."""
+    tails = [start]
+    stack = [iter(adjacency[start])]
+    while stack:
+        for y in stack[-1]:
+            if y in parent or blocked(y):
+                continue
+            parent[y] = tails[-1]
+            x = other_mate[y]
+            if x < 0 or may_drop[x]:
+                if x >= 0:
+                    mate[x] = -1
+                while y >= 0:
+                    x = parent[y]
+                    previous = mate[x]
+                    mate[x] = y
+                    other_mate[y] = x
+                    y = previous
+                return True
+            tails.append(x)
+            stack.append(iter(adjacency[x]))
+            break
+        else:
+            stack.pop()
+            tails.pop()
+    return False
 
-    Candidate columns per row are the tight (zero reduced cost) edges;
-    real columns are preferred ascending, padding columns last. A fix is
-    kept only if the remaining rows still admit a perfect tight matching.
+
+def _canonicalize(tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop):
+    """Walk predictions in order, giving each the first candidate, in
+    ascending ground-truth index with "unmatched" last, that some optimum
+    still allows. Optimal matchings are the matchings of ``tight`` edges
+    that cover every vertex not flagged in ``*_may_drop``; the given
+    matching is one of them. Returns the canonical one in the same form.
     """
-    n = cost.shape[0]
-    scale = max(1.0, float(np.max(np.abs(cost)))) if cost.size else 1.0
-    tol = 1e-9 * scale
-    tight = []
-    for i in range(n):
-        cols = [j for j in range(n) if cost[i, j] - u[i] - v[j] <= tol]
-        # Real columns first, ascending; padding columns are interchangeable.
-        tight.append(sorted(cols, key=lambda j: (j >= n_cols, j)))
-    result = [-1] * n
-    fixed_rows: set[int] = set()
-    used_cols: set[int] = set()
-    # As long as every fix agrees with the solver's matching, that matching
-    # itself certifies that a perfect completion exists; after the first
-    # divergence each non-forced fix needs an explicit feasibility check.
-    diverged = False
-    for i in range(min(n_rows, n)):
-        candidates = [j for j in tight[i] if j not in used_cols]
-        chosen = None
+    matched = np.flatnonzero(pred_to_gt >= 0)
+    tight[matched, pred_to_gt[matched]] = True
+    gts_of = [np.flatnonzero(row).tolist() for row in tight]
+    preds_of = [np.flatnonzero(col).tolist() for col in tight.T]
+    # The certificate is one optimal matching that agrees with every choice
+    # made so far; the candidate it already holds is accepted outright.
+    pred_to_gt, gt_to_pred = pred_to_gt.tolist(), gt_to_pred.tolist()
+    for i in range(tight.shape[0]):
+        candidates = [j for j in gts_of[i] if not 0 <= gt_to_pred[j] < i]
+        if pred_may_drop[i]:
+            candidates.append(-1)
+        ruled_out = set()
         for j in candidates:
-            if len(candidates) == 1:
-                chosen = j  # forced: every completion uses the only tight column
-            elif not diverged and j == row_to_col[i]:
-                chosen = j
-            else:
-                fixed_rows.add(i)
-                used_cols.add(j)
-                ok = _has_perfect_completion(tight, n, fixed_rows, used_cols)
-                fixed_rows.discard(i)
-                used_cols.discard(j)
-                if ok:
-                    chosen = j
-            if chosen is not None:
+            if j == pred_to_gt[i]:
                 break
-        if chosen is None:
-            return None  # tolerance artifact; caller falls back to the raw solve
-        if chosen != row_to_col[i]:
-            diverged = True
-        result[i] = chosen
-        fixed_rows.add(i)
-        used_cols.add(chosen)
-    return result
+            if j in ruled_out:
+                continue
+            # Force i -> j and repair: by Mendelsohn-Dulmage one search for
+            # the displaced owner of j and one for the column i vacated
+            # decide whether an optimum with i -> j exists.
+            trial_pred, trial_gt = list(pred_to_gt), list(gt_to_pred)
+            vacated, owner = trial_pred[i], trial_gt[j] if j >= 0 else -1
+            trial_pred[i] = j
+            if vacated >= 0:
+                trial_gt[vacated] = -1
+            if j >= 0:
+                trial_gt[j] = i
+            if owner >= 0:
+                trial_pred[owner] = -1
+            reached = {}
+            if not (owner < 0 or pred_may_drop[owner] or _alternate(
+                owner, gts_of, trial_pred, trial_gt, pred_may_drop,
+                lambda g: 0 <= trial_gt[g] <= i, reached,
+            )):
+                # Hall: the predictions reached can use only the columns
+                # reached and j, one too few without j; i taking any of
+                # those columns instead leaves them just as short.
+                ruled_out.update(reached)
+                continue
+            reached = {}
+            if (
+                vacated < 0
+                or trial_gt[vacated] >= 0
+                or gt_may_drop[vacated]
+                or _alternate(vacated, preds_of, trial_gt, trial_pred, gt_may_drop,
+                              lambda p: p <= i, reached)
+            ):
+                pred_to_gt, gt_to_pred = trial_pred, trial_gt
+                break
+            # Hall: only the predictions reached and i can cover the columns
+            # reached, one too few without i, so i must take one of them.
+            keep = {vacated, *(trial_pred[p] for p in reached)}
+            ruled_out.update(c for c in candidates if c not in keep)
+    return pred_to_gt, gt_to_pred
 
 
 def hungarian(costs: CostMatrix) -> Assignment:
     """Minimum-cost maximal matching with deterministic tie-breaking.
 
-    Among all minimum-cost matchings the lexicographically smallest pair
-    list is returned. An empty matrix yields an empty assignment.
+    Solves on the short side (the transpose when predictions outnumber
+    ground truth), without padding. Among all minimum-cost matchings the
+    lexicographically smallest pair list is returned, prediction-major: each
+    prediction in turn takes the smallest ground-truth index an optimum
+    allows, "unmatched" last. Costs within ``1e-9 * max(1, max|C|)`` count
+    as tied. An empty matrix yields an empty assignment.
     """
-    n_rows, n_cols = costs.n_predictions, costs.n_ground_truth
+    entries = costs.entries
+    n_rows, n_cols = entries.shape
     if n_rows == 0 or n_cols == 0:
         return Assignment(
             pairs=(),
@@ -280,39 +287,30 @@ def hungarian(costs: CostMatrix) -> Assignment:
             unmatched_ground_truth=tuple(range(n_cols)),
             total_cost=0.0,
         )
-    n = max(n_rows, n_cols)
-    padded = np.zeros((n, n), dtype=np.float64)
-    padded[:n_rows, :n_cols] = costs.entries
-    row_to_col, u, v = _solve_padded(padded)
-    refined = _lexicographic_matching(padded, row_to_col, u, v, n_rows, n_cols)
-    if refined is not None:
-        raw_cost = _matching_cost(costs.entries, row_to_col, n_rows, n_cols)
-        new_cost = _matching_cost(costs.entries, refined, n_rows, n_cols)
-        scale = max(1.0, float(np.max(np.abs(costs.entries))))
-        if abs(new_cost - raw_cost) <= 1e-9 * scale * n:
-            row_to_col = refined
-    pairs = tuple(
-        (i, row_to_col[i]) for i in range(n_rows) if 0 <= row_to_col[i] < n_cols
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(entries))))
+    if n_rows > n_cols:
+        gt_to_pred, pred_to_gt, gt_dual, pred_dual = _solve_short_side(entries.T)
+    else:
+        pred_to_gt, gt_to_pred, pred_dual, gt_dual = _solve_short_side(entries)
+    # Complementary slackness: the optimal matchings are exactly the
+    # matchings of tight edges that cover the short side and every
+    # long-side vertex whose dual is negative.
+    pred_may_drop = ((pred_dual >= -tol) & (n_rows > n_cols)).tolist()
+    gt_may_drop = ((gt_dual >= -tol) & (n_rows <= n_cols)).tolist()
+    tight = entries - pred_dual[:, None] - gt_dual[None, :] <= tol
+    pred_to_gt, gt_to_pred = _canonicalize(
+        tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop
     )
-    matched_cols = {j for _, j in pairs}
+    pairs = tuple((i, j) for i, j in enumerate(pred_to_gt) if j >= 0)
     total = 0.0
     for i, j in pairs:
-        total += float(costs.entries[i, j])
+        total += float(entries[i, j])
     return Assignment(
         pairs=pairs,
-        unmatched_predictions=tuple(i for i in range(n_rows) if row_to_col[i] >= n_cols),
-        unmatched_ground_truth=tuple(j for j in range(n_cols) if j not in matched_cols),
+        unmatched_predictions=tuple(i for i, j in enumerate(pred_to_gt) if j < 0),
+        unmatched_ground_truth=tuple(j for j, i in enumerate(gt_to_pred) if i < 0),
         total_cost=total,
     )
-
-
-def _matching_cost(entries: np.ndarray, row_to_col, n_rows, n_cols) -> float:
-    total = 0.0
-    for i in range(n_rows):
-        j = row_to_col[i]
-        if 0 <= j < n_cols:
-            total += float(entries[i, j])
-    return total
 
 
 def _bce_with_logit(logit: float, target: float) -> float:

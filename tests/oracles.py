@@ -7,6 +7,7 @@ is meaningful.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -67,6 +68,66 @@ def brute_force_assignment_cost(matrix) -> float:
             if best is None or cost < best:
                 best = cost
     return 0.0 if best is None else best
+
+
+def brute_force_lexicographic_assignment(matrix) -> tuple[tuple[int, int], ...]:
+    """The pair list of the minimum-cost maximal matching that is smallest
+    prediction-major, by full enumeration: minimizes ``(cost, key)`` where
+    ``key[i]`` is row ``i``'s column, or infinity when it is unmatched."""
+    m = np.asarray(matrix, dtype=float)
+    r, c = m.shape
+    best = None
+    if r <= c:
+        matchings = (list(perm) for perm in itertools.permutations(range(c), r))
+    else:
+        matchings = (
+            [rows.index(i) if i in rows else None for i in range(r)]
+            for rows in itertools.permutations(range(r), c)
+        )
+    for cols in matchings:
+        cost = 0.0
+        for i, j in enumerate(cols):
+            if j is not None:
+                cost += m[i, j]
+        key = [math.inf if j is None else j for j in cols]
+        if best is None or (cost, key) < best[:2]:
+            best = (cost, key, cols)
+    return tuple((i, j) for i, j in enumerate(best[2]) if j is not None)
+
+
+def forced_lexicographic_assignment(matrix, min_cost) -> tuple[tuple[int, int], ...]:
+    """The pair list of ``brute_force_lexicographic_assignment`` at sizes
+    enumeration cannot reach. Rows are fixed in order, each to the first
+    column (ascending, unmatched last) that keeps a maximal matching of the
+    optimal cost possible; ``min_cost(submatrix)`` is the optimum of the
+    rest. Exact when the entries are integers."""
+    m = np.asarray(matrix, dtype=float)
+    r, c = m.shape
+
+    def best_cost(fixed):
+        rows = [i for i in range(r) if i not in fixed]
+        used = [j for j in fixed.values() if j is not None]
+        cols = [j for j in range(c) if j not in used]
+        if len(used) + min(len(rows), len(cols)) < min(r, c):
+            return None
+        cost = 0.0
+        for i, j in fixed.items():
+            if j is not None:
+                cost += m[i, j]
+        if rows and cols:
+            cost += min_cost(m[np.ix_(rows, cols)])
+        return cost
+
+    optimum = best_cost({})
+    fixed = {}
+    for i in range(r):
+        for j in list(range(c)) + [None]:
+            if j is not None and j in fixed.values():
+                continue
+            if best_cost({**fixed, i: j}) == optimum:
+                fixed[i] = j
+                break
+    return tuple((i, j) for i, j in fixed.items() if j is not None)
 
 
 def _naive_sort_by_score(dets):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from fruitbench.datamodel import GroundTruthInstance
 from fruitbench.errors import ValidationError
 from fruitbench.geometry import BoundingBox
 
-from .oracles import brute_force_assignment_cost
+from .oracles import (
+    brute_force_assignment_cost,
+    brute_force_lexicographic_assignment,
+    forced_lexicographic_assignment,
+)
 
 LN2 = math.log(2.0)
 
@@ -98,6 +103,67 @@ class TestHungarian:
         assert result.total_cost == pytest.approx(
             brute_force_assignment_cost(matrix), abs=1e-9
         )
+
+    def test_tie_break_matches_lexicographic_oracle(self):
+        # Value ranges from dense ties ({0,1}, constants) to few ties.
+        rng = random.Random(2407)
+        spans = [(0, 1), (0, 2), None, (-9, 20)]
+        for trial in range(2400):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            span = spans[trial % len(spans)]
+            if span is None:
+                matrix = np.full((rows, cols), float(rng.randint(-9, 20)))
+            else:
+                matrix = np.array(
+                    [[float(rng.randint(*span)) for _ in range(cols)] for _ in range(rows)]
+                )
+            expected = brute_force_lexicographic_assignment(matrix)
+            assert hungarian(CostMatrix(matrix)).pairs == expected, (trial, matrix)
+
+    def test_tie_break_matches_forced_oracle_beyond_enumeration(self):
+        pytest.importorskip("scipy")
+        from scipy.optimize import linear_sum_assignment
+
+        def min_cost(sub):
+            rows, cols = linear_sum_assignment(sub)
+            return float(sub[rows, cols].sum())
+
+        rng = np.random.default_rng(1987)
+        for trial in range(150):
+            rows, cols = (int(n) for n in rng.integers(2, 15, 2))
+            matrix = rng.integers(0, 2 + trial % 2, (rows, cols)).astype(float)
+            if trial % 3 == 0:
+                # Hall-tight blocks: the early predictions tie on every
+                # column, but the late ones can use only the early columns.
+                matrix = np.ones((rows, cols))
+                matrix[: rows // 2] = 0.0
+                matrix[rows // 2 :, : cols // 2] = 0.0
+                matrix[rng.random((rows, cols)) < 0.1] = 1.0
+            expected = forced_lexicographic_assignment(matrix, min_cost)
+            assert hungarian(CostMatrix(matrix)).pairs == expected, (trial, matrix)
+
+    def test_matches_scipy_optimum_at_detr_shapes(self):
+        pytest.importorskip("scipy")
+        from scipy.optimize import linear_sum_assignment
+
+        started = time.monotonic()
+        rng = np.random.default_rng(2016)
+        for shape in [(100, 10), (900, 10), (900, 50), (50, 900), (1000, 50), (200, 200)]:
+            for matrix in (rng.random(shape), rng.integers(0, 2, shape).astype(float)):
+                result = hungarian(CostMatrix(matrix))
+                rows, cols = linear_sum_assignment(matrix)
+                scale = max(1.0, float(np.max(np.abs(matrix))))
+                assert abs(result.total_cost - float(matrix[rows, cols].sum())) <= (
+                    1e-9 * scale * min(shape)
+                ), shape
+                assert len(result.pairs) == min(shape)
+                preds = [i for i, _ in result.pairs]
+                gts = [j for _, j in result.pairs]
+                assert sorted(preds + list(result.unmatched_predictions)) == list(range(shape[0]))
+                assert sorted(gts + list(result.unmatched_ground_truth)) == list(range(shape[1]))
+        # Loose: a solver that blows up on many-queries-few-boxes shapes
+        # fails here instead of stalling the suite.
+        assert time.monotonic() - started <= 10.0
 
     @given(
         n=st.integers(2, 5),
