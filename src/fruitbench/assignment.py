@@ -333,6 +333,31 @@ def token_alignment_cost(logits: TokenLogits, positive_mask: Sequence[bool]) -> 
     return total / len(logits)
 
 
+def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
+    """The matching-cost terms as (P, G) arrays ``l1``, ``giou`` and ``tac``
+    (token alignment cost), plus each prediction's token alignment cost
+    against the all-negative mask."""
+    if len(ground_truth) != len(gt_token_masks):
+        raise ValidationError(
+            f"{len(ground_truth)} ground-truth instances but {len(gt_token_masks)} token masks"
+        )
+    l1, g, tac = [], [], []
+    for box, logits in predictions:
+        for gt, mask in zip(ground_truth, gt_token_masks):
+            l1.append(l1_box_distance(box, gt.box, img_w, img_h))
+            g.append(giou(box, gt.box))
+            tac.append(token_alignment_cost(logits, mask))
+    shape = (len(predictions), len(ground_truth))
+    l1, g, tac = (np.array(t, dtype=np.float64).reshape(shape) for t in (l1, g, tac))
+    negative = [token_alignment_cost(logits, [False] * len(logits)) for _, logits in predictions]
+    return l1, g, tac, negative
+
+
+def _combined_cost(terms, weights: LossWeights) -> CostMatrix:
+    l1, g, tac, _ = terms
+    return CostMatrix(weights.l1 * l1 + weights.giou * (1.0 - g) + weights.contrastive * tac)
+
+
 def build_match_cost(
     predictions: Sequence[tuple[BoundingBox, TokenLogits]],
     ground_truth: Sequence[GroundTruthInstance],
@@ -345,21 +370,10 @@ def build_match_cost(
 
     ``entry(i, j) = w_l1 * l1_box_distance + w_giou * (1 - giou)
     + w_cons * token_alignment_cost``. Every logit vector and mask must
-    share one token dimension.
+    share one token dimension and be non-empty.
     """
-    if len(ground_truth) != len(gt_token_masks):
-        raise ValidationError(
-            f"{len(ground_truth)} ground-truth instances but {len(gt_token_masks)} token masks"
-        )
-    entries = np.zeros((len(predictions), len(ground_truth)), dtype=np.float64)
-    for i, (box, logits) in enumerate(predictions):
-        for j, gt in enumerate(ground_truth):
-            entries[i, j] = (
-                weights.l1 * l1_box_distance(box, gt.box, img_w, img_h)
-                + weights.giou * (1.0 - giou(box, gt.box))
-                + weights.contrastive * token_alignment_cost(logits, gt_token_masks[j])
-            )
-    return CostMatrix(entries)
+    terms = _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h)
+    return _combined_cost(terms, weights)
 
 
 def set_loss(
@@ -373,29 +387,25 @@ def set_loss(
 ) -> LossBreakdown:
     """Composite loss of a prediction set against a ground-truth set.
 
-    The optimal assignment is computed over ``build_match_cost``; each term
-    is summed over matched pairs and normalized by the number of
-    ground-truth instances. Unmatched predictions add their contrastive
-    penalty against the all-negative mask when
-    ``count_unmatched_contrastive`` is on.
+    The optimal assignment is computed over the ``build_match_cost`` costs,
+    whose terms are computed once and reused: each term is summed over
+    matched pairs and normalized by the number of ground-truth instances.
+    Unmatched predictions add their contrastive penalty against the
+    all-negative mask when ``count_unmatched_contrastive`` is on.
     """
-    costs = build_match_cost(
-        predictions, ground_truth, gt_token_masks, img_w, img_h, weights
-    )
-    assignment = hungarian(costs)
+    terms = _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h)
+    l1, g, tac, negative = terms
+    assignment = hungarian(_combined_cost(terms, weights))
     l1_sum = 0.0
     giou_sum = 0.0
     cons_sum = 0.0
     for i, j in assignment.pairs:
-        box, logits = predictions[i]
-        gt = ground_truth[j]
-        l1_sum += l1_box_distance(box, gt.box, img_w, img_h)
-        giou_sum += 1.0 - giou(box, gt.box)
-        cons_sum += token_alignment_cost(logits, gt_token_masks[j])
+        l1_sum += float(l1[i, j])
+        giou_sum += 1.0 - float(g[i, j])
+        cons_sum += float(tac[i, j])
     if count_unmatched_contrastive:
         for i in assignment.unmatched_predictions:
-            _, logits = predictions[i]
-            cons_sum += token_alignment_cost(logits, [False] * len(logits))
+            cons_sum += negative[i]
     denom = max(len(ground_truth), 1)
     l1_term = l1_sum / denom
     giou_term = giou_sum / denom

@@ -6,8 +6,9 @@ rec-eval, report, bench. Exit codes: 0 success, 1 validation/usage error,
 2 I/O error. With ``--json-errors`` failures are additionally written to
 stderr as one JSON object. A JSON config file (top-level keys naming
 subcommands, values mapping flag names with dashes replaced by
-underscores) supplies defaults; explicit flags always win. The default
-worker count comes from the FRUITBENCH_THREADS environment variable.
+underscores) supplies defaults; explicit flags always win. ``--threads``
+and the FRUITBENCH_THREADS environment variable are accepted and validated
+but have no effect: evaluation runs in one thread.
 """
 
 from __future__ import annotations
@@ -180,17 +181,13 @@ def cmd_ingest_labelme(args, cfg: RunConfig) -> int:
 
 
 def cmd_write_coco(args, cfg: RunConfig) -> int:
-    ds, clamped = datamodel.load_coco(args.annotations)
+    ds, _ = datamodel.load_coco(args.annotations)
     datamodel.write_coco(ds, args.out)
-    if clamped:
-        print(f"clamped {clamped} out-of-image boxes", file=sys.stderr)
     return 0
 
 
 def cmd_stats(args, cfg: RunConfig) -> int:
-    ds, clamped = datamodel.load_coco(args.annotations)
-    if clamped:
-        print(f"clamped {clamped} out-of-image boxes", file=sys.stderr)
+    ds, _ = datamodel.load_coco(args.annotations)
     stats = datamodel.compute_stats(ds)
     _write_output(reporting.render_stats_table(stats, cfg.output_format or "markdown"), args.out)
     return 0
@@ -380,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt_default=None, fmt_choices=reporting.FORMATS):
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", default=fmt_default, choices=fmt_choices)
-        p.add_argument("--threads", type=int, default=None, help="worker cap for evaluation")
+        p.add_argument(
+            "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
+        )
 
     p = sub.add_parser("ingest-labelme", help="convert per-image label files to one annotation file")
     p.add_argument("--dir")

@@ -200,10 +200,15 @@ def _require(condition: bool, message: str, error=ValidationError):
 
 
 def _field(record, key, context):
+    """``record[key]``. No field read this way is a flag, so a JSON boolean
+    is rejected rather than read as the number 0 or 1."""
     try:
-        return record[key]
+        value = record[key]
     except (KeyError, TypeError):
         raise ParseError(f"{context}: missing field {key!r}") from None
+    if value.__class__ is bool:
+        raise ValidationError(f"{context}: {key!r} must not be a boolean, got {value!r}")
+    return value
 
 
 def _load_json(path: Path):
@@ -231,7 +236,8 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
     Raises:
         ParseError: malformed JSON (with byte offset) or missing arrays.
         IntegrityError: a dangling image/category reference, naming the id.
-        ValidationError: negative dimensions, malformed boxes.
+        ValidationError: negative dimensions, malformed boxes, a boolean
+            where an id or a size belongs.
     """
     path = Path(path)
     raw = _load_json(path)
@@ -408,7 +414,8 @@ def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
 
     Raises:
         IntegrityError: a record references an unknown image or category.
-        ValidationError: a score outside [0, 1] or a malformed box.
+        ValidationError: a score outside [0, 1], a malformed box, or a
+            boolean where an id or the score belongs.
     """
     path = Path(path)
     raw = _load_json(path)

@@ -23,18 +23,21 @@ number downstream depends on them):
 A category with no ground truth in the split reports absent metrics when
 it also has no detections and zeros otherwise; either way it is excluded
 from the aggregate means.
+
+One array path computes it all: a numpy IoU array per image/category
+cell, bit-identical to ``geometry.iou``; greedy matching over short
+per-detection candidate lists; a cumsum / envelope / searchsorted sweep.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .datamodel import Detection, DetectionDataset, GroundTruthInstance
 from .errors import IntegrityError, ValidationError
-from .geometry import iou
 from .splits import SplitResult
 
 __all__ = [
@@ -55,10 +58,14 @@ __all__ = [
 
 RECALL_LEVELS: tuple[float, ...] = tuple(i / 100 for i in range(101))
 DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * i) / 100 for i in range(10))
+_LEVELS = np.array(RECALL_LEVELS)
 
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """``workers`` is validated but has no effect: evaluation runs in one
+    thread (a thread pool over this Python-bound work gained nothing)."""
+
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     max_dets: int = 100
     workers: int = 1
@@ -131,32 +138,81 @@ def _sorted_by_score(dets: Sequence[Detection]) -> list[Detection]:
     return sorted(dets, key=lambda d: -d.score)  # stable: input order breaks ties
 
 
-def _match_with_matrix(dets, gts, ious, threshold) -> list[DetMatch]:
-    taken = [False] * len(gts)
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of ``a`` (D, 4) against every row of ``b`` (G, 4).
+
+    Performs the IEEE operations of ``geometry.iou`` in the same order, so
+    every entry equals the scalar value bit for bit.
+    """
+    ax0, ay0, ax1, ay1 = a.T[:, :, None]
+    bx0, by0, bx1, by1 = b.T
+    with np.errstate(all="ignore"):
+        iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+        ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+        return np.where(union <= 0.0, 0.0, inter / union)
+
+
+def _greedy(dets, gts, thresholds) -> list[list[tuple[int, int]]]:
+    """Per threshold, the ``(row, column)`` hits of one cell's ``dets``
+    (sorted by descending score) on its ``gts``; a crowd hit is ignored.
+
+    A row's candidates are its columns with IoU >= the lowest threshold:
+    non-crowd ones by descending IoU, earliest first on ties, then crowd
+    ones in column order. The best untaken non-crowd column reaches a
+    threshold exactly when some untaken candidate does, and is the first
+    one that does; a crowd candidate is only the fallback.
+    """
+    if not (dets and gts):
+        return [[] for _ in thresholds]
+    a, b = ([(x.box.x_min, x.box.y_min, x.box.x_max, x.box.y_max) for x in c] for c in (dets, gts))
+    ious = _iou_matrix(np.array(a, dtype=np.float64), np.array(b, dtype=np.float64))
+    rows, cols = np.nonzero(ious >= min(thresholds))
+    values = ious[rows, cols]
+    is_crowd = np.array([g.iscrowd for g in gts], dtype=bool)[cols]
+    order = np.lexsort((np.where(is_crowd, 0.0, -values), is_crowd, rows))
+    candidates: dict[int, list[tuple[int, float, bool]]] = {}
+    for r, c, v, k in zip(*(x[order].tolist() for x in (rows, cols, values, is_crowd))):
+        candidates.setdefault(r, []).append((c, v, k))
     out = []
-    for di, det in enumerate(dets):
-        best = -1
-        best_iou = -1.0
-        for gi, gt in enumerate(gts):
-            if gt.iscrowd or taken[gi]:
-                continue
-            if ious[di][gi] > best_iou:
-                best_iou = ious[di][gi]
-                best = gi
-        if best >= 0 and best_iou >= threshold:
-            taken[best] = True
-            out.append(DetMatch(det, gts[best].id, is_tp=True, ignored=False))
-            continue
-        crowd_hit = None
-        for gi, gt in enumerate(gts):
-            if gt.iscrowd and ious[di][gi] >= threshold:
-                crowd_hit = gt.id
-                break
-        if crowd_hit is not None:
-            out.append(DetMatch(det, crowd_hit, is_tp=False, ignored=True))
-        else:
-            out.append(DetMatch(det, None, is_tp=False, ignored=False))
+    for t in thresholds:
+        taken = set()
+        hits = []
+        for r, entries in candidates.items():
+            for c, v, k in entries:
+                if v >= t and (k or c not in taken):
+                    if not k:
+                        taken.add(c)
+                    hits.append((r, c))
+                    break
+        out.append(hits)
     return out
+
+
+def _sweep(order, tps, ignored, total_gt: int, curve: bool):
+    """``(ap, curve)`` of one category at one threshold. ``order`` is the
+    sweep order of the pooled rows (stable by descending score), ``tps`` and
+    ``ignored`` list the true positives and crowd matches among them."""
+    if total_gt == 0:
+        # Absent only with no detections at all; crowd-ignored detections
+        # still count as "having detections" and pin the metric to 0.
+        if not len(order):
+            return None, None
+        return 0.0, PRCurve(points=(), interpolated=(0.0,) * len(RECALL_LEVELS))
+    state = np.zeros(len(order), dtype=np.int8)
+    state[tps] = 1
+    state[ignored] = -1
+    swept = state[order]
+    tp = np.cumsum(swept[swept >= 0])
+    precision = tp / np.arange(1, len(tp) + 1)
+    recall = tp / total_gt
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    interpolated = envelope[np.searchsorted(recall, _LEVELS, side="left")].tolist()
+    ap = sum(interpolated) / len(RECALL_LEVELS)
+    if not curve:
+        return ap, None
+    return ap, PRCurve(tuple(zip(recall.tolist(), precision.tolist())), tuple(interpolated))
 
 
 def match_detections(
@@ -166,8 +222,13 @@ def match_detections(
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"IoU threshold must lie in (0, 1], got {threshold!r}")
     ordered = _sorted_by_score(dets)
-    ious = [[iou(d.box, g.box) for g in gts] for d in ordered]
-    return _match_with_matrix(ordered, list(gts), ious, threshold)
+    hit = {r: gts[c] for r, c in _greedy(ordered, gts, (threshold,))[0]}
+    return [
+        DetMatch(det, hit[r].id, not hit[r].iscrowd, bool(hit[r].iscrowd))
+        if r in hit
+        else DetMatch(det, None, False, False)
+        for r, det in enumerate(ordered)
+    ]
 
 
 def average_precision(
@@ -182,78 +243,45 @@ def average_precision(
     """
     if total_gt < 0:
         raise ValidationError("total_gt must be non-negative")
-    swept = _sorted_by_score_matches(matches)
-    if total_gt == 0:
-        # Absent only with no detections at all; crowd-ignored detections
-        # still count as "having detections" and pin the metric to 0.
-        if not matches:
-            return None, None
-        return 0.0, PRCurve(points=(), interpolated=(0.0,) * len(RECALL_LEVELS))
-    tp = 0
-    fp = 0
-    precisions: list[float] = []
-    recalls: list[float] = []
-    for m in swept:
-        if m.is_tp:
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / total_gt)
-    envelope = list(precisions)
-    for k in range(len(envelope) - 2, -1, -1):
-        if envelope[k + 1] > envelope[k]:
-            envelope[k] = envelope[k + 1]
-    interpolated = []
-    for level in RECALL_LEVELS:
-        k = bisect_left(recalls, level)
-        interpolated.append(envelope[k] if k < len(envelope) else 0.0)
-    ap = sum(interpolated) / len(RECALL_LEVELS)
-    curve = PRCurve(points=tuple(zip(recalls, precisions)), interpolated=tuple(interpolated))
-    return ap, curve
+    order = np.argsort([-m.detection.score for m in matches], kind="stable")
+    tps = [k for k, m in enumerate(matches) if m.is_tp]
+    ignored = [k for k, m in enumerate(matches) if m.ignored]
+    return _sweep(order, tps, ignored, total_gt, curve=True)
 
 
-def _sorted_by_score_matches(matches: Sequence[DetMatch]) -> list[DetMatch]:
-    return [m for m in sorted(matches, key=lambda m: -m.detection.score) if not m.ignored]
+@dataclass
+class _Pool:
+    """One category's capped detections: scores, and per threshold the
+    true-positive and crowd-matched rows; plus its non-crowd GT count."""
+
+    scores: list[float]
+    hits: list[tuple[list[int], list[int]]]
+    num_gt: int = 0
 
 
-def _category_cells(ds, test_ids, dets, max_dets):
-    """Per-category prepared cells: capped score-sorted detections, ground
-    truth and the IoU matrix, reusable across thresholds."""
+def _category_pools(ds, test_ids, dets, config, gt_filter) -> dict[int, _Pool]:
     gts_cell: dict[tuple[int, int], list[GroundTruthInstance]] = {}
     for image_id in test_ids:
         for inst in ds.instances_for_image(image_id):
-            gts_cell.setdefault((inst.category_id, image_id), []).append(inst)
+            if gt_filter is None or gt_filter(inst):
+                gts_cell.setdefault((inst.category_id, image_id), []).append(inst)
     dets_cell: dict[tuple[int, int], list[Detection]] = {}
     for det in dets:
         dets_cell.setdefault((det.category_id, det.image_id), []).append(det)
-
-    cells: dict[int, list[tuple]] = {cat.id: [] for cat in ds.categories}
-    keys = set(gts_cell) | set(dets_cell)
-    for cat_id, image_id in sorted(keys):
-        if cat_id not in cells:
+    pools = {cat.id: _Pool([], [([], []) for _ in config.iou_thresholds]) for cat in ds.categories}
+    for cat_id, image_id in sorted(set(gts_cell) | set(dets_cell)):
+        if cat_id not in pools:
             raise IntegrityError(f"detection references unknown category {cat_id}")
+        pool = pools[cat_id]
         gts = gts_cell.get((cat_id, image_id), [])
-        capped = _sorted_by_score(dets_cell.get((cat_id, image_id), []))[:max_dets]
-        ious = [[iou(d.box, g.box) for g in gts] for d in capped]
-        cells[cat_id].append((image_id, capped, gts, ious))
-    return cells
-
-
-def _category_threshold(cells, threshold, total_gt):
-    """(ap, curve, recall) of one category at one threshold."""
-    pooled: list[DetMatch] = []
-    tp_count = 0
-    for _, capped, gts, ious in cells:
-        rows = _match_with_matrix(capped, gts, ious, threshold)
-        tp_count += sum(1 for r in rows if r.is_tp)
-        pooled.extend(rows)
-    ap, curve = average_precision(pooled, total_gt)
-    if total_gt == 0:
-        recall = None if ap is None else 0.0
-    else:
-        recall = tp_count / total_gt
-    return ap, curve, recall
+        capped = _sorted_by_score(dets_cell.get((cat_id, image_id), []))[: config.max_dets]
+        base = len(pool.scores)
+        pool.scores.extend(d.score for d in capped)
+        pool.num_gt += sum(not g.iscrowd for g in gts)
+        for (tps, ignored), hits in zip(pool.hits, _greedy(capped, gts, config.iou_thresholds)):
+            for r, c in hits:
+                (ignored if gts[c].iscrowd else tps).append(base + r)
+    return pools
 
 
 def evaluate(
@@ -261,11 +289,14 @@ def evaluate(
     split: SplitResult,
     dets: Sequence[Detection],
     config: EvalConfig = EvalConfig(),
+    *,
+    gt_filter: Callable[[GroundTruthInstance], bool] | None = None,
 ) -> EvaluationReport:
     """Score detections against the test portion of a split.
 
     Detections referencing images outside the test split are ignored and
-    counted. Raises on an empty test split.
+    counted. With ``gt_filter``, only the ground truth it accepts is
+    scored. Raises on an empty test split.
     """
     test_ids = sorted(split.test_image_ids)
     if not test_ids:
@@ -274,41 +305,22 @@ def evaluate(
         ds.image(image_id)
     test_set = set(test_ids)
     used = [d for d in dets if d.image_id in test_set]
-    ignored = len(dets) - len(used)
-    cells = _category_cells(ds, test_ids, used, config.max_dets)
-
-    totals = {}
-    det_counts = {}
-    for cat in ds.categories:
-        totals[cat.id] = sum(
-            sum(1 for g in gts if not g.iscrowd) for _, _, gts, _ in cells[cat.id]
-        )
-        det_counts[cat.id] = sum(len(capped) for _, capped, _, _ in cells[cat.id])
-
-    tasks = [(cat.id, t) for cat in ds.categories for t in config.iou_thresholds]
-
-    def run(task):
-        cat_id, threshold = task
-        return _category_threshold(cells[cat_id], threshold, totals[cat_id])
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = dict(zip(tasks, pool.map(run, tasks)))
-    else:
-        outcomes = {task: run(task) for task in tasks}
+    pools = _category_pools(ds, test_ids, used, config, gt_filter)
 
     rows = []
     for cat in ds.categories:
+        pool = pools[cat.id]
+        order = np.argsort(-np.array(pool.scores, dtype=np.float64), kind="stable")
         aps = []
         ars = []
         curve_50 = None
-        for t in config.iou_thresholds:
-            ap, curve, recall = outcomes[(cat.id, t)]
+        for t, (tps, crowd_rows) in zip(config.iou_thresholds, pool.hits):
+            ap, curve = _sweep(order, tps, crowd_rows, pool.num_gt, curve=t == 0.5)
             aps.append(ap)
-            ars.append(recall)
+            ars.append(len(tps) / pool.num_gt if pool.num_gt else (None if ap is None else 0.0))
             if t == 0.5:
                 curve_50 = curve
-        if totals[cat.id] == 0 and det_counts[cat.id] == 0:
+        if pool.num_gt == 0 and not pool.scores:
             map_value = ap50 = mar = None
         else:
             map_value = sum(aps) / len(aps)
@@ -318,8 +330,8 @@ def evaluate(
             CategoryReport(
                 category_id=cat.id,
                 name=cat.name,
-                num_gt=totals[cat.id],
-                num_detections=det_counts[cat.id],
+                num_gt=pool.num_gt,
+                num_detections=len(pool.scores),
                 per_threshold_ap=tuple(aps),
                 per_threshold_ar=tuple(ars),
                 map=map_value,
@@ -331,11 +343,8 @@ def evaluate(
 
     scored = [r for r in rows if r.num_gt > 0]
     mean_ap = sum(r.map for r in scored) / len(scored) if scored else None
-    mean_ap50 = (
-        sum(r.ap50 for r in scored) / len(scored)
-        if scored and all(r.ap50 is not None for r in scored)
-        else None
-    )
+    with_ap50 = scored and all(r.ap50 is not None for r in scored)
+    mean_ap50 = sum(r.ap50 for r in scored) / len(scored) if with_ap50 else None
     mean_ar = sum(r.mar for r in scored) / len(scored) if scored else None
     return EvaluationReport(
         per_category=tuple(rows),
@@ -345,8 +354,8 @@ def evaluate(
         iou_thresholds=config.iou_thresholds,
         max_dets=config.max_dets,
         num_detections_used=len(used),
-        num_detections_ignored=ignored,
-        num_gt=sum(totals.values()),
+        num_detections_ignored=len(dets) - len(used),
+        num_gt=sum(pool.num_gt for pool in pools.values()),
         split_digest=split.manifest_digest,
     )
 
@@ -397,21 +406,16 @@ def evaluate_rec(
     scored; the result is one report per prompt (sorted by prompt). Every
     prompt appearing on a detection must have a filter.
     """
+    by_prompt: dict[str, list[Detection]] = {prompt: [] for prompt in prompt_filters}
     for det in dets:
         if det.prompt is None:
             raise ValidationError("REC evaluation requires a prompt on every detection")
         if det.prompt not in prompt_filters:
             raise ValidationError(f"unknown prompt {det.prompt!r}: no filter provided")
+        by_prompt[det.prompt].append(det)
     reports = []
     for prompt in sorted(prompt_filters):
-        predicate = prompt_filters[prompt]
-        filtered = DetectionDataset(
-            categories=list(ds.categories),
-            images=list(ds.images),
-            instances=[a for a in ds.instances if predicate(a)],
-        )
-        prompt_dets = [d for d in dets if d.prompt == prompt]
-        report = evaluate(filtered, split, prompt_dets, config)
+        report = evaluate(ds, split, by_prompt[prompt], config, gt_filter=prompt_filters[prompt])
         reports.append(replace(report, prompt=prompt))
     return reports
 
@@ -431,11 +435,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
             }
             for row in report.per_category
         },
-        "aggregate": {
-            "mAP": report.mean_ap,
-            "AP50": report.mean_ap50,
-            "mAR": report.mean_ar,
-        },
+        "aggregate": {"mAP": report.mean_ap, "AP50": report.mean_ap50, "mAR": report.mean_ar},
         "counts": {
             "detections_used": report.num_detections_used,
             "detections_ignored": report.num_detections_ignored,

@@ -156,13 +156,21 @@ def box_from_values(
 ) -> BoundingBox:
     """Build a box from a 4-tuple in the given format.
 
-    CENTER_NORMALIZED requires the image dimensions. Conversions are exact
-    for coordinates exactly representable in binary (integers, quarter
-    pixels, ...); arbitrary floats round-trip to within one ulp.
+    ``values`` must be a list or tuple of 4 ints or floats (booleans are
+    not numbers here). CENTER_NORMALIZED requires the image dimensions.
+    Conversions are exact for coordinates exactly representable in binary
+    (integers, quarter pixels, ...); arbitrary floats round-trip to within
+    one ulp.
     """
-    vals = tuple(float(v) for v in values)
-    if len(vals) != 4:
-        raise ValidationError(f"expected 4 box values, got {len(vals)}")
+    if not (isinstance(values, (list, tuple)) and len(values) == 4):
+        raise ValidationError(f"expected a list of 4 box numbers, got {values!r}")
+    for v in values:  # plain floats, the common case, pass on the first test
+        if v.__class__ is not float and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            raise ValidationError(f"expected a list of 4 box numbers, got {values!r}")
+    try:
+        vals = tuple(map(float, values))
+    except OverflowError:
+        raise ValidationError(f"box value out of range: {values!r}") from None
     if fmt is BoxFormat.CORNER:
         return BoundingBox(*vals)
     if fmt is BoxFormat.TOP_LEFT_SIZE:

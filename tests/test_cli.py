@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,34 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--annotations", "nope.json")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("bbox", [None, "abcd", [0, 0, 1], [True, 0, 1, 1]])
+    def test_malformed_bbox_exits_1(self, capsys, tmp_path, bbox):
+        payload = json.loads((DATA / "fixture_stats" / "annotations.json").read_text())
+        payload["annotations"][0]["bbox"] = bbox
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "stats", "--annotations", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and "box" in err
+
+    @pytest.mark.parametrize("command", ["stats", "write-coco"])
+    def test_clamp_reported_once(self, tmp_path, command):
+        payload = json.loads((DATA / "fixture_stats" / "annotations.json").read_text())
+        image = payload["images"][0]
+        payload["annotations"][0].update(
+            image_id=image["id"], bbox=[image["width"] - 5, 0, 20, 10]
+        )
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(payload))
+        argv = [command, "--annotations", str(path), "--out", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fruitbench.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("clamped 1 out-of-image boxes") == 1, proc.stderr
 
 
 class TestSplit:
@@ -186,6 +217,20 @@ class TestEvaluate:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "IntegrityError"
         assert "999" in payload["message"]
+
+    @pytest.mark.parametrize("bbox", [None, "abcd", [0, 0, 1], [True, 0, 1, 1]])
+    def test_malformed_prediction_bbox_exits_1(self, capsys, split_manifest, tmp_path, bbox):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": bbox, "score": 0.5}]))
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(bad),
+            "--split", str(split_manifest),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "box" in err
 
     def test_threads_flag_same_output(self, capsys, split_manifest):
         outputs = []

@@ -94,6 +94,34 @@ class TestLoadCoco:
         assert ds_a == ds_b
 
 
+    @pytest.mark.parametrize("bbox", [None, "abcd", [0, 0, 1], [True, 0, 1, 1]])
+    def test_malformed_bbox_rejected(self, tmp_path, bbox):
+        path = minimal_coco(
+            tmp_path,
+            annotations=[{"id": 1, "image_id": 1, "category_id": 1, "bbox": bbox, "iscrowd": 0}],
+        )
+        with pytest.raises(ValidationError, match="box"):
+            load_coco(path)
+
+    @pytest.mark.parametrize(
+        "section, field", [
+            ("categories", "id"),
+            ("images", "id"),
+            ("images", "width"),
+            ("annotations", "id"),
+            ("annotations", "image_id"),
+            ("annotations", "category_id"),
+        ],
+    )
+    def test_boolean_ids_rejected(self, tmp_path, section, field):
+        payload = json.loads(minimal_coco(tmp_path).read_text())
+        payload[section][0][field] = True
+        path = tmp_path / "booleans.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=field):
+            load_coco(path)
+
+
 class TestDatasetValidation:
     def test_duplicate_category_ids(self):
         with pytest.raises(ValidationError):
@@ -292,6 +320,26 @@ class TestLoadPredictions:
             json.dumps([{"image_id": 3, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}])
         )
         with pytest.raises(IntegrityError, match="image 3"):
+            load_predictions(path, ds)
+
+    @pytest.mark.parametrize("bbox", [None, "abcd", [0, 0, 1], [True, 0, 1, 1]])
+    def test_malformed_bbox_rejected(self, tmp_path, bbox):
+        ds, _ = load_coco(minimal_coco(tmp_path))
+        path = tmp_path / "preds.json"
+        path.write_text(
+            json.dumps([{"image_id": 1, "category_id": 1, "bbox": bbox, "score": 0.5}])
+        )
+        with pytest.raises(ValidationError, match="box"):
+            load_predictions(path, ds)
+
+    @pytest.mark.parametrize("field", ["image_id", "category_id", "score"])
+    def test_boolean_fields_rejected(self, tmp_path, field):
+        ds, _ = load_coco(minimal_coco(tmp_path))
+        record = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
+        record[field] = True
+        path = tmp_path / "preds.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ValidationError, match=field):
             load_predictions(path, ds)
 
     def test_grouping_by_image(self, tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fruitbench.datamodel import (
@@ -13,6 +14,7 @@ from fruitbench.errors import ValidationError
 from fruitbench.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     EvalConfig,
+    _iou_matrix,
     average_precision,
     attribute_predicate,
     evaluate,
@@ -20,7 +22,7 @@ from fruitbench.evaluation import (
     match_detections,
     report_to_dict,
 )
-from fruitbench.geometry import BoundingBox
+from fruitbench.geometry import BoundingBox, iou
 from fruitbench.splits import split_train_test
 
 from .generators import random_eval_instance
@@ -44,6 +46,47 @@ def single_image_dataset(gts, n_cats=1, size=100):
     categories = [Category(c + 1, f"cat{c + 1}") for c in range(n_cats)]
     images = [ImageRecord(1, "a.jpg", size, size)]
     return DetectionDataset(categories, images, list(gts))
+
+
+def corners(boxes):
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64)
+
+
+class TestIouMatrix:
+    SPECIAL = [
+        B(0, 0, 10, 10),
+        B(10, 0, 20, 10),  # touches the first along an edge
+        B(10, 10, 20, 20),  # touches it at a corner
+        B(2, 2, 8, 8),  # nested in it
+        B(0, 0, 10, 10),  # identical to it
+        B(5, 0, 5, 10),  # zero width
+        B(0, 5, 10, 5),  # zero height
+        B(3, 3, 3, 3),  # a point
+        B(3, 3, 3, 3),  # the same point: empty union
+        B(0.1, 0.2, 0.30000000000000004, 0.7),
+        B(-1e6, -1e6, 1e6, 1e6),
+        B(1e-300, 1e-300, 3e-300, 2e-300),
+    ]
+
+    def assert_bitwise_equal(self, a, b):
+        got = _iou_matrix(corners(a), corners(b))
+        assert got.shape == (len(a), len(b))
+        for i, box_a in enumerate(a):
+            for j, box_b in enumerate(b):
+                assert float(got[i, j]).hex() == iou(box_a, box_b).hex(), (box_a, box_b)
+
+    def test_special_boxes_match_scalar_iou(self):
+        self.assert_bitwise_equal(self.SPECIAL, self.SPECIAL)
+
+    def test_random_boxes_match_scalar_iou(self):
+        rng = random.Random(5)
+        for scale in (1.0, 37.3, 1e-3, 4096.0):
+            boxes = []
+            for _ in range(60):
+                x0, x1 = sorted(rng.uniform(0, scale) for _ in range(2))
+                y0, y1 = sorted(rng.uniform(0, scale) for _ in range(2))
+                boxes.append(B(x0, y0, x1, y1))
+            self.assert_bitwise_equal(boxes, boxes[:40] + self.SPECIAL)
 
 
 class TestMatchDetections:
@@ -232,6 +275,94 @@ class TestEvaluate:
             assert report.mean_ap == oracle["aggregate"]["mAP"]
             assert report.mean_ap50 == oracle["aggregate"]["AP50"]
             assert report.mean_ar == oracle["aggregate"]["mAR"]
+
+    def test_dense_cells_match_scalar_oracle(self):
+        """Cells of the dense-orchard size (100 kept detections x 80 ground
+        truth) with IoU ties, a coarse score grid (score ties) and crowd
+        regions, scored against the scalar composition ``iou`` -> greedy
+        loop -> naive sweep, bit for bit."""
+        rng = random.Random(42)
+        size = 64
+        categories = [Category(1, "apple"), Category(2, "pear")]
+        images = [ImageRecord(i, f"img{i}.jpg", size, size) for i in (1, 2)]
+
+        def grid_box(lo, hi, margin=0):
+            w, h = rng.randint(lo, hi), rng.randint(lo, hi)
+            x, y = rng.randint(margin, size - w - margin), rng.randint(margin, size - h - margin)
+            return B(x, y, x + w, y + h)
+
+        def shifted(box, dx):
+            return B(box.x_min + dx, box.y_min, box.x_max + dx, box.y_max)
+
+        instances = []
+        detections = []
+        for image in images:
+            for cat in categories:
+
+                def add_gt(box, iscrowd=False):
+                    instances.append(gt(len(instances) + 1, image.id, cat.id, box, iscrowd=iscrowd))
+
+                def add_det(box):
+                    detections.append(det(image.id, cat.id, box, rng.randint(1, 9) / 10))
+
+                # Twins: two ground-truth boxes shifted left and right of a
+                # detection tie on IoU, and which one it takes decides
+                # whether a second detection next to the left twin matches.
+                for _ in range(20):
+                    centre, s = grid_box(6, 16, margin=4), rng.randint(1, 3)
+                    add_gt(shifted(centre, -s))
+                    add_gt(shifted(centre, s))
+                    add_det(centre)
+                    add_det(shifted(centre, -s - 1))
+                # Repeated boxes, some of them crowd regions.
+                shapes = [grid_box(4, 20) for _ in range(25)]
+                others = [rng.choice(shapes) for _ in range(40)]
+                for box in others:
+                    add_gt(box, iscrowd=rng.random() < 0.15)
+                for _ in range(80):  # 120 in all, so the max_dets cap applies
+                    if rng.random() < 0.7:
+                        base = rng.choice(others)
+                        dx, dy = rng.randint(-2, 2), rng.randint(-2, 2)
+                        add_det(B(
+                            max(base.x_min + dx, 0), max(base.y_min + dy, 0),
+                            max(base.x_max + dx, 0), max(base.y_max + dy, 0),
+                        ))
+                    else:
+                        add_det(grid_box(0, 24))
+        ds = DetectionDataset(categories, images, instances)
+        split = type(split_train_test(ds, 0.5, seed=1))(
+            train_image_ids=(),
+            test_image_ids=(1, 2),
+            spec=split_train_test(ds, 0.5, seed=1).spec,
+            manifest_digest="dense",
+        )
+        cell_dets = sorted(
+            [d for d in detections if (d.image_id, d.category_id) == (1, 1)], key=lambda d: -d.score
+        )[:100]
+        cell_gts = [g for g in ds.instances_for_image(1) if g.category_id == 1]
+        # The data must exercise what it is meant to: IoU ties between
+        # non-crowd ground truth and matches on crowd regions.
+        tied = 0
+        for d in cell_dets:
+            values = [iou(d.box, g.box) for g in cell_gts if not g.iscrowd]
+            tied += values.count(max(values)) > 1 and max(values) >= 0.5
+        assert tied >= 10
+        assert any(r.ignored for r in match_detections(cell_dets, cell_gts, 0.5))
+
+        report = evaluate(ds, split, detections)
+        oracle = naive_evaluate(ds, split, detections, DEFAULT_IOU_THRESHOLDS, 100)
+        for row in report.per_category:
+            expected = oracle["per_category"][row.category_id]
+            assert row.num_detections == 200
+            assert row.num_gt == expected["num_gt"]
+            assert list(row.per_threshold_ap) == expected["per_threshold_ap"]
+            assert list(row.per_threshold_ar) == expected["per_threshold_ar"]
+            assert (row.map, row.ap50, row.mar) == (
+                expected["mAP"], expected["AP50"], expected["mAR"]
+            )
+        assert (report.mean_ap, report.mean_ap50, report.mean_ar) == (
+            oracle["aggregate"]["mAP"], oracle["aggregate"]["AP50"], oracle["aggregate"]["mAR"]
+        )
 
     def test_parallel_equals_serial(self):
         rng = random.Random(99)

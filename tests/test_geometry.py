@@ -148,6 +148,15 @@ class TestFormatConversions:
         with pytest.raises(ValidationError):
             box_to_values(box(0, 0, 1, 1), BoxFormat.CENTER_NORMALIZED)
 
+    @pytest.mark.parametrize(
+        "values",
+        [None, "abcd", [0, 0, 1], [0, 0, 1, 1, 1], [True, 0, 1, 1], [0, 0, "1", 1],
+         {"x": 0}, [0, 0, 10**400, 1]],
+    )
+    def test_malformed_values_rejected(self, values):
+        with pytest.raises(ValidationError):
+            box_from_values(values, BoxFormat.TOP_LEFT_SIZE)
+
 
 class TestProperties:
     @given(boxes(), boxes())
