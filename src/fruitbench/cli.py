@@ -4,11 +4,15 @@ library operations.
 Subcommands: ingest-labelme, write-coco, stats, split, evaluate, loss,
 rec-eval, report, bench. Exit codes: 0 success, 1 validation/usage error,
 2 I/O error. With ``--json-errors`` failures are additionally written to
-stderr as one JSON object. A JSON config file (top-level keys naming
-subcommands, values mapping flag names with dashes replaced by
-underscores) supplies defaults; explicit flags always win. ``--threads``
-and the FRUITBENCH_THREADS environment variable are accepted and validated
-but have no effect: evaluation runs in one thread.
+stderr as one JSON object.
+
+A JSON config file (top-level keys naming subcommands, values mapping flag
+names with dashes replaced by underscores) supplies flags: the chosen
+subcommand's section is inserted into the arguments right after the
+subcommand name, so argparse parses and checks each config value exactly
+as it does a flag, and explicit flags, which come later, win. A string is
+passed as written and any other value as its JSON text; an on/off flag
+takes true or false, and null leaves a flag unset.
 """
 
 from __future__ import annotations
@@ -16,18 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import datamodel, evaluation, reporting, splits
 from .assignment import LossBreakdown, LossWeights, TokenLogits, set_loss
 from .errors import FruitBenchError, ValidationError
 
-__all__ = ["main", "build_parser", "RunConfig"]
-
-THREADS_ENV = "FRUITBENCH_THREADS"
+__all__ = ["main", "build_parser"]
 
 # Confidence clamp for deriving alignment logits from detection scores:
 # scores are squeezed into [1e-7, 1 - 1e-7] before the log-odds transform.
@@ -44,19 +44,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters, normalized before any file I/O happens."""
+def _checked(convert, ok, message: str):
+    """An argparse ``type=``: convert the text, then raise a
+    ``ValidationError`` (exit 1, before any file I/O) unless ``ok``."""
 
-    subcommand: str
-    fraction: float | None = None
-    k: int | None = None
-    seed: int | None = None
-    thresholds: tuple[float, ...] | None = None
-    max_dets: int | None = None
-    weights: LossWeights | None = None
-    output_format: str | None = None
-    workers: int = 1
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValidationError(message.format(value))
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_fraction = _checked(
+    float, lambda v: 0.0 < v < 1.0, "--fraction must lie strictly between 0 and 1, got {}"
+)
+_k = _checked(int, lambda v: v >= 0, "--k must be non-negative, got {}")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "--seed must be a 64-bit unsigned integer, got {}")
+_max_dets = _checked(int, lambda v: v >= 1, "--max-dets must be >= 1, got {}")
 
 
 def _parse_weights(text: str) -> LossWeights:
@@ -70,58 +77,11 @@ def _parse_weights(text: str) -> LossWeights:
     return LossWeights(l1=values[0], giou=values[1], contrastive=values[2])
 
 
-def _parse_thresholds(text: str | None) -> tuple[float, ...]:
-    if text is None:
-        return evaluation.DEFAULT_IOU_THRESHOLDS
+def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(p) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(f"--thresholds must be comma-separated numbers, got {text!r}") from None
-    return values
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(value, 1)
-
-
-def _validated_config(args) -> RunConfig:
-    threads = getattr(args, "threads", None)
-    workers = threads if threads is not None else _default_workers()
-    if workers < 1:
-        raise ValidationError(f"--threads must be >= 1, got {workers}")
-    cfg = RunConfig(
-        subcommand=args.command,
-        fraction=getattr(args, "fraction", None),
-        k=getattr(args, "k", None),
-        seed=getattr(args, "seed", None),
-        thresholds=(
-            _parse_thresholds(getattr(args, "thresholds", None))
-            if hasattr(args, "thresholds")
-            else None
-        ),
-        max_dets=getattr(args, "max_dets", None),
-        weights=(
-            _parse_weights(args.weights) if getattr(args, "weights", None) else LossWeights()
-        ),
-        output_format=getattr(args, "format", None),
-        workers=workers,
-    )
-    if cfg.fraction is not None and not (0.0 < cfg.fraction < 1.0):
-        raise ValidationError(f"--fraction must lie strictly between 0 and 1, got {cfg.fraction}")
-    if cfg.k is not None and cfg.k < 0:
-        raise ValidationError(f"--k must be non-negative, got {cfg.k}")
-    if cfg.seed is not None and not (0 <= cfg.seed < 2**64):
-        raise ValidationError(f"--seed must be a 64-bit unsigned integer, got {cfg.seed}")
-    if cfg.max_dets is not None and cfg.max_dets < 1:
-        raise ValidationError(f"--max-dets must be >= 1, got {cfg.max_dets}")
-    return cfg
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -138,28 +98,11 @@ def _load_json_arg(path, flag: str):
         raise ValidationError(f"{flag} file {path}: {exc.msg} (byte offset {exc.pos})") from None
 
 
-def _eval_config(cfg: RunConfig) -> evaluation.EvalConfig:
-    return evaluation.EvalConfig(
-        iou_thresholds=cfg.thresholds or evaluation.DEFAULT_IOU_THRESHOLDS,
-        max_dets=cfg.max_dets or 100,
-        workers=cfg.workers,
-    )
+def _eval_config(args) -> evaluation.EvalConfig:
+    return evaluation.EvalConfig(iou_thresholds=args.thresholds, max_dets=args.max_dets)
 
 
-def _report_markdown(report: evaluation.EvaluationReport) -> str:
-    header = ["Category", "mAP", "AP50", "mAR"]
-    rows = [
-        [row.name, _m(row.map), _m(row.ap50), _m(row.mar)] for row in report.per_category
-    ]
-    rows.append(["(mean)", _m(report.mean_ap), _m(report.mean_ap50), _m(report.mean_ar)])
-    return reporting._markdown_table(header, rows)
-
-
-def _m(value: float | None) -> str:
-    return reporting.MISSING if value is None else f"{value * 100:.1f}"
-
-
-def cmd_ingest_labelme(args, cfg: RunConfig) -> int:
+def cmd_ingest_labelme(args) -> int:
     raw = _load_json_arg(args.categories, "--categories")
     if not isinstance(raw, list):
         raise ValidationError("--categories must be a JSON array of {id, name}")
@@ -180,40 +123,37 @@ def cmd_ingest_labelme(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_write_coco(args, cfg: RunConfig) -> int:
+def cmd_write_coco(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     datamodel.write_coco(ds, args.out)
     return 0
 
 
-def cmd_stats(args, cfg: RunConfig) -> int:
+def cmd_stats(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     stats = datamodel.compute_stats(ds)
-    _write_output(reporting.render_stats_table(stats, cfg.output_format or "markdown"), args.out)
+    _write_output(reporting.render_stats_table(stats, args.format), args.out)
     return 0
 
 
-def cmd_split(args, cfg: RunConfig) -> int:
-    if cfg.seed is None:
-        raise ValidationError("--seed is required")
-    fraction = cfg.fraction if cfg.fraction is not None else 0.6
+def cmd_split(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     if args.kind == splits.KIND_TRAIN_TEST:
-        result = splits.split_train_test(ds, fraction, cfg.seed)
+        result = splits.split_train_test(ds, args.fraction, args.seed)
     elif args.kind == splits.KIND_ZERO_SHOT:
-        result = splits.split_zero_shot(ds, fraction, cfg.seed)
+        result = splits.split_zero_shot(ds, args.fraction, args.seed)
     elif args.kind == splits.KIND_K_SHOT:
-        if cfg.k is None:
+        if args.k is None:
             raise ValidationError("--k is required for k-shot splits")
-        pool = splits.split_train_test(ds, fraction, cfg.seed)
-        result = splits.sample_k_shot(ds, pool, cfg.k, cfg.seed)
+        pool = splits.split_train_test(ds, args.fraction, args.seed)
+        result = splits.sample_k_shot(ds, pool, args.k, args.seed)
     elif args.kind == splits.KIND_CROSS_CLASS:
         if not args.held_out:
             raise ValidationError("--held-out is required for cross-class splits")
         held = next((c for c in ds.categories if c.name == args.held_out), None)
         if held is None:
             raise ValidationError(f"unknown category {args.held_out!r}")
-        result = splits.split_cross_class(ds, held, fraction, cfg.seed)
+        result = splits.split_cross_class(ds, held, args.fraction, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown split kind {args.kind!r}")
     splits.write_manifest(result, args.out)
@@ -221,13 +161,13 @@ def cmd_split(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(args, cfg: RunConfig) -> int:
+def cmd_evaluate(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     split = splits.load_manifest(args.split)
     dets = datamodel.load_predictions(args.predictions, ds)
-    report = evaluation.evaluate(ds, split, dets, _eval_config(cfg))
-    if (cfg.output_format or "json") == "markdown":
-        text = _report_markdown(report)
+    report = evaluation.evaluate(ds, split, dets, _eval_config(args))
+    if args.format == "markdown":
+        text = reporting.render_report_table(report)
     else:
         text = json.dumps(evaluation.report_to_dict(report), indent=2) + "\n"
     _write_output(text, args.out)
@@ -250,7 +190,7 @@ def _detections_to_loss_inputs(ds, dets_for_image):
     return preds, index, len(vocabulary)
 
 
-def cmd_loss(args, cfg: RunConfig) -> int:
+def cmd_loss(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     dets = datamodel.load_predictions(args.predictions, ds)
     if args.split:
@@ -260,7 +200,7 @@ def cmd_loss(args, cfg: RunConfig) -> int:
     by_image: dict[int, list] = {}
     for det in dets:
         by_image.setdefault(det.image_id, []).append(det)
-    weights = cfg.weights or LossWeights()
+    weights = args.weights
     rows = []
     breakdowns: list[LossBreakdown] = []
     for image_id in image_ids:
@@ -304,7 +244,7 @@ def cmd_loss(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_rec_eval(args, cfg: RunConfig) -> int:
+def cmd_rec_eval(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     split = splits.load_manifest(args.split)
     dets = datamodel.load_predictions(args.predictions, ds)
@@ -312,19 +252,18 @@ def cmd_rec_eval(args, cfg: RunConfig) -> int:
     if not isinstance(raw, dict):
         raise ValidationError("--filters must be a JSON object mapping prompts to predicates")
     filters = {prompt: evaluation.attribute_predicate(spec) for prompt, spec in raw.items()}
-    reports = evaluation.evaluate_rec(ds, split, dets, filters, _eval_config(cfg))
-    if (cfg.output_format or "json") == "markdown":
-        sections = []
-        for report in reports:
-            sections.append(f"## {report.prompt}\n\n" + _report_markdown(report))
-        text = "\n".join(sections)
+    reports = evaluation.evaluate_rec(ds, split, dets, filters, _eval_config(args))
+    if args.format == "markdown":
+        text = "\n".join(
+            f"## {report.prompt}\n\n" + reporting.render_report_table(report) for report in reports
+        )
     else:
         text = json.dumps([evaluation.report_to_dict(r) for r in reports], indent=2) + "\n"
     _write_output(text, args.out)
     return 0
 
 
-def cmd_report(args, cfg: RunConfig) -> int:
+def cmd_report(args) -> int:
     grid_path = Path(args.grid)
     raw = _load_json_arg(grid_path, "--grid")
     try:
@@ -341,7 +280,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
     grid = reporting.ExperimentGrid(
         rows=rows,
         metrics=tuple(raw.get("metrics", reporting.METRIC_KEYS)),
-        output_format=cfg.output_format or raw.get("format", "markdown"),
+        output_format=args.format or raw.get("format", "markdown"),
     )
     base = grid_path.parent
     grid.check_files_exist(base)
@@ -350,7 +289,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
     for row in grid.rows:
         split = splits.load_manifest(base / row.manifest)
         dets = datamodel.load_predictions(base / row.predictions, ds)
-        reports[row.label] = evaluation.evaluate(ds, split, dets, _eval_config(cfg))
+        reports[row.label] = evaluation.evaluate(ds, split, dets, _eval_config(args))
     text, missing = reporting.render_metric_grid(grid, reports)
     if missing:
         print(f"warning: {missing} missing cells rendered as {reporting.MISSING}", file=sys.stderr)
@@ -358,156 +297,141 @@ def cmd_report(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(args, cfg: RunConfig) -> int:
+def cmd_bench(args) -> int:
     records = reporting.load_timing_log(args.timings)
-    _write_output(
-        reporting.summarize_timing(records, cfg.output_format or "markdown"), args.out
-    )
+    _write_output(reporting.summarize_timing(records, args.format), args.out)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Flags that a config file may supply are declared optional here and
-    # checked after the config merge (collected in the `_required` default).
     parser = _Parser(prog="fruitbench", description=__doc__)
-    parser.add_argument("--config", help="JSON config file supplying flag defaults")
+    parser.add_argument("--config", help="JSON config file supplying flags per subcommand")
     parser.add_argument("--json-errors", action="store_true", help="emit errors as JSON on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    def common(p, fmt_default=None, fmt_choices=reporting.FORMATS):
+    def output(p, fmt_default=None, fmt_choices=reporting.FORMATS):
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", default=fmt_default, choices=fmt_choices)
+
+    def scoring(p):
+        defaults = evaluation.EvalConfig()
         p.add_argument(
-            "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
+            "--thresholds", type=_parse_thresholds, default=defaults.iou_thresholds,
+            help="comma-separated IoU thresholds",
         )
+        p.add_argument("--max-dets", type=_max_dets, default=defaults.max_dets)
 
     p = sub.add_parser("ingest-labelme", help="convert per-image label files to one annotation file")
-    p.add_argument("--dir")
-    p.add_argument("--categories", help="JSON array of {id, name}")
-    p.add_argument("--out")
+    p.add_argument("--dir", required=True)
+    p.add_argument("--categories", required=True, help="JSON array of {id, name}")
+    p.add_argument("--out", required=True)
     p.add_argument("--fail-on-unmapped", action="store_true")
-    p.set_defaults(func=cmd_ingest_labelme, _required=("dir", "categories", "out"))
+    p.set_defaults(func=cmd_ingest_labelme)
 
     p = sub.add_parser("write-coco", help="normalize an annotation file")
-    p.add_argument("--annotations")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_write_coco, _required=("annotations", "out"))
+    p.add_argument("--annotations", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_write_coco)
 
     p = sub.add_parser("stats", help="dataset statistics table")
-    p.add_argument("--annotations")
-    common(p, fmt_default="markdown")
-    p.set_defaults(func=cmd_stats, _required=("annotations",))
+    p.add_argument("--annotations", required=True)
+    output(p, fmt_default="markdown")
+    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("split", help="generate a split manifest")
-    p.add_argument("--annotations")
+    p.add_argument("--annotations", required=True)
     p.add_argument(
         "--kind",
+        required=True,
         choices=[
             splits.KIND_TRAIN_TEST, splits.KIND_K_SHOT,
             splits.KIND_CROSS_CLASS, splits.KIND_ZERO_SHOT,
         ],
     )
-    p.add_argument("--fraction", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--fraction", type=_fraction, default=0.6)
+    p.add_argument("--k", type=_k, default=None)
     p.add_argument("--held-out", default=None, help="category name to hold out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_split, _required=("annotations", "kind", "seed", "out"))
+    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("evaluate", help="score predictions on a split")
-    p.add_argument("--annotations")
-    p.add_argument("--predictions")
-    p.add_argument("--split")
-    p.add_argument("--thresholds", default=None, help="comma-separated IoU thresholds")
-    p.add_argument("--max-dets", type=int, default=None)
-    common(p, fmt_default="json", fmt_choices=("json", "markdown"))
-    p.set_defaults(func=cmd_evaluate, _required=("annotations", "predictions", "split"))
+    p.add_argument("--annotations", required=True)
+    p.add_argument("--predictions", required=True)
+    p.add_argument("--split", required=True)
+    scoring(p)
+    output(p, fmt_default="json", fmt_choices=("json", "markdown"))
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("loss", help="set-matching loss report")
-    p.add_argument("--annotations")
-    p.add_argument("--predictions")
+    p.add_argument("--annotations", required=True)
+    p.add_argument("--predictions", required=True)
     p.add_argument("--split", default=None, help="restrict to a manifest's test images")
-    p.add_argument("--weights", default=None, help="w_l1,w_giou,w_contrastive")
+    p.add_argument(
+        "--weights", type=_parse_weights, default=LossWeights(), help="w_l1,w_giou,w_contrastive"
+    )
     p.add_argument("--no-unmatched-contrastive", action="store_true")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_loss, _required=("annotations", "predictions"))
+    p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("rec-eval", help="prompt-conditioned evaluation")
-    p.add_argument("--annotations")
-    p.add_argument("--predictions")
-    p.add_argument("--split")
-    p.add_argument("--filters", help="JSON map prompt -> attribute predicate")
-    p.add_argument("--thresholds", default=None)
-    p.add_argument("--max-dets", type=int, default=None)
-    common(p, fmt_default="json", fmt_choices=("json", "markdown"))
-    p.set_defaults(
-        func=cmd_rec_eval, _required=("annotations", "predictions", "split", "filters")
-    )
+    p.add_argument("--annotations", required=True)
+    p.add_argument("--predictions", required=True)
+    p.add_argument("--split", required=True)
+    p.add_argument("--filters", required=True, help="JSON map prompt -> attribute predicate")
+    scoring(p)
+    output(p, fmt_default="json", fmt_choices=("json", "markdown"))
+    p.set_defaults(func=cmd_rec_eval)
 
     p = sub.add_parser("report", help="metric grid over experiment settings")
-    p.add_argument("--annotations")
-    p.add_argument("--grid", help="JSON grid config")
-    p.add_argument("--thresholds", default=None)
-    p.add_argument("--max-dets", type=int, default=None)
-    common(p, fmt_default=None)
-    p.set_defaults(func=cmd_report, _required=("annotations", "grid"))
+    p.add_argument("--annotations", required=True)
+    p.add_argument("--grid", required=True, help="JSON grid config")
+    scoring(p)
+    output(p)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("bench", help="timing summary from a latency log")
-    p.add_argument("--timings")
-    common(p, fmt_default="markdown")
-    p.set_defaults(func=cmd_bench, _required=("timings",))
+    p.add_argument("--timings", required=True)
+    output(p, fmt_default="markdown")
+    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
-def _extract_config_path(argv) -> str | None:
-    for k, token in enumerate(argv):
-        if token == "--config":
-            if k + 1 >= len(argv):
-                raise CliUsageError("--config expects a path")
-            return argv[k + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
-def _subparser_for(parser, command):
-    for action in parser._subparsers._group_actions:
-        if hasattr(action, "choices") and command in action.choices:
-            return action.choices[command]
-    return None
-
-
-def _apply_config_file(parser, config_path, argv):
+def _with_config(parser, argv: list[str]) -> list[str]:
+    """``argv`` with the chosen subcommand's config section inserted as
+    ``--flag=value`` tokens right after the subcommand name."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
+    if not config_path:
+        return argv
     config = _load_json_arg(config_path, "--config")
     if not isinstance(config, dict):
         raise ValidationError("config file must be a JSON object keyed by subcommand")
-    known_commands = set()
-    for action in parser._subparsers._group_actions:
-        if hasattr(action, "choices"):
-            known_commands.update(action.choices)
-    command = next((a for a in argv if a in known_commands), None)
-    section = config.get(command, {}) if command else {}
+    at = next((k for k, token in enumerate(argv) if token in parser.commands), None)
+    if at is None:
+        return argv
+    command = argv[at]
+    section = config.get(command, {})
     if not isinstance(section, dict):
         raise ValidationError(f"config section {command!r} must be an object")
-    subparser = _subparser_for(parser, command) if command else None
-    if subparser is not None and section:
-        known = {a.dest for a in subparser._actions}
-        unknown = set(section) - known
-        if unknown:
-            raise ValidationError(
-                f"config section {command!r} has unknown keys: {sorted(unknown)}"
-            )
-        subparser.set_defaults(**section)
-
-
-def _check_required(args) -> None:
-    missing = [
-        name for name in getattr(args, "_required", ()) if getattr(args, name, None) is None
-    ]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise CliUsageError(f"missing required arguments: {flags}")
+    subparser = parser.commands[command]
+    actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest != "help"}
+    unknown = set(section) - set(actions)
+    if unknown:
+        raise ValidationError(f"config section {command!r} has unknown keys: {sorted(unknown)}")
+    flags = []
+    for key, value in section.items():
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs == 0:  # an on/off flag
+            if value is not None and value.__class__ is not bool:
+                raise ValidationError(f"config key {key!r} takes true or false, got {value!r}")
+            flags += [flag] if value else []
+        elif value is not None:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return argv[: at + 1] + flags + argv[at + 1 :]
 
 
 def main(argv=None) -> int:
@@ -515,14 +439,9 @@ def main(argv=None) -> int:
     json_errors = "--json-errors" in argv
     try:
         parser = build_parser()
-        config_path = _extract_config_path(argv)
-        if config_path:
-            _apply_config_file(parser, config_path, argv)
-        args = parser.parse_args(argv)
-        _check_required(args)
-        cfg = _validated_config(args)
-        return args.func(args, cfg)
-    except (FruitBenchError, CliUsageError) as exc:
+        args = parser.parse_args(_with_config(parser, argv))
+        return args.func(args)
+    except FruitBenchError as exc:
         _emit_error(exc, 1, json_errors)
         return 1
     except OSError as exc:

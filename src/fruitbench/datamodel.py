@@ -199,15 +199,33 @@ def _require(condition: bool, message: str, error=ValidationError):
         raise error(message)
 
 
-def _field(record, key, context):
-    """``record[key]``. No field read this way is a flag, so a JSON boolean
-    is rejected rather than read as the number 0 or 1."""
+# Exact JSON value classes a field may hold, and how an error names them.
+_INT = (int,)
+_NUMBER = (int, float)
+_TEXT = (str, type(None))
+_FLAG = (int, bool)
+_EXPECTED = {_INT: "an integer", _NUMBER: "a number", _TEXT: "a string", _FLAG: "0, 1 or a boolean"}
+_NO_DEFAULT = object()
+
+
+def _field(record, key, context, kinds=None, default=_NO_DEFAULT):
+    """``record[key]``, type-checked in the same pass: a value whose exact
+    class is not in ``kinds`` is rejected. Without ``kinds`` only a JSON
+    boolean is, which would otherwise read as the number 0 or 1. With a
+    ``default`` the field may be absent."""
     try:
         value = record[key]
-    except (KeyError, TypeError):
+    except KeyError:
+        if default is _NO_DEFAULT:
+            raise ParseError(f"{context}: missing field {key!r}") from None
+        return default
+    except TypeError:
         raise ParseError(f"{context}: missing field {key!r}") from None
-    if value.__class__ is bool:
-        raise ValidationError(f"{context}: {key!r} must not be a boolean, got {value!r}")
+    if kinds is None:
+        if value.__class__ is bool:
+            raise ValidationError(f"{context}: {key!r} must not be a boolean, got {value!r}")
+    elif value.__class__ not in kinds:
+        raise ValidationError(f"{context}: {key!r} must be {_EXPECTED[kinds]}, got {value!r}")
     return value
 
 
@@ -237,7 +255,9 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
         ParseError: malformed JSON (with byte offset) or missing arrays.
         IntegrityError: a dangling image/category reference, naming the id.
         ValidationError: negative dimensions, malformed boxes, a boolean
-            where an id or a size belongs.
+            where an id or a size belongs, a non-integer image or category
+            reference, a non-string region, an ``iscrowd`` other than 0, 1
+            or a boolean.
     """
     path = Path(path)
     raw = _load_json(path)
@@ -249,23 +269,16 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
         Category(id=_field(c, "id", f"{path} categories"), name=str(_field(c, "name", path)))
         for c in raw["categories"]
     ]
-    images = []
-    for m in raw["images"]:
-        width = _field(m, "width", f"{path} images")
-        height = _field(m, "height", f"{path} images")
-        _require(
-            isinstance(width, int) and isinstance(height, int) and width > 0 and height > 0,
-            f"image {m.get('id')}: width/height must be positive integers, got {width}x{height}",
+    images = [
+        ImageRecord(
+            id=_field(m, "id", f"{path} images"),
+            file_name=str(_field(m, "file_name", f"{path} images")),
+            width=_field(m, "width", f"{path} images", _INT),
+            height=_field(m, "height", f"{path} images", _INT),
+            region=_field(m, "region", f"{path} images", _TEXT, None),
         )
-        images.append(
-            ImageRecord(
-                id=_field(m, "id", f"{path} images"),
-                file_name=str(_field(m, "file_name", f"{path} images")),
-                width=width,
-                height=height,
-                region=m.get("region"),
-            )
-        )
+        for m in raw["images"]
+    ]
     image_by_id = {m.id: m for m in images}
     category_ids = {c.id for c in categories}
 
@@ -273,8 +286,10 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
     clamped = 0
     for a in raw["annotations"]:
         ann_id = _field(a, "id", f"{path} annotations")
-        image_id = _field(a, "image_id", f"annotation {ann_id}")
-        category_id = _field(a, "category_id", f"annotation {ann_id}")
+        image_id = _field(a, "image_id", f"annotation {ann_id}", _INT)
+        category_id = _field(a, "category_id", f"annotation {ann_id}", _INT)
+        iscrowd = _field(a, "iscrowd", f"annotation {ann_id}", _FLAG, 0)
+        _require(iscrowd in (0, 1), f"annotation {ann_id}: 'iscrowd' must be 0 or 1, got {iscrowd}")
         if image_id not in image_by_id:
             raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
         if category_id not in category_ids:
@@ -295,7 +310,7 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
                 category_id=category_id,
                 box=clipped,
                 attributes={str(k): str(v) for k, v in attributes.items()},
-                iscrowd=bool(a.get("iscrowd", 0)),
+                iscrowd=bool(iscrowd),
             )
         )
     if clamped:
@@ -414,8 +429,9 @@ def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
 
     Raises:
         IntegrityError: a record references an unknown image or category.
-        ValidationError: a score outside [0, 1], a malformed box, or a
-            boolean where an id or the score belongs.
+        ValidationError: a score outside [0, 1] or not a number, a
+            malformed box, a non-integer image or category reference, or a
+            non-string prompt.
     """
     path = Path(path)
     raw = _load_json(path)
@@ -423,14 +439,14 @@ def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
     detections = []
     for index, record in enumerate(raw):
         context = f"detection #{index}"
-        image_id = _field(record, "image_id", context)
-        category_id = _field(record, "category_id", context)
+        image_id = _field(record, "image_id", context, _INT)
+        category_id = _field(record, "category_id", context, _INT)
         if not ds.has_image(image_id):
             raise IntegrityError(f"{context} references unknown image {image_id}")
         if not ds.has_category(category_id):
             raise IntegrityError(f"{context} references unknown category {category_id}")
-        score = _field(record, "score", context)
-        if not isinstance(score, (int, float)) or not (0.0 <= score <= 1.0):
+        score = _field(record, "score", context, _NUMBER)
+        if not (0.0 <= score <= 1.0):
             raise ValidationError(f"{context}: score must lie in [0, 1], got {score!r}")
         detections.append(
             Detection(
@@ -438,7 +454,7 @@ def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
                 category_id=category_id,
                 box=box_from_values(_field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
                 score=float(score),
-                prompt=record.get("prompt"),
+                prompt=_field(record, "prompt", context, _TEXT, None),
             )
         )
     return detections

@@ -31,7 +31,7 @@ per-detection candidate lists; a cumsum / envelope / searchsorted sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -63,12 +63,11 @@ _LEVELS = np.array(RECALL_LEVELS)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """``workers`` is validated but has no effect: evaluation runs in one
-    thread (a thread pool over this Python-bound work gained nothing)."""
+    """IoU thresholds (ascending, each in (0, 1]) and the per image and
+    category detection cap."""
 
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     max_dets: int = 100
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "iou_thresholds", tuple(self.iou_thresholds))
@@ -81,8 +80,6 @@ class EvalConfig:
             raise ValidationError("IoU thresholds must be ascending")
         if self.max_dets < 1:
             raise ValidationError(f"max_dets must be >= 1, got {self.max_dets!r}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,6 @@ class CategoryReport:
     map: float | None
     ap50: float | None
     mar: float | None
-    pr_curve_50: PRCurve | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -313,13 +309,10 @@ def evaluate(
         order = np.argsort(-np.array(pool.scores, dtype=np.float64), kind="stable")
         aps = []
         ars = []
-        curve_50 = None
-        for t, (tps, crowd_rows) in zip(config.iou_thresholds, pool.hits):
-            ap, curve = _sweep(order, tps, crowd_rows, pool.num_gt, curve=t == 0.5)
+        for tps, crowd_rows in pool.hits:
+            ap, _ = _sweep(order, tps, crowd_rows, pool.num_gt, curve=False)
             aps.append(ap)
             ars.append(len(tps) / pool.num_gt if pool.num_gt else (None if ap is None else 0.0))
-            if t == 0.5:
-                curve_50 = curve
         if pool.num_gt == 0 and not pool.scores:
             map_value = ap50 = mar = None
         else:
@@ -337,7 +330,6 @@ def evaluate(
                 map=map_value,
                 ap50=ap50,
                 mar=mar,
-                pr_curve_50=curve_50,
             )
         )
 
@@ -364,19 +356,28 @@ def attribute_predicate(spec: Mapping) -> Callable[[GroundTruthInstance], bool]:
     """Build a ground-truth filter from a small JSON-friendly description.
 
     Forms: ``{"any": true}``, or ``{"attribute": name, <op>: value}`` with
-    one of the ops ``equals | not_equals | in | not_in``. A missing
-    attribute compares as the empty string.
+    one of the ops ``equals | not_equals | in | not_in``; the value is a
+    string, a list of strings for ``in | not_in``. A missing attribute
+    compares as the empty string.
     """
+    if not isinstance(spec, Mapping):
+        raise ValidationError(f"predicate must be a JSON object, got {spec!r}")
     if spec.get("any"):
         return lambda inst: True
     attribute = spec.get("attribute")
-    if not attribute:
-        raise ValidationError(f"predicate needs an 'attribute' (or 'any': true): {spec!r}")
+    if not attribute or not isinstance(attribute, str):
+        raise ValidationError(f"predicate needs an 'attribute' name (or 'any': true): {spec!r}")
     ops = [op for op in ("equals", "not_equals", "in", "not_in") if op in spec]
     if len(ops) != 1:
         raise ValidationError(f"predicate needs exactly one operator: {spec!r}")
     op = ops[0]
     operand = spec[op]
+    if op in ("in", "not_in"):
+        if not isinstance(operand, list) or not all(isinstance(v, str) for v in operand):
+            raise ValidationError(f"predicate {op!r} needs a list of strings: {spec!r}")
+        operand = set(operand)
+    elif not isinstance(operand, str):
+        raise ValidationError(f"predicate {op!r} needs a string: {spec!r}")
 
     def value_of(inst: GroundTruthInstance) -> str:
         return inst.attributes.get(attribute, "")
@@ -386,10 +387,8 @@ def attribute_predicate(spec: Mapping) -> Callable[[GroundTruthInstance], bool]:
     if op == "not_equals":
         return lambda inst: value_of(inst) != operand
     if op == "in":
-        allowed = set(operand)
-        return lambda inst: value_of(inst) in allowed
-    excluded = set(operand)
-    return lambda inst: value_of(inst) not in excluded
+        return lambda inst: value_of(inst) in operand
+    return lambda inst: value_of(inst) not in operand
 
 
 def evaluate_rec(

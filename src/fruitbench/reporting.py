@@ -26,6 +26,7 @@ __all__ = [
     "TimingRecord",
     "render_stats_table",
     "render_metric_grid",
+    "render_report_table",
     "load_timing_log",
     "summarize_timing",
 ]
@@ -210,6 +211,15 @@ def render_metric_grid(
     if grid.output_format == "markdown":
         return _markdown_table(header, table_rows), warnings
     return _csv_table(header, table_rows), warnings
+
+
+def render_report_table(report: EvaluationReport) -> str:
+    """One evaluation report as a markdown table: a mAP / AP50 / mAR row
+    per category, then a "(mean)" row of the aggregates."""
+    values = [(r.name, r.map, r.ap50, r.mar) for r in report.per_category]
+    values.append(("(mean)", report.mean_ap, report.mean_ap50, report.mean_ar))
+    rows = [[name, *map(_fmt_metric, metrics)] for name, *metrics in values]
+    return _markdown_table(["Category", *METRIC_KEYS], rows)
 
 
 def load_timing_log(path) -> list[TimingRecord]:

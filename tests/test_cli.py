@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fruitbench.cli import main
 
-DATA = Path(__file__).parent / "data"
+REPO = Path(__file__).parent.parent
+DATA = REPO / "tests" / "data"
 SYN30 = DATA / "synthetic30"
 
 
@@ -54,6 +56,23 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--annotations", str(path))
         assert code == 1
         assert err.startswith("error: ") and "box" in err
+
+    @pytest.mark.parametrize(
+        "section, field, value", [
+            ("annotations", "image_id", [1]),
+            ("annotations", "category_id", {}),
+            ("annotations", "iscrowd", "0"),
+            ("images", "region", 5),
+        ],
+    )
+    def test_mistyped_field_exits_1(self, capsys, tmp_path, section, field, value):
+        payload = json.loads((DATA / "fixture_stats" / "annotations.json").read_text())
+        payload[section][0][field] = value
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "stats", "--annotations", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and field in err
 
     @pytest.mark.parametrize("command", ["stats", "write-coco"])
     def test_clamp_reported_once(self, tmp_path, command):
@@ -232,20 +251,21 @@ class TestEvaluate:
         assert code == 1
         assert err.startswith("error: ") and "box" in err
 
-    def test_threads_flag_same_output(self, capsys, split_manifest):
-        outputs = []
-        for threads in ("1", "4"):
-            code, out, _ = run(
-                capsys,
-                "evaluate",
-                "--annotations", str(SYN30 / "annotations.json"),
-                "--predictions", str(SYN30 / "predictions_noisy.json"),
-                "--split", str(split_manifest),
-                "--threads", threads,
-            )
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("field, value", [("image_id", [1]), ("category_id", {})])
+    def test_mistyped_prediction_exits_1(self, capsys, split_manifest, tmp_path, field, value):
+        record = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
+        record[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([record]))
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(bad),
+            "--split", str(split_manifest),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and field in err
 
 
 class TestLoss:
@@ -299,6 +319,32 @@ class TestRecEval:
         payload = json.loads(out)
         assert payload[0]["prompt"] == "apple"
         assert payload[0]["aggregate"]["mAP"] == 1.0
+
+    @pytest.mark.parametrize(
+        "prompt, spec", [
+            ([1], {"any": True}),
+            ("apple", 5),
+            ("apple", {"attribute": "occlusion", "in": 5}),
+        ],
+    )
+    def test_malformed_prompt_or_filter_exits_1(
+        self, capsys, tmp_path, split_manifest, prompt, spec
+    ):
+        filters = tmp_path / "filters.json"
+        filters.write_text(json.dumps({"apple": spec}))
+        preds = tmp_path / "preds.json"
+        records = json.loads((SYN30 / "predictions_perfect.json").read_text())
+        preds.write_text(json.dumps([{**r, "prompt": prompt} for r in records]))
+        code, _, err = run(
+            capsys,
+            "rec-eval",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(preds),
+            "--split", str(split_manifest),
+            "--filters", str(filters),
+        )
+        assert code == 1
+        assert err.startswith("error: ")
 
 
 class TestReport:
@@ -416,21 +462,7 @@ class TestIngestLabelme:
         assert len(payload["annotations"]) == 1
 
     def test_fail_on_unmapped(self, capsys, tmp_path):
-        src = tmp_path / "labels"
-        src.mkdir()
-        (src / "img1.json").write_text(
-            json.dumps(
-                {
-                    "imageWidth": 100,
-                    "imageHeight": 80,
-                    "shapes": [
-                        {"label": "pear", "points": [[0, 0], [5, 5]], "shape_type": "rectangle"}
-                    ],
-                }
-            )
-        )
-        cats = tmp_path / "cats.json"
-        cats.write_text(json.dumps([{"id": 1, "name": "apple"}]))
+        src, cats = unmapped_labels(tmp_path)
         code, _, _ = run(
             capsys,
             "ingest-labelme",
@@ -440,6 +472,27 @@ class TestIngestLabelme:
             "--fail-on-unmapped",
         )
         assert code == 1
+
+
+def unmapped_labels(tmp_path):
+    """A label directory whose one shape is a label missing from the
+    category file, and that category file."""
+    src = tmp_path / "labels"
+    src.mkdir()
+    (src / "img1.json").write_text(
+        json.dumps(
+            {
+                "imageWidth": 100,
+                "imageHeight": 80,
+                "shapes": [
+                    {"label": "pear", "points": [[0, 0], [5, 5]], "shape_type": "rectangle"}
+                ],
+            }
+        )
+    )
+    cats = tmp_path / "cats.json"
+    cats.write_text(json.dumps([{"id": 1, "name": "apple"}]))
+    return src, cats
 
 
 class TestWriteCoco:
@@ -489,3 +542,149 @@ class TestUsageAndConfig:
         code, _, err = run(capsys, "--config", str(config), "stats", "--annotations", "x")
         assert code == 1
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize(
+        "command, section, named", [
+            ("evaluate", {"max_dets": [1]}, "max-dets"),
+            ("evaluate", {"thresholds": 5}, "thresholds"),
+            ("split", {"seed": True}, "seed"),
+            ("evaluate", {"threads": 4}, "threads"),
+        ],
+    )
+    def test_config_values_checked_like_flags(
+        self, capsys, tmp_path, split_manifest, command, section, named
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({command: section}))
+        rest = {
+            "evaluate": [
+                "--predictions", str(SYN30 / "predictions_noisy.json"),
+                "--split", str(split_manifest),
+            ],
+            "split": ["--kind", "train-test", "--out", str(tmp_path / "split.json")],
+        }[command]
+        code, _, err = run(
+            capsys, "--config", str(config), command,
+            "--annotations", str(SYN30 / "annotations.json"), *rest,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "value, code, message", [
+            (True, 1, "unmapped labels"),
+            (False, 0, "wrote"),
+            (None, 0, "wrote"),
+            ("yes", 1, "fail_on_unmapped"),
+        ],
+    )
+    def test_config_on_off_flag(self, capsys, tmp_path, value, code, message):
+        src, cats = unmapped_labels(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ingest-labelme": {"fail_on_unmapped": value}}))
+        result, _, err = run(
+            capsys, "--config", str(config), "ingest-labelme",
+            "--dir", str(src), "--categories", str(cats), "--out", str(tmp_path / "out.json"),
+        )
+        assert result == code
+        assert message in err
+
+
+# Arbitrary JSON values for the input fuzz: scalars (NaN and infinities
+# included, which Python's JSON reader accepts) nested in short lists/maps.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+VALID_RECORDS = {
+    "images": {"id": 1, "file_name": "a.jpg", "width": 64, "height": 64, "region": "North"},
+    "annotations": {
+        "id": 1, "image_id": 1, "category_id": 1, "bbox": [8, 8, 16, 16], "iscrowd": 0,
+        "attributes": {"occlusion": "leaf"},
+    },
+    "categories": {"id": 1, "name": "apple"},
+    "predictions": {
+        "image_id": 1, "category_id": 1, "bbox": [8, 8, 16, 16], "score": 0.5, "prompt": "apple",
+    },
+}
+FILTER_OPS = ("equals", "not_equals", "in", "not_in")
+FUZZ_TARGETS = [(kind, key) for kind, record in VALID_RECORDS.items() for key in record] + [
+    ("filters", key) for key in (None, "any", "attribute", *FILTER_OPS)
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """Two one-box images (so a 0.5 split has a test image) and a split."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    second = {**VALID_RECORDS["annotations"], "id": 2, "image_id": 2}
+    corpus = {
+        "images": [VALID_RECORDS["images"], {**VALID_RECORDS["images"], "id": 2}],
+        "annotations": [VALID_RECORDS["annotations"], second],
+        "categories": [VALID_RECORDS["categories"]],
+    }
+    (directory / "annotations.json").write_text(json.dumps(corpus))
+    assert main([
+        "split", "--annotations", str(directory / "annotations.json"), "--kind", "train-test",
+        "--fraction", "0.5", "--seed", "1", "--out", str(directory / "split.json"),
+    ]) == 0
+    return directory, corpus
+
+
+class TestAnyJsonInput:
+    @settings(max_examples=400, deadline=None)
+    @given(target=st.sampled_from(FUZZ_TARGETS), value=JSON_VALUES)
+    def test_result_or_exit_1(self, fuzz_corpus, target, value):
+        """Any JSON value in any field of an annotation, prediction or
+        filter record ends as a result or an ``error:`` exit 1, never as a
+        traceback."""
+        directory, corpus = fuzz_corpus
+        kind, key = target
+        annotations = directory / "annotations.json"
+        predictions = [VALID_RECORDS["predictions"]]
+        spec = {"any": True}
+        if kind == "predictions":
+            predictions = [{**VALID_RECORDS["predictions"], key: value}]
+        elif kind == "filters":
+            spec = {
+                None: value,
+                "any": {"any": value},
+                "attribute": {"attribute": value, "equals": "leaf"},
+            }.get(key, {"attribute": "occlusion", key: value})
+        else:
+            fuzzed = json.loads(json.dumps(corpus))
+            fuzzed[kind][0][key] = value
+            annotations = directory / "fuzzed_annotations.json"
+            annotations.write_text(json.dumps(fuzzed))
+            argv = ["stats", "--annotations", str(annotations), "--out", str(directory / "out")]
+            assert main(argv) in (0, 1)
+        (directory / "predictions.json").write_text(json.dumps(predictions))
+        (directory / "filters.json").write_text(json.dumps({"apple": spec}))
+        argv = [
+            "rec-eval", "--annotations", str(annotations),
+            "--predictions", str(directory / "predictions.json"),
+            "--split", str(directory / "split.json"),
+            "--filters", str(directory / "filters.json"),
+            "--out", str(directory / "out"),
+        ]
+        assert main(argv) in (0, 1)
+
+
+class TestBenchmarkTablesScript:
+    def test_writes_every_artifact(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "run_benchmark_tables.py"),
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert sorted(artifacts) == [
+            "grid.json", "loss_noisy.json", "split_2_shot.json", "split_train_test.json",
+            "split_zero_shot.json", "stats.md", "table.md", "timing.md",
+        ]
+        assert all(artifacts.values())
+        assert artifacts["table.md"].startswith("| Setting |")

@@ -121,6 +121,35 @@ class TestLoadCoco:
         with pytest.raises(ValidationError, match=field):
             load_coco(path)
 
+    @pytest.mark.parametrize(
+        "section, field, value", [
+            ("annotations", "image_id", [1]),
+            ("annotations", "image_id", 1.0),
+            ("annotations", "category_id", {}),
+            ("annotations", "iscrowd", "0"),
+            ("annotations", "iscrowd", 2),
+            ("annotations", "iscrowd", None),
+            ("images", "region", 5),
+            ("images", "region", ["North"]),
+        ],
+    )
+    def test_mistyped_fields_rejected(self, tmp_path, section, field, value):
+        payload = json.loads(minimal_coco(tmp_path).read_text())
+        payload[section][0][field] = value
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=field):
+            load_coco(path)
+
+    @pytest.mark.parametrize("value, crowd", [(0, False), (1, True), (False, False), (True, True)])
+    def test_iscrowd_values(self, tmp_path, value, crowd):
+        payload = json.loads(minimal_coco(tmp_path).read_text())
+        payload["annotations"][0]["iscrowd"] = value
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps(payload))
+        ds, _ = load_coco(path)
+        assert ds.instances[0].iscrowd is crowd
+
 
 class TestDatasetValidation:
     def test_duplicate_category_ids(self):
@@ -337,6 +366,18 @@ class TestLoadPredictions:
         ds, _ = load_coco(minimal_coco(tmp_path))
         record = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
         record[field] = True
+        path = tmp_path / "preds.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ValidationError, match=field):
+            load_predictions(path, ds)
+
+    @pytest.mark.parametrize(
+        "field, value", [("image_id", [1]), ("image_id", 1.0), ("category_id", {}), ("prompt", [1])]
+    )
+    def test_mistyped_fields_rejected(self, tmp_path, field, value):
+        ds, _ = load_coco(minimal_coco(tmp_path))
+        record = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
+        record[field] = value
         path = tmp_path / "preds.json"
         path.write_text(json.dumps([record]))
         with pytest.raises(ValidationError, match=field):
