@@ -201,12 +201,17 @@ def make_timing_log(data_dir: Path) -> None:
 
 
 def verify(data_dir: Path) -> None:
-    """Check the strict-betweenness contract of the noisy predictions on the
+    """Read every written file back through the library's loaders, and
+    check the strict-betweenness contract of the noisy predictions on the
     seed-77 split so the bundled files support the end-to-end table test."""
     from fruitbench.datamodel import load_coco, load_predictions
     from fruitbench.evaluation import evaluate
+    from fruitbench.reporting import load_timing_log
     from fruitbench.splits import split_train_test
 
+    load_coco(data_dir / "fixture_stats" / "annotations.json")
+    timings = load_timing_log(data_dir / "timing.jsonl")
+    assert [r.model for r in timings] == ["detector-fast", "foundation-tiny"], timings
     ds, _ = load_coco(data_dir / "synthetic30" / "annotations.json")
     split = split_train_test(ds, 0.6, seed=77)
     for name, lo, hi in (("perfect", 1.0, 1.0), ("noisy", None, None), ("empty", 0.0, 0.0)):

@@ -102,8 +102,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("l1", "giou", "contrastive"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"loss weight {name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"loss weight {name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import datamodel, evaluation, reporting, splits
 from .assignment import LossBreakdown, LossWeights, TokenLogits, set_loss
+from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json
 from .errors import FruitBenchError, ValidationError
 
 __all__ = ["main", "build_parser"]
@@ -91,25 +92,16 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_json_arg(path, flag: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{flag} file {path}: {exc.msg} (byte offset {exc.pos})") from None
-
-
 def _eval_config(args) -> evaluation.EvalConfig:
     return evaluation.EvalConfig(iou_thresholds=args.thresholds, max_dets=args.max_dets)
 
 
 def cmd_ingest_labelme(args) -> int:
-    raw = _load_json_arg(args.categories, "--categories")
-    if not isinstance(raw, list):
-        raise ValidationError("--categories must be a JSON array of {id, name}")
-    try:
-        category_map = {c["name"]: datamodel.Category(id=c["id"], name=c["name"]) for c in raw}
-    except (KeyError, TypeError):
-        raise ValidationError("--categories entries need 'id' and 'name'") from None
+    context = f"--categories {args.categories}"
+    category_map = {}
+    for c in checked(read_json(args.categories), ARRAY, context):
+        name = field(c, "name", context, STRING)
+        category_map[name] = datamodel.Category(id=field(c, "id", context, INTEGER), name=name)
     ds, unmapped = datamodel.load_labelme(args.dir, category_map)
     datamodel.write_coco(ds, args.out)
     for label, count in sorted(unmapped.items()):
@@ -248,9 +240,7 @@ def cmd_rec_eval(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     split = splits.load_manifest(args.split)
     dets = datamodel.load_predictions(args.predictions, ds)
-    raw = _load_json_arg(args.filters, "--filters")
-    if not isinstance(raw, dict):
-        raise ValidationError("--filters must be a JSON object mapping prompts to predicates")
+    raw = checked(read_json(args.filters), OBJECT, f"--filters {args.filters}")
     filters = {prompt: evaluation.attribute_predicate(spec) for prompt, spec in raw.items()}
     reports = evaluation.evaluate_rec(ds, split, dets, filters, _eval_config(args))
     if args.format == "markdown":
@@ -265,22 +255,18 @@ def cmd_rec_eval(args) -> int:
 
 def cmd_report(args) -> int:
     grid_path = Path(args.grid)
-    raw = _load_json_arg(grid_path, "--grid")
-    try:
-        rows = tuple(
-            reporting.GridRow(
-                label=r["label"], manifest=r["manifest"], predictions=r["predictions"]
-            )
-            for r in raw.get("rows", [])
-        )
-    except (KeyError, TypeError):
-        raise ValidationError(
-            "--grid rows need 'label', 'manifest' and 'predictions'"
-        ) from None
+    raw = read_json(grid_path)
+    context = f"--grid {grid_path}"
+    keys = ("label", "manifest", "predictions")
+    rows = tuple(
+        reporting.GridRow(*(field(r, key, f"{context} row", STRING) for key in keys))
+        for r in field(raw, "rows", context, ARRAY, [])
+    )
+    output_format = field(raw, "format", context, STRING, "markdown")
     grid = reporting.ExperimentGrid(
         rows=rows,
-        metrics=tuple(raw.get("metrics", reporting.METRIC_KEYS)),
-        output_format=args.format or raw.get("format", "markdown"),
+        metrics=tuple(field(raw, "metrics", context, ARRAY, reporting.METRIC_KEYS)),
+        output_format=args.format or output_format,
     )
     base = grid_path.parent
     grid.check_files_exist(base)
@@ -407,16 +393,13 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     config_path = pre.parse_known_args(argv)[0].config
     if not config_path:
         return argv
-    config = _load_json_arg(config_path, "--config")
-    if not isinstance(config, dict):
-        raise ValidationError("config file must be a JSON object keyed by subcommand")
+    context = f"config file {config_path}"
+    config = checked(read_json(config_path), OBJECT, context)
     at = next((k for k, token in enumerate(argv) if token in parser.commands), None)
     if at is None:
         return argv
     command = argv[at]
-    section = config.get(command, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"config section {command!r} must be an object")
+    section = field(config, command, context, OBJECT, {})
     subparser = parser.commands[command]
     actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest != "help"}
     unknown = set(section) - set(actions)

@@ -7,10 +7,16 @@ Three file formats are understood:
   bbox=[x, y, w, h], iscrowd, optional attributes) and ``categories``
   (id, name) arrays;
 * per-image polygon/rectangle label files as written by common annotation
-  tools (``shapes`` with label/points/shape_type, ``imageWidth``,
-  ``imageHeight``);
+  tools (``shapes`` with label/points, ``imageWidth``, ``imageHeight``,
+  optional ``imagePath``);
 * prediction files: one JSON array of
   ``{image_id, category_id, bbox=[x, y, w, h], score, optional prompt}``.
+
+Every input file of the package, these and the rest, is read by
+``read_text`` (UTF-8 only) and ``parse_json``; ``field`` and ``checked``
+take values out by exact JSON class (a boolean is no integer, a number
+comes back as a finite float). Bad text or a missing field is a
+``ParseError``, a mistyped value a ``ValidationError``.
 
 Datasets are treated as immutable after load. Loading is order-insensitive:
 categories, images and instances are normalized to ascending-id order.
@@ -18,10 +24,12 @@ categories, images and instances are normalized to ascending-id order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -52,7 +60,7 @@ class Category:
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id <= 0:
+        if self.id.__class__ is not int or self.id <= 0:
             raise ValidationError(f"category id must be a positive integer, got {self.id!r}")
         if not self.name:
             raise ValidationError("category name must be non-empty")
@@ -67,11 +75,11 @@ class ImageRecord:
     region: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id <= 0:
+        if self.id.__class__ is not int or self.id <= 0:
             raise ValidationError(f"image id must be a positive integer, got {self.id!r}")
-        if self.width <= 0 or self.height <= 0:
+        if not all(v.__class__ is int and v > 0 for v in (self.width, self.height)):
             raise ValidationError(
-                f"image {self.id}: dimensions must be positive, got {self.width}x{self.height}"
+                f"image {self.id}: sizes must be positive integers, got {self.width}x{self.height}"
             )
 
 
@@ -85,12 +93,13 @@ class GroundTruthInstance:
     image_id: int
     category_id: int
     box: BoundingBox
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = dataclasses.field(default_factory=dict)
     iscrowd: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id <= 0:
-            raise ValidationError(f"instance id must be a positive integer, got {self.id!r}")
+        ids = (self.id, self.image_id, self.category_id)
+        if not all(v.__class__ is int for v in ids) or self.id <= 0:
+            raise ValidationError(f"instance, image and category ids must be integers, got {ids}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +128,9 @@ class DetectionDataset:
     images: list[ImageRecord]
     instances: list[GroundTruthInstance]
 
-    _category_by_id: dict[int, Category] = field(init=False, repr=False, compare=False)
-    _image_by_id: dict[int, ImageRecord] = field(init=False, repr=False, compare=False)
-    _instances_by_image: dict[int, tuple[GroundTruthInstance, ...]] = field(
+    _category_by_id: dict[int, Category] = dataclasses.field(init=False, repr=False, compare=False)
+    _image_by_id: dict[int, ImageRecord] = dataclasses.field(init=False, repr=False, compare=False)
+    _instances_by_image: dict[int, tuple[GroundTruthInstance, ...]] = dataclasses.field(
         init=False, repr=False, compare=False
     )
 
@@ -194,50 +203,74 @@ class DetectionDataset:
         return self._instances_by_image.get(image_id, ())
 
 
-def _require(condition: bool, message: str, error=ValidationError):
-    if not condition:
-        raise error(message)
-
-
-# Exact JSON value classes a field may hold, and how an error names them.
-_INT = (int,)
-_NUMBER = (int, float)
-_TEXT = (str, type(None))
-_FLAG = (int, bool)
-_EXPECTED = {_INT: "an integer", _NUMBER: "a number", _TEXT: "a string", _FLAG: "0, 1 or a boolean"}
+# Value kinds: how an error names the kind, then the exact JSON value
+# classes it admits.
+INTEGER = ("an integer", int)
+NUMBER = ("a finite number", int, float)
+STRING = ("a string", str)
+OPTIONAL_STRING = ("a string or null", str, type(None))
+ARRAY = ("an array", list)
+OBJECT = ("an object", dict)
+BOOLEAN = ("true or false", bool)
+FLAG = ("0, 1 or a boolean", int, bool)
 _NO_DEFAULT = object()
 
 
-def _field(record, key, context, kinds=None, default=_NO_DEFAULT):
-    """``record[key]``, type-checked in the same pass: a value whose exact
-    class is not in ``kinds`` is rejected. Without ``kinds`` only a JSON
-    boolean is, which would otherwise read as the number 0 or 1. With a
+def read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a ``ParseError`` at
+    the offset of the first bad byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text", offset=exc.start) from None
+
+
+def parse_json(text: str, where):
+    """One JSON value. Malformed text, an integer past the interpreter's
+    digit limit and nesting past its recursion limit are ``ParseError``s."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc.msg}", offset=exc.pos) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def read_json(path):
+    return parse_json(read_text(path), path)
+
+
+def checked(value, kind, context, key=None):
+    """``value`` if its exact class is one of ``kind``'s, else a
+    ``ValidationError`` naming ``context`` (and ``key``). A ``NUMBER``
+    comes back as a finite float; a ``FLAG`` must be 0 or 1."""
+    if value.__class__ in kind:
+        if kind is NUMBER:
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+            if math.isfinite(number):
+                return number
+        elif kind is not FLAG or value in (0, 1):
+            return value
+    where = context if key is None else f"{context}: {key!r}"
+    raise ValidationError(f"{where} must be {kind[0]}, got {value!r:.80}")
+
+
+def field(record, key: str, context, kind=None, default=_NO_DEFAULT):
+    """``record[key]`` of a JSON object, ``checked`` against ``kind`` (any
+    value without one, for a caller that checks it itself). With a
     ``default`` the field may be absent."""
+    if record.__class__ is not dict:
+        raise ValidationError(f"{context}: expected an object, got {record!r:.80}")
     try:
         value = record[key]
     except KeyError:
         if default is _NO_DEFAULT:
             raise ParseError(f"{context}: missing field {key!r}") from None
         return default
-    except TypeError:
-        raise ParseError(f"{context}: missing field {key!r}") from None
-    if kinds is None:
-        if value.__class__ is bool:
-            raise ValidationError(f"{context}: {key!r} must not be a boolean, got {value!r}")
-    elif value.__class__ not in kinds:
-        raise ValidationError(f"{context}: {key!r} must be {_EXPECTED[kinds]}, got {value!r}")
-    return value
-
-
-def _load_json(path: Path):
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", offset=exc.pos) from exc
+    return value if kind is None else checked(value, kind, context, key)
 
 
 def load_coco(path) -> tuple[DetectionDataset, int]:
@@ -252,64 +285,59 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
         (dataset, clamped_count)
 
     Raises:
-        ParseError: malformed JSON (with byte offset) or missing arrays.
+        ParseError: malformed or non-UTF-8 text (with byte offset), a
+            missing field.
         IntegrityError: a dangling image/category reference, naming the id.
-        ValidationError: negative dimensions, malformed boxes, a boolean
-            where an id or a size belongs, a non-integer image or category
-            reference, a non-string region, an ``iscrowd`` other than 0, 1
-            or a boolean.
+        ValidationError: a value of the wrong JSON class (a boolean where
+            an id or a size belongs, a non-string name, file name, region
+            or attribute value), negative dimensions, malformed boxes, an
+            ``iscrowd`` other than 0, 1 or a boolean.
     """
     path = Path(path)
-    raw = _load_json(path)
-    _require(isinstance(raw, dict), f"{path}: expected a JSON object at top level", ParseError)
-    for key in ("images", "annotations", "categories"):
-        _require(isinstance(raw.get(key), list), f"{path}: missing or non-array {key!r}", ParseError)
-
+    raw = read_json(path)
+    context = f"{path} categories"
     categories = [
-        Category(id=_field(c, "id", f"{path} categories"), name=str(_field(c, "name", path)))
-        for c in raw["categories"]
+        Category(id=field(c, "id", context, INTEGER), name=field(c, "name", context, STRING))
+        for c in field(raw, "categories", path, ARRAY)
     ]
+    context = f"{path} images"
     images = [
         ImageRecord(
-            id=_field(m, "id", f"{path} images"),
-            file_name=str(_field(m, "file_name", f"{path} images")),
-            width=_field(m, "width", f"{path} images", _INT),
-            height=_field(m, "height", f"{path} images", _INT),
-            region=_field(m, "region", f"{path} images", _TEXT, None),
+            id=field(m, "id", context, INTEGER),
+            file_name=field(m, "file_name", context, STRING),
+            width=field(m, "width", context, INTEGER),
+            height=field(m, "height", context, INTEGER),
+            region=field(m, "region", context, OPTIONAL_STRING, None),
         )
-        for m in raw["images"]
+        for m in field(raw, "images", path, ARRAY)
     ]
     image_by_id = {m.id: m for m in images}
-    category_ids = {c.id for c in categories}
 
     instances = []
     clamped = 0
-    for a in raw["annotations"]:
-        ann_id = _field(a, "id", f"{path} annotations")
-        image_id = _field(a, "image_id", f"annotation {ann_id}", _INT)
-        category_id = _field(a, "category_id", f"annotation {ann_id}", _INT)
-        iscrowd = _field(a, "iscrowd", f"annotation {ann_id}", _FLAG, 0)
-        _require(iscrowd in (0, 1), f"annotation {ann_id}: 'iscrowd' must be 0 or 1, got {iscrowd}")
+    for a in field(raw, "annotations", path, ARRAY):
+        ann_id = field(a, "id", f"{path} annotations", INTEGER)
+        context = f"annotation {ann_id}"
+        image_id = field(a, "image_id", context, INTEGER)
+        category_id = field(a, "category_id", context, INTEGER)
+        iscrowd = field(a, "iscrowd", context, FLAG, 0)
         if image_id not in image_by_id:
             raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
-        if category_id not in category_ids:
-            raise IntegrityError(
-                f"annotation {ann_id} references unknown category {category_id}"
-            )
-        box = box_from_values(_field(a, "bbox", f"annotation {ann_id}"), BoxFormat.TOP_LEFT_SIZE)
+        box = box_from_values(field(a, "bbox", context), BoxFormat.TOP_LEFT_SIZE)
         img = image_by_id[image_id]
         clipped = box.clamped(img.width, img.height)
         if clipped != box:
             clamped += 1
-        attributes = a.get("attributes") or {}
-        _require(isinstance(attributes, dict), f"annotation {ann_id}: attributes must be a map")
+        attributes = field(a, "attributes", context, OBJECT, {})
+        for key, value in attributes.items():
+            checked(value, STRING, context, key)
         instances.append(
             GroundTruthInstance(
                 id=ann_id,
                 image_id=image_id,
                 category_id=category_id,
                 box=clipped,
-                attributes={str(k): str(v) for k, v in attributes.items()},
+                attributes=attributes,
                 iscrowd=bool(iscrowd),
             )
         )
@@ -357,27 +385,28 @@ def load_labelme(
     next_instance_id = 1
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
     for image_id, file_path in enumerate(files, start=1):
-        raw = _load_json(file_path)
-        _require(isinstance(raw, dict), f"{file_path}: expected a JSON object", ParseError)
-        width = raw.get("imageWidth")
-        height = raw.get("imageHeight")
-        _require(
-            isinstance(width, int) and isinstance(height, int),
-            f"{file_path}: imageWidth/imageHeight must be integers",
-        )
-        file_name = raw.get("imagePath") or file_path.with_suffix(".jpg").name
+        raw = read_json(file_path)
+        width = field(raw, "imageWidth", file_path, INTEGER)
+        height = field(raw, "imageHeight", file_path, INTEGER)
+        file_name = field(raw, "imagePath", file_path, OPTIONAL_STRING, None)
+        file_name = file_name or file_path.with_suffix(".jpg").name
         images.append(ImageRecord(id=image_id, file_name=file_name, width=width, height=height))
-        for shape in raw.get("shapes", []):
-            points = shape.get("points", [])
+        context = f"{file_path} shape"
+        for shape in field(raw, "shapes", file_path, ARRAY, []):
+            points = field(shape, "points", context, ARRAY, [])
             if len(points) < 2:
                 raise ValidationError(f"{file_path}: shape with fewer than 2 points")
-            label = str(shape.get("label", ""))
+            xs, ys = [], []
+            for point in points:
+                if len(checked(point, ARRAY, context, "points")) != 2:
+                    raise ValidationError(f"{context}: a point must be [x, y], got {point!r:.80}")
+                xs.append(checked(point[0], NUMBER, context, "x"))
+                ys.append(checked(point[1], NUMBER, context, "y"))
+            label = field(shape, "label", context, STRING, "")
             cat = canonical.get(label)
             if cat is None:
                 unmapped[label] += 1
                 continue
-            xs = [float(p[0]) for p in points]
-            ys = [float(p[1]) for p in points]
             box = BoundingBox(min(xs), min(ys), max(xs), max(ys)).clamped(width, height)
             instances.append(
                 GroundTruthInstance(
@@ -428,33 +457,29 @@ def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
     """Load a prediction file and validate it against a dataset.
 
     Raises:
+        ParseError: malformed or non-UTF-8 text, a missing field.
         IntegrityError: a record references an unknown image or category.
         ValidationError: a score outside [0, 1] or not a number, a
             malformed box, a non-integer image or category reference, or a
             non-string prompt.
     """
     path = Path(path)
-    raw = _load_json(path)
-    _require(isinstance(raw, list), f"{path}: expected a JSON array of detections", ParseError)
     detections = []
-    for index, record in enumerate(raw):
+    for index, record in enumerate(checked(read_json(path), ARRAY, path)):
         context = f"detection #{index}"
-        image_id = _field(record, "image_id", context, _INT)
-        category_id = _field(record, "category_id", context, _INT)
+        image_id = field(record, "image_id", context, INTEGER)
+        category_id = field(record, "category_id", context, INTEGER)
         if not ds.has_image(image_id):
             raise IntegrityError(f"{context} references unknown image {image_id}")
         if not ds.has_category(category_id):
             raise IntegrityError(f"{context} references unknown category {category_id}")
-        score = _field(record, "score", context, _NUMBER)
-        if not (0.0 <= score <= 1.0):
-            raise ValidationError(f"{context}: score must lie in [0, 1], got {score!r}")
         detections.append(
             Detection(
                 image_id=image_id,
                 category_id=category_id,
-                box=box_from_values(_field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
-                score=float(score),
-                prompt=_field(record, "prompt", context, _TEXT, None),
+                box=box_from_values(field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
+                score=field(record, "score", context, NUMBER),
+                prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
             )
         )
     return detections

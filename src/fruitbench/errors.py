@@ -13,8 +13,9 @@ class IntegrityError(FruitBenchError):
     """A cross-reference (image id, category id, ...) does not resolve."""
 
 
-class ParseError(FruitBenchError):
-    """A file could not be parsed. Carries a byte offset when known."""
+class ParseError(ValidationError):
+    """A file could not be parsed or lacks a required field. Carries a byte
+    offset when known."""
 
     def __init__(self, message: str, *, offset: int | None = None):
         if offset is not None:

@@ -36,7 +36,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Detection, DetectionDataset, GroundTruthInstance
+from .datamodel import (
+    ARRAY, BOOLEAN, STRING, Detection, DetectionDataset, GroundTruthInstance, checked, field,
+)
 from .errors import IntegrityError, ValidationError
 from .splits import SplitResult
 
@@ -355,29 +357,28 @@ def evaluate(
 def attribute_predicate(spec: Mapping) -> Callable[[GroundTruthInstance], bool]:
     """Build a ground-truth filter from a small JSON-friendly description.
 
-    Forms: ``{"any": true}``, or ``{"attribute": name, <op>: value}`` with
-    one of the ops ``equals | not_equals | in | not_in``; the value is a
-    string, a list of strings for ``in | not_in``. A missing attribute
-    compares as the empty string.
+    Forms: ``{"any": true}`` with no other key, or
+    ``{"attribute": name, <op>: value}`` with one of the ops
+    ``equals | not_equals | in | not_in``; the value is a string, a list of
+    strings for ``in | not_in``. ``any`` is a JSON boolean. A missing
+    attribute compares as the empty string.
     """
-    if not isinstance(spec, Mapping):
-        raise ValidationError(f"predicate must be a JSON object, got {spec!r}")
-    if spec.get("any"):
+    context = f"predicate {spec!r:.80}"
+    if field(spec, "any", context, BOOLEAN, False):
+        if len(spec) > 1:
+            raise ValidationError(f"{context}: 'any': true takes no other key")
         return lambda inst: True
-    attribute = spec.get("attribute")
-    if not attribute or not isinstance(attribute, str):
-        raise ValidationError(f"predicate needs an 'attribute' name (or 'any': true): {spec!r}")
+    attribute = field(spec, "attribute", context, STRING)
+    if not attribute:
+        raise ValidationError(f"{context}: 'attribute' must be a non-empty name")
     ops = [op for op in ("equals", "not_equals", "in", "not_in") if op in spec]
     if len(ops) != 1:
-        raise ValidationError(f"predicate needs exactly one operator: {spec!r}")
+        raise ValidationError(f"{context}: needs exactly one operator")
     op = ops[0]
-    operand = spec[op]
     if op in ("in", "not_in"):
-        if not isinstance(operand, list) or not all(isinstance(v, str) for v in operand):
-            raise ValidationError(f"predicate {op!r} needs a list of strings: {spec!r}")
-        operand = set(operand)
-    elif not isinstance(operand, str):
-        raise ValidationError(f"predicate {op!r} needs a string: {spec!r}")
+        operand = {checked(v, STRING, context, op) for v in field(spec, op, context, ARRAY)}
+    else:
+        operand = field(spec, op, context, STRING)
 
     def value_of(inst: GroundTruthInstance) -> str:
         return inst.attributes.get(attribute, "")

@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .datamodel import DatasetStats
-from .errors import ParseError, ValidationError
+from .datamodel import NUMBER, STRING, DatasetStats, field, parse_json, read_text
+from .errors import ValidationError
 from .evaluation import EvaluationReport
 
 __all__ = [
@@ -225,21 +225,14 @@ def render_report_table(report: EvaluationReport) -> str:
 def load_timing_log(path) -> list[TimingRecord]:
     """Read a JSON-lines latency log ({model, image_id, latency_ms} per
     line) and group it by model in order of first appearance."""
-    path = Path(path)
     grouped: dict[str, list[float]] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{line_no}: {exc.msg}", offset=exc.pos) from exc
-        try:
-            model = str(record["model"])
-            latency = float(record["latency_ms"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{line_no}: bad timing record {record!r}") from exc
-        grouped.setdefault(model, []).append(latency)
+        where = f"{path}:{line_no}"
+        record = parse_json(line, where)
+        model = field(record, "model", where, STRING)
+        grouped.setdefault(model, []).append(field(record, "latency_ms", where, NUMBER))
     return [TimingRecord(model, tuple(values)) for model, values in grouped.items()]
 
 

@@ -31,8 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Category, DetectionDataset
-from .errors import ManifestDigestError, ParseError, ValidationError
+from .datamodel import (
+    ARRAY, INTEGER, NUMBER, OBJECT, STRING, Category, DetectionDataset, checked, field, read_json,
+)
+from .errors import ManifestDigestError, ValidationError
 
 __all__ = [
     "SplitSpec",
@@ -78,7 +80,7 @@ class SplitSpec:
     held_out_category: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not (0 <= self.seed < _MAX_SEED):
+        if self.seed.__class__ is not int or not (0 <= self.seed < _MAX_SEED):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         required = {
             KIND_TRAIN_TEST: ("train_fraction",),
@@ -99,7 +101,7 @@ class SplitSpec:
             raise ValidationError(
                 f"train fraction must lie strictly between 0 and 1, got {self.train_fraction!r}"
             )
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 0):
+        if self.k is not None and (self.k.__class__ is not int or self.k < 0):
             raise ValidationError(f"k must be a non-negative integer, got {self.k!r}")
 
 
@@ -127,16 +129,6 @@ def _spec_to_dict(spec: SplitSpec) -> dict:
     if spec.held_out_category is not None:
         payload["held_out"] = spec.held_out_category
     return payload
-
-
-def _spec_from_dict(payload: dict) -> SplitSpec:
-    return SplitSpec(
-        kind=payload["kind"],
-        seed=payload["seed"],
-        train_fraction=payload.get("fraction"),
-        k=payload.get("k"),
-        held_out_category=payload.get("held_out"),
-    )
 
 
 def _digest(spec: SplitSpec, train: tuple[int, ...], test: tuple[int, ...]) -> str:
@@ -258,13 +250,11 @@ def sample_k_shot(
     ``k = 0`` yields the zero-shot split. Raises if some category's pool is
     smaller than ``k``, naming the category and its pool size.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError(f"k must be a non-negative integer, got {k!r}")
     fraction = train_pool.spec.train_fraction
+    spec = SplitSpec(kind=KIND_K_SHOT, seed=seed, train_fraction=fraction, k=k)
     if k == 0:
         spec = SplitSpec(kind=KIND_ZERO_SHOT, seed=seed, train_fraction=fraction)
         return _build_result((), train_pool.test_image_ids, spec)
-    spec = SplitSpec(kind=KIND_K_SHOT, seed=seed, train_fraction=fraction, k=k)
     pool_ids = set(train_pool.train_image_ids)
     assignment = majority_category(ds)
     pools: dict[int, list[int]] = {}
@@ -317,20 +307,25 @@ def write_manifest(result: SplitResult, path) -> None:
 def load_manifest(path) -> SplitResult:
     """Read a manifest back, recomputing and verifying its digest."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", offset=exc.pos) from exc
-    try:
-        spec = _spec_from_dict(payload["spec"])
-        train = tuple(payload["train_image_ids"])
-        test = tuple(payload["test_image_ids"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: not a split manifest ({exc!r})") from None
+    payload = read_json(path)
+    raw = field(payload, "spec", f"{path}: not a split manifest", OBJECT)
+    context = f"{path} spec"
+    spec = SplitSpec(
+        kind=field(raw, "kind", context, STRING),
+        seed=field(raw, "seed", context, INTEGER),
+        train_fraction=field(raw, "fraction", context, NUMBER, None),
+        k=field(raw, "k", context, INTEGER, None),
+        held_out_category=field(raw, "held_out", context, INTEGER, None),
+    )
+    train, test = (
+        tuple(checked(i, INTEGER, path, key) for i in field(payload, key, path, ARRAY))
+        for key in ("train_image_ids", "test_image_ids")
+    )
+    recorded = field(payload, "digest", path, STRING)
     recomputed = _digest(spec, train, test)
-    if recomputed != payload.get("digest"):
+    if recomputed != recorded:
         raise ManifestDigestError(
-            f"{path}: digest mismatch (recorded {payload.get('digest')!r}, "
+            f"{path}: digest mismatch (recorded {recorded!r}, "
             f"recomputed {recomputed!r}); the manifest was edited or corrupted"
         )
     return SplitResult(train, test, spec, recomputed)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -296,6 +297,20 @@ class TestLoss:
             assert code == 0
             totals.append(json.loads(out)["aggregate"]["total"])
         assert totals[1] == pytest.approx(2 * totals[0], rel=1e-9)
+
+    @pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1"])
+    @pytest.mark.parametrize("predictions", ["predictions_empty.json", "predictions_noisy.json"])
+    def test_non_finite_weights_exit_1(self, capsys, split_manifest, weights, predictions):
+        code, out, err = run(
+            capsys,
+            "loss",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(SYN30 / predictions),
+            "--split", str(split_manifest),
+            "--weights", weights,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "loss weight" in err
 
 
 class TestRecEval:
@@ -670,6 +685,268 @@ class TestAnyJsonInput:
             "--out", str(directory / "out"),
         ]
         assert main(argv) in (0, 1)
+
+
+# One small valid input file of every kind the CLI reads, each read by
+# the command in ``file_argv``; the fuzz and the pinned cases below swap one
+# of them for an edited copy.
+VALID_FILES = {
+    "annotations": {
+        "images": [VALID_RECORDS["images"], {**VALID_RECORDS["images"], "id": 2}],
+        "annotations": [
+            VALID_RECORDS["annotations"], {**VALID_RECORDS["annotations"], "id": 2, "image_id": 2},
+        ],
+        "categories": [VALID_RECORDS["categories"]],
+    },
+    "predictions": [VALID_RECORDS["predictions"]],
+    "filters": {"apple": {"any": True}},
+    "label": {
+        "imagePath": "img1.jpg", "imageWidth": 64, "imageHeight": 64,
+        "shapes": [{"label": "apple", "points": [[8, 8], [24, 24]], "shape_type": "rectangle"}],
+    },
+    "categories": [{"id": 1, "name": "apple"}],
+    "grid": {"format": "markdown", "metrics": ["mAP"], "rows": [{"label": "a"}]},
+    "timings": {"model": "m", "image_id": 1, "latency_ms": 12.5},
+    "config": {"stats": {"format": "csv"}},
+}  # the manifest, and the grid row's files, are filled in by ``file_corpus``
+FILE_TARGETS = [
+    ("label", path) for path in [
+        (), ("imageWidth",), ("imageHeight",), ("imagePath",), ("shapes",), ("shapes", 0),
+        ("shapes", 0, "label"), ("shapes", 0, "points"), ("shapes", 0, "points", 0),
+        ("shapes", 0, "points", 0, 0), ("shapes", 0, "points", 0, 1),
+    ]
+] + [("categories", path) for path in [(), (0,), (0, "id"), (0, "name")]] + [
+    ("grid", path) for path in [
+        (), ("rows",), ("rows", 0), ("rows", 0, "label"), ("rows", 0, "manifest"),
+        ("rows", 0, "predictions"), ("metrics",), ("format",),
+    ]
+] + [
+    ("manifest", path) for path in [
+        (), ("spec",), ("spec", "kind"), ("spec", "seed"), ("spec", "fraction"), ("spec", "k"),
+        ("spec", "held_out"), ("train_image_ids",), ("test_image_ids",), ("test_image_ids", 0),
+        ("digest",),
+    ]
+] + [("timings", path) for path in [(), ("model",), ("latency_ms",)]] + [
+    ("filters", ()), ("filters", ("apple", "any")), ("config", ()), ("config", ("stats", "format")),
+]
+
+
+def manifest_digest(manifest) -> str:
+    """The digest a manifest records, computed independently of the
+    library: SHA-256 of the compact, key-sorted JSON of everything else."""
+    body = {key: manifest[key] for key in ("spec", "train_image_ids", "test_image_ids")}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def with_value(document, path, value):
+    """A copy of ``document`` with the value at ``path`` (keys and indices)
+    replaced by ``value``; the empty path replaces the whole document. An
+    edited manifest gets its digest recomputed unless the edit is the
+    digest, so that the edit itself is what the reader sees."""
+    if not path:
+        return value
+    edited = json.loads(json.dumps(document))
+    target = edited
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    if "digest" in edited and path[0] != "digest":
+        edited["digest"] = manifest_digest(edited)
+    return edited
+
+
+@pytest.fixture(scope="module")
+def file_corpus(tmp_path_factory):
+    """The valid files, plus the ``split`` command's manifest of them: a
+    zero-shot split, so the train list is empty and the test list holds
+    one image. The grid row names the manifest and predictions by absolute
+    path, so an edited grid elsewhere still finds them."""
+    directory = tmp_path_factory.mktemp("files")
+    files = json.loads(json.dumps(VALID_FILES))
+    files["grid"]["rows"][0].update(
+        manifest=str(directory / "manifest"), predictions=str(directory / "predictions")
+    )
+    for kind, document in files.items():
+        write_kind(directory, kind, encode_kind(kind, document))
+    assert main([
+        "split", "--annotations", str(directory / "annotations"), "--kind", "zero-shot",
+        "--fraction", "0.5", "--seed", "1", "--out", str(directory / "manifest"),
+    ]) == 0
+    files["manifest"] = json.loads((directory / "manifest").read_text())
+    return directory, files
+
+
+def encode_kind(kind: str, document) -> bytes:
+    return (json.dumps(document) + ("\n" if kind == "timings" else "")).encode("utf-8")
+
+
+def write_kind(directory: Path, kind: str, data: bytes) -> Path:
+    """Write one input file; a label file goes in a directory of its own."""
+    path = directory / kind / "img1.json" if kind == "label" else directory / kind
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+def file_argv(directory: Path, kind: str, path: Path) -> list[str]:
+    """The command that reads the input of ``kind`` from ``path`` and every
+    other input from the valid files."""
+    files = {k: str(directory / k) for k in [*VALID_FILES, "manifest"]}
+    files[kind] = str(path.parent if kind == "label" else path)
+    out = ["--out", str(directory / "out")]
+    labels = ["ingest-labelme", "--dir", files["label"], "--categories", files["categories"]]
+    scored = [
+        "--annotations", files["annotations"], "--predictions", files["predictions"],
+        "--split", files["manifest"],
+    ]
+    return {
+        "annotations": ["stats", "--annotations", files["annotations"]],
+        "predictions": ["evaluate", *scored],
+        "manifest": ["evaluate", *scored],
+        "filters": ["rec-eval", *scored, "--filters", files["filters"]],
+        "label": labels,
+        "categories": labels,
+        "grid": ["report", "--annotations", files["annotations"], "--grid", files["grid"]],
+        "timings": ["bench", "--timings", files["timings"]],
+        "config": ["--config", files["config"], "stats", "--annotations", files["annotations"]],
+    }[kind] + out
+
+
+def run_edited(directory: Path, kind: str, data: bytes) -> int:
+    edited = directory / "edited"
+    edited.mkdir(exist_ok=True)
+    return main(file_argv(directory, kind, write_kind(edited, kind, data)))
+
+
+class TestAnyJsonInEveryFile:
+    @settings(max_examples=400, deadline=None)
+    @given(target=st.sampled_from(FILE_TARGETS), value=JSON_VALUES)
+    def test_result_or_exit_1(self, file_corpus, target, value):
+        """Any JSON value in any field of a label file, a category map, a
+        grid config, a manifest, a timing-log line, a REC filter's ``any``
+        key or a config file ends as a result or an ``error:`` exit 1."""
+        directory, files = file_corpus
+        kind, path = target
+        document = with_value(files[kind], path, value)
+        assert run_edited(directory, kind, encode_kind(kind, document)) in (0, 1)
+
+    @pytest.mark.parametrize("kind", [*VALID_FILES, "manifest"])
+    def test_valid_files_give_results(self, capsys, file_corpus, kind):
+        directory, files = file_corpus
+        capsys.readouterr()
+        assert run_edited(directory, kind, encode_kind(kind, files[kind])) == 0, capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", [*VALID_FILES, "manifest"])
+    def test_non_utf8_file_exits_1(self, capsys, file_corpus, kind):
+        directory, files = file_corpus
+        capsys.readouterr()
+        data = encode_kind(kind, files[kind])
+        assert run_edited(directory, kind, data[:1] + b"\xff" + data[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "byte offset 1" in err
+
+    @pytest.mark.parametrize(
+        "kind, path", [
+            ("annotations", ("images", 0, "width")),
+            ("annotations", ("annotations", 0, "bbox", 2)),
+            ("predictions", (0, "score")),
+            ("predictions", (0, "image_id")),
+            ("filters", ("apple",)),
+            ("label", ("imageWidth",)),
+            ("label", ("shapes", 0, "points", 0, 0)),
+            ("categories", (0, "id")),
+            ("grid", ("metrics", 0)),
+            ("manifest", ("spec", "seed")),
+            ("manifest", ("spec", "fraction")),
+            ("manifest", ("test_image_ids", 0)),
+            ("timings", ("latency_ms",)),
+            ("config", ("stats", "format")),
+        ],
+    )
+    def test_401_digit_integer(self, capsys, file_corpus, kind, path):
+        directory, files = file_corpus
+        capsys.readouterr()
+        document = with_value(files[kind], path, 10**400)
+        code = run_edited(directory, kind, encode_kind(kind, document))
+        assert code == 0 or (code == 1 and capsys.readouterr().err.startswith("error: "))
+
+
+# Inputs that ended as a raw traceback or were silently misread before
+# every input file went through one typed reader; each now ends as an
+# ``error:`` with exit code 1.
+NAN, INF = float("nan"), float("inf")
+PINNED_EDITS = [
+    ("grid", (), []),
+    ("grid", ("metrics",), 5),
+    ("grid", ("rows", 0, "label"), 1),
+    ("label", ("shapes",), [5]),
+    ("label", ("shapes", 0, "points"), 5),
+    ("label", ("shapes", 0, "points", 0), [0, "a"]),
+    ("label", ("shapes", 0, "points", 0), [1]),
+    ("label", ("shapes", 0, "points", 0, 0), 10**400),
+    ("label", ("imageWidth",), True),
+    ("label", ("imagePath",), 5),
+    ("categories", (0, "name"), 5),
+    ("categories", (0, "id"), True),
+    ("manifest", ("test_image_ids",), [[1]]),
+    ("manifest", ("test_image_ids",), [True]),
+    ("manifest", ("test_image_ids",), [1.0]),
+    ("manifest", ("spec", "seed"), True),
+    ("timings", ("latency_ms",), NAN),
+    ("timings", ("latency_ms",), INF),
+    ("timings", ("latency_ms",), True),
+    ("timings", ("latency_ms",), "12"),
+    ("timings", ("latency_ms",), 10**400),
+    ("filters", ("apple", "any"), "no"),
+    ("filters", ("apple",), {"any": True, "attribute": "occlusion", "equals": "leaf"}),
+]
+PINNED_TEXTS = [
+    ("annotations", b"\xff"),
+    ("timings", b"\xff"),
+    ("annotations", b"1" * 5000),
+    ("timings", b"[" * 100_000),
+]
+
+
+def edit_id(kind, path, value) -> str:
+    return f"{kind}:{'/'.join(map(str, path))}={json.dumps(value)[:12]}"
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "kind, path, value", PINNED_EDITS, ids=[edit_id(*case) for case in PINNED_EDITS]
+    )
+    def test_edit_exits_1(self, capsys, file_corpus, kind, path, value):
+        directory, files = file_corpus
+        capsys.readouterr()
+        document = with_value(files[kind], path, value)
+        assert run_edited(directory, kind, encode_kind(kind, document)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "kind, data", PINNED_TEXTS, ids=[f"{k}:{d[:8]!r}" for k, d in PINNED_TEXTS]
+    )
+    def test_text_exits_1(self, capsys, file_corpus, kind, data):
+        directory, _ = file_corpus
+        capsys.readouterr()
+        assert run_edited(directory, kind, data) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestGenerateFixturesScript:
+    def test_regenerates_bundled_fixtures_byte_for_byte(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "generate_fixtures.py"),
+             "--data-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*.json*")}
+        bundled = {p.relative_to(DATA): p.read_bytes() for p in DATA.rglob("*.json*")}
+        assert sorted(written) == sorted(bundled)
+        assert all(written[name] == bundled[name] for name in bundled)
 
 
 class TestBenchmarkTablesScript:

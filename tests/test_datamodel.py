@@ -289,6 +289,9 @@ def _make_dataset(n_cats, raw_boxes):
     return DetectionDataset(categories, images, instances)
 
 
+ID_FIELDS = ("category", "image", "width", "instance", "image_id", "category_id")
+
+
 class TestWriteCoco:
     def test_empty_dataset(self, tmp_path):
         ds = DetectionDataset([], [], [])
@@ -324,6 +327,31 @@ class TestWriteCoco:
         }
         reloaded, _ = load_coco(out)
         assert reloaded == ds
+
+    @pytest.mark.parametrize("value", [1, True])
+    @pytest.mark.parametrize("where", ID_FIELDS)
+    def test_what_the_types_accept_loads_back(self, tmp_path, where, value):
+        """The types take an id or a size only where ``write_coco`` writes
+        what ``load_coco`` reads back: a boolean, which JSON writes as
+        ``true``, is rejected when the dataset is built."""
+        ids = {**dict.fromkeys(ID_FIELDS, 1), where: value}
+        try:
+            ds = DetectionDataset(
+                categories=[Category(ids["category"], "apple")],
+                images=[ImageRecord(ids["image"], "a.jpg", ids["width"], 50)],
+                instances=[
+                    GroundTruthInstance(
+                        ids["instance"], ids["image_id"], ids["category_id"],
+                        BoundingBox(0, 0, 1, 1),
+                    )
+                ],
+            )
+        except ValidationError:
+            assert value is True
+            return
+        out = tmp_path / "ds.json"
+        write_coco(ds, out)
+        assert load_coco(out)[0] == ds
 
 
 class TestLoadPredictions:

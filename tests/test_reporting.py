@@ -217,6 +217,14 @@ class TestLoadTimingLog:
         assert records[0].latencies_ms == (10.0, 30.0)
         assert records[0].mean_ms == 20.0
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_lines_split_on_newlines_only(self, tmp_path, separator):
+        """JSON strings may hold separators that are not newlines."""
+        path = tmp_path / "lat.jsonl"
+        record = {"model": f"a{separator}b", "image_id": 1, "latency_ms": 10.0}
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\r\n\n", encoding="utf-8")
+        assert [r.model for r in load_timing_log(path)] == [f"a{separator}b"]
+
     def test_bad_record(self, tmp_path):
         path = tmp_path / "lat.jsonl"
         path.write_text(json.dumps({"model": "a"}))

@@ -56,6 +56,12 @@ class TestSplitSpec:
         with pytest.raises(ValidationError):
             SplitSpec(kind="train-test", seed=-1, train_fraction=0.5)
 
+    @pytest.mark.parametrize("field", ["seed", "k"])
+    def test_boolean_rejected(self, field):
+        values = {"seed": 1, "k": 1, field: True}
+        with pytest.raises(ValidationError, match=field):
+            SplitSpec(kind="k-shot", train_fraction=0.6, **values)
+
 
 class TestMajorityCategory:
     def test_majority_and_ties(self):
@@ -153,6 +159,13 @@ class TestSampleKShot:
         assert result.train_image_ids == ()
         assert result.test_image_ids == pool.test_image_ids
         assert result.spec.kind == "zero-shot"
+
+    @pytest.mark.parametrize("k", [True, False])
+    def test_boolean_k_rejected(self, k):
+        ds = make_dataset({"apple": 10, "orange": 10})
+        pool = split_train_test(ds, 0.6, seed=1)
+        with pytest.raises(ValidationError, match="k must be"):
+            sample_k_shot(ds, pool, k, seed=1)
 
     def test_one_shot_on_five_categories(self):
         ds = make_dataset({"a": 6, "b": 6, "c": 6, "d": 6, "e": 6})
