@@ -18,6 +18,13 @@ tie-break among equal-cost optima (see ``hungarian``), which off-the-shelf
 solvers do not promise. Optimality and the tie-break are cross-checked
 against brute-force enumeration, and optimality at scale against SciPy, in
 the test suite.
+
+The cost terms are built as exact (P, G) float64 arrays: elementwise numpy
+in the operation order of ``geometry.l1_box_distance`` and
+``geometry.giou``, and the cross-entropy's ``math`` transcendentals looked
+up in a table with one entry per distinct logit. Every entry equals the
+scalar reference functions' value bit for bit; the suite checks this
+against the pair-by-pair loop.
 """
 
 from __future__ import annotations
@@ -214,8 +221,11 @@ def _canonicalize(tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop):
     """
     matched = np.flatnonzero(pred_to_gt >= 0)
     tight[matched, pred_to_gt[matched]] = True
-    gts_of = [np.flatnonzero(row).tolist() for row in tight]
-    preds_of = [np.flatnonzero(col).tolist() for col in tight.T]
+    gts_of = [[] for _ in range(tight.shape[0])]
+    preds_of = [[] for _ in range(tight.shape[1])]
+    for i, j in zip(*(x.tolist() for x in np.nonzero(tight))):  # row-major: both ascending
+        gts_of[i].append(j)
+        preds_of[j].append(i)
     # The certificate is one optimal matching that agrees with every choice
     # made so far; the candidate it already holds is accepted outright.
     pred_to_gt, gt_to_pred = pred_to_gt.tolist(), gt_to_pred.tolist()
@@ -335,22 +345,86 @@ def token_alignment_cost(logits: TokenLogits, positive_mask: Sequence[bool]) -> 
 
 def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
     """The matching-cost terms as (P, G) arrays ``l1``, ``giou`` and ``tac``
-    (token alignment cost), plus each prediction's token alignment cost
-    against the all-negative mask."""
+    (token alignment cost), plus the (P,) token alignment costs of the
+    predictions against the all-negative mask.
+
+    Each entry equals the value ``l1_box_distance``, ``giou`` or
+    ``token_alignment_cost`` gives its pair, bit for bit: the array code
+    performs their IEEE operations in their order, summing tokens left to
+    right, and the cross-entropy's transcendentals stay ``math`` calls,
+    made once per distinct logit. The first pair in row-major order that
+    those functions reject raises their error.
+    """
     if len(ground_truth) != len(gt_token_masks):
         raise ValidationError(
             f"{len(ground_truth)} ground-truth instances but {len(gt_token_masks)} token masks"
         )
-    l1, g, tac = [], [], []
-    for box, logits in predictions:
-        for gt, mask in zip(ground_truth, gt_token_masks):
-            l1.append(l1_box_distance(box, gt.box, img_w, img_h))
-            g.append(giou(box, gt.box))
-            tac.append(token_alignment_cost(logits, mask))
-    shape = (len(predictions), len(ground_truth))
-    l1, g, tac = (np.array(t, dtype=np.float64).reshape(shape) for t in (l1, g, tac))
-    negative = [token_alignment_cost(logits, [False] * len(logits)) for _, logits in predictions]
-    return l1, g, tac, negative
+    n_pred, n_gt = len(predictions), len(ground_truth)
+    if not n_pred:
+        empty = np.zeros((0, n_gt))
+        return empty, empty, empty, np.zeros(0)
+    pred_boxes = np.array(
+        [(x.x_min, x.y_min, x.x_max, x.y_max) for x, _ in predictions], dtype=np.float64
+    )
+    gt_boxes = np.array(
+        [(g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max) for g in ground_truth],
+        dtype=np.float64,
+    ).reshape(n_gt, 4)
+    lengths = np.array([len(logits) for _, logits in predictions])
+    ax0, ay0, ax1, ay1 = pred_boxes.T[:, :, None]
+    bx0, by0, bx1, by1 = gt_boxes.T
+    with np.errstate(all="ignore"):
+        iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+        ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+        bad = (
+            (img_w <= 0 or img_h <= 0)
+            | (union <= 0.0)
+            | (lengths[:, None] != [len(m) for m in gt_token_masks])
+            | (lengths[:, None] == 0)
+        )
+        if bad.any():
+            # The scalar path on that pair raises the error it raises there.
+            i, j = divmod(int(np.argmax(bad)), n_gt)
+            box, logits = predictions[i]
+            l1_box_distance(box, ground_truth[j].box, img_w, img_h)
+            giou(box, ground_truth[j].box)
+            token_alignment_cost(logits, gt_token_masks[j])
+        if not lengths.all():  # only without ground truth: no pair checked the tokens
+            token_alignment_cost(predictions[int(np.argmin(lengths))][1], [])
+        enclose = (np.maximum(ax1, bx1) - np.minimum(ax0, bx0)) * (
+            np.maximum(ay1, by1) - np.minimum(ay0, by0)
+        )
+        g = inter / union - (enclose - union) / enclose
+        w, h = float(img_w), float(img_h)
+        l1 = (
+            np.abs((ax0 + ax1) / 2.0 / w - (bx0 + bx1) / 2.0 / w)
+            + np.abs((ay0 + ay1) / 2.0 / h - (by0 + by1) / 2.0 / h)
+            + np.abs((ax1 - ax0) / w - (bx1 - bx0) / w)
+            + np.abs((ay1 - ay0) / h - (by1 - by0) / h)
+        )
+    # One cross-entropy per distinct logit and target; ``codes`` maps each
+    # token to its logit's entry. 0.0 and -0.0 share an entry: they give
+    # equal cross-entropies.
+    distinct: dict[float, int] = {}
+    codes = [
+        distinct.setdefault(s, len(distinct)) for _, logits in predictions for s in logits.scores
+    ]
+    # Rows are zero-padded to the longest (token counts may differ when there
+    # is no ground truth); adding 0.0 leaves these sums of non-negative
+    # terms unchanged.
+    width = int(lengths.max())
+    valid = np.arange(width) < lengths[:, None]
+    b0, b1 = np.zeros((n_pred, width)), np.zeros((n_pred, width))
+    for target, bce in ((0.0, b0), (1.0, b1)):
+        bce[valid] = np.array([_bce_with_logit(v, target) for v in distinct])[codes]
+    positive = np.array(gt_token_masks, dtype=bool).reshape(n_gt, width)
+    tac, negative = np.zeros((n_pred, n_gt)), np.zeros(n_pred)
+    for t in range(width):
+        tac = tac + np.where(positive[:, t], b1[:, t, None], b0[:, t, None])
+        negative = negative + b0[:, t]
+    return l1, g, tac / lengths[:, None], negative / lengths
 
 
 def _combined_cost(terms, weights: LossWeights) -> CostMatrix:
@@ -405,7 +479,7 @@ def set_loss(
         cons_sum += float(tac[i, j])
     if count_unmatched_contrastive:
         for i in assignment.unmatched_predictions:
-            cons_sum += negative[i]
+            cons_sum += float(negative[i])
     denom = max(len(ground_truth), 1)
     l1_term = l1_sum / denom
     giou_term = giou_sum / denom

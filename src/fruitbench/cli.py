@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import datamodel, evaluation, reporting, splits
 from .assignment import LossBreakdown, LossWeights, TokenLogits, set_loss
 from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json
-from .errors import FruitBenchError, ValidationError
+from .errors import FruitBenchError, IntegrityError, ValidationError
 
 __all__ = ["main", "build_parser"]
 
@@ -101,6 +102,8 @@ def cmd_ingest_labelme(args) -> int:
     category_map = {}
     for c in checked(read_json(args.categories), ARRAY, context):
         name = field(c, "name", context, STRING)
+        if name in category_map:
+            raise IntegrityError(f"{context}: duplicate category name {name!r}")
         category_map[name] = datamodel.Category(id=field(c, "id", context, INTEGER), name=name)
     ds, unmapped = datamodel.load_labelme(args.dir, category_map)
     datamodel.write_coco(ds, args.out)
@@ -240,8 +243,12 @@ def cmd_rec_eval(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     split = splits.load_manifest(args.split)
     dets = datamodel.load_predictions(args.predictions, ds)
-    raw = checked(read_json(args.filters), OBJECT, f"--filters {args.filters}")
-    filters = {prompt: evaluation.attribute_predicate(spec) for prompt, spec in raw.items()}
+    context = f"--filters {args.filters}"
+    raw = checked(read_json(args.filters), OBJECT, context)
+    filters = {
+        checked(prompt, STRING, context): evaluation.attribute_predicate(spec)
+        for prompt, spec in raw.items()
+    }
     reports = evaluation.evaluate_rec(ds, split, dets, filters, _eval_config(args))
     if args.format == "markdown":
         text = "\n".join(
@@ -422,7 +429,11 @@ def main(argv=None) -> int:
     json_errors = "--json-errors" in argv
     try:
         parser = build_parser()
-        args = parser.parse_args(_with_config(parser, argv))
+        argv = _with_config(parser, argv)
+        for token in argv:
+            if "\0" in token or not _os_encodable(token):
+                raise ValidationError(f"argument {token!r:.80} holds a NUL or a lone surrogate")
+        args = parser.parse_args(argv)
         return args.func(args)
     except FruitBenchError as exc:
         _emit_error(exc, 1, json_errors)
@@ -430,6 +441,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(exc, 2, json_errors)
         return 2
+
+
+def _os_encodable(token: str) -> bool:
+    """Whether ``token`` can be a path: config values are JSON strings,
+    which may escape a lone surrogate that no file name can hold."""
+    try:
+        os.fsencode(token)
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _emit_error(exc: Exception, code: int, json_errors: bool) -> None:

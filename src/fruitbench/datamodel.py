@@ -28,6 +28,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,6 +215,7 @@ OBJECT = ("an object", dict)
 BOOLEAN = ("true or false", bool)
 FLAG = ("0, 1 or a boolean", int, bool)
 _NO_DEFAULT = object()
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def read_text(path) -> str:
@@ -243,7 +245,9 @@ def read_json(path):
 def checked(value, kind, context, key=None):
     """``value`` if its exact class is one of ``kind``'s, else a
     ``ValidationError`` naming ``context`` (and ``key``). A ``NUMBER``
-    comes back as a finite float; a ``FLAG`` must be 0 or 1."""
+    comes back as a finite float; a ``FLAG`` must be 0 or 1; a string must
+    hold no lone surrogate, which JSON can escape but no output encoding
+    can write."""
     if value.__class__ in kind:
         if kind is NUMBER:
             try:
@@ -252,10 +256,17 @@ def checked(value, kind, context, key=None):
                 number = math.inf
             if math.isfinite(number):
                 return number
+        elif value.__class__ is str:
+            if value.isascii() or not _SURROGATE.search(value):
+                return value
+            raise ValidationError(f"{_where(context, key)} holds a lone surrogate: {value!r:.80}")
         elif kind is not FLAG or value in (0, 1):
             return value
-    where = context if key is None else f"{context}: {key!r}"
-    raise ValidationError(f"{where} must be {kind[0]}, got {value!r:.80}")
+    raise ValidationError(f"{_where(context, key)} must be {kind[0]}, got {value!r:.80}")
+
+
+def _where(context, key) -> str:
+    return context if key is None else f"{context}: {key!r}"
 
 
 def field(record, key: str, context, kind=None, default=_NO_DEFAULT):

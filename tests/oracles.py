@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
-from fruitbench.geometry import BoundingBox, iou
+from fruitbench.assignment import token_alignment_cost
+from fruitbench.errors import ValidationError
+from fruitbench.geometry import BoundingBox, giou, iou, l1_box_distance
 
 
 def raster_intersection_union_enclosure(a: BoundingBox, b: BoundingBox):
@@ -46,6 +48,28 @@ def raster_iou(a: BoundingBox, b: BoundingBox) -> float:
 def raster_giou(a: BoundingBox, b: BoundingBox) -> float:
     inter, union, enclosure = raster_intersection_union_enclosure(a, b)
     return inter / union - (enclosure - union) / enclosure
+
+
+def scalar_cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
+    """The set-loss cost terms ``(l1, giou, tac, negative)`` of
+    ``assignment._cost_terms``, pair by pair through the scalar geometry and
+    token-cost functions: (P, G) arrays of ``l1_box_distance``, ``giou``
+    and ``token_alignment_cost``, and the (P,) token alignment costs
+    against the all-negative mask."""
+    if len(ground_truth) != len(gt_token_masks):
+        raise ValidationError(
+            f"{len(ground_truth)} ground-truth instances but {len(gt_token_masks)} token masks"
+        )
+    l1, g, tac = [], [], []
+    for box, logits in predictions:
+        for gt, mask in zip(ground_truth, gt_token_masks):
+            l1.append(l1_box_distance(box, gt.box, img_w, img_h))
+            g.append(giou(box, gt.box))
+            tac.append(token_alignment_cost(logits, mask))
+    shape = (len(predictions), len(ground_truth))
+    l1, g, tac = (np.array(t, dtype=np.float64).reshape(shape) for t in (l1, g, tac))
+    negative = [token_alignment_cost(logits, [False] * len(logits)) for _, logits in predictions]
+    return l1, g, tac, np.array(negative, dtype=np.float64)
 
 
 def brute_force_assignment_cost(matrix) -> float:

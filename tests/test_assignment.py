@@ -11,11 +11,13 @@ from fruitbench.assignment import (
     CostMatrix,
     LossWeights,
     TokenLogits,
+    _cost_terms,
     build_match_cost,
     hungarian,
     set_loss,
     token_alignment_cost,
 )
+from fruitbench.cli import _NEGATIVE_LOGIT
 from fruitbench.datamodel import GroundTruthInstance
 from fruitbench.errors import ValidationError
 from fruitbench.geometry import BoundingBox
@@ -24,6 +26,7 @@ from .oracles import (
     brute_force_assignment_cost,
     brute_force_lexicographic_assignment,
     forced_lexicographic_assignment,
+    scalar_cost_terms,
 )
 
 LN2 = math.log(2.0)
@@ -197,6 +200,155 @@ class TestTokenAlignmentCost:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dimension"):
             token_alignment_cost(TokenLogits((0.0,)), [True, False])
+
+
+def assert_terms_match_scalar(predictions, ground_truth, masks, img_w=640, img_h=480):
+    """``_cost_terms`` gives the scalar oracle's four arrays bit for bit
+    (signed zeros included), or raises its error class with its message,
+    which is returned."""
+    case = (predictions, ground_truth, masks, img_w, img_h)
+    try:
+        expected = scalar_cost_terms(*case)
+    except ValidationError as exc:
+        with pytest.raises(type(exc)) as raised:
+            _cost_terms(*case)
+        assert str(raised.value) == str(exc)
+        return str(exc)
+    for got, want in zip(_cost_terms(*case), expected, strict=True):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+    return None
+
+
+def random_box(rng, low=0.0, high=600.0, max_side=120.0):
+    x0, y0 = rng.uniform(low, high), rng.uniform(low, high)
+    return BoundingBox(x0, y0, x0 + rng.uniform(0, max_side), y0 + rng.uniform(0, max_side))
+
+
+# Coordinates that make boxes identical, nested, touching or degenerate,
+# areas that underflow, signed zeros and thirds that do not round-trip.
+COORDS = st.sampled_from([-0.0, 0.0, 1e-300, 0.1, 1.0 / 3.0, 1.0, 2.0, 2.5, 7.0, 1e150])
+BOXES = st.tuples(COORDS, COORDS, COORDS, COORDS).map(
+    lambda v: BoundingBox(min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3]))
+)
+LOGITS = st.sampled_from(
+    [0.0, -0.0, _NEGATIVE_LOGIT, -_NEGATIVE_LOGIT, 1.5, -1.5, 40.0, -800.0]
+) | st.floats(-50.0, 50.0)
+
+
+@st.composite
+def cost_cases(draw):
+    """Up to 6 predictions against up to 4 ground truths; token counts
+    and image sizes are now and then ones the scalar functions reject."""
+    n_tokens = draw(st.integers(1, 3))
+
+    def tokens() -> int:
+        return draw(st.sampled_from([n_tokens] * 6 + [0, n_tokens + 1]))
+
+    predictions = [
+        (draw(BOXES), TokenLogits(tuple(draw(LOGITS) for _ in range(tokens()))))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    ground_truth = [gt(k + 1, draw(BOXES)) for k in range(draw(st.integers(0, 4)))]
+    masks = [[draw(st.booleans()) for _ in range(tokens())] for _ in ground_truth]
+    size = draw(st.sampled_from([(640, 480)] * 4 + [(3, 7), (0.7, 1.0), (0, 480), (640, -2)]))
+    return (predictions, ground_truth, masks, *size)
+
+
+class TestCostTerms:
+    @given(case=cost_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_oracle(self, case):
+        assert_terms_match_scalar(*case)
+
+    def test_random_boxes(self):
+        rng = random.Random(7)
+        for n_pred, n_gt, n_tokens in [(1, 1, 1), (40, 8, 5), (100, 10, 5), (7, 30, 2)]:
+            predictions = [
+                (random_box(rng), TokenLogits(tuple(rng.gauss(0, 8) for _ in range(n_tokens))))
+                for _ in range(n_pred)
+            ]
+            ground_truth = [gt(k + 1, random_box(rng)) for k in range(n_gt)]
+            masks = [[rng.random() < 0.4 for _ in range(n_tokens)] for _ in range(n_gt)]
+            assert assert_terms_match_scalar(predictions, ground_truth, masks) is None
+
+    def test_saturated_and_tied_logits(self):
+        """The ``loss`` command's shape: one log-odds per query, every other
+        token at the saturated negative logit, scores repeated."""
+        rng = random.Random(8)
+        n_tokens = 5
+        predictions = []
+        for q in range(60):
+            scores = [_NEGATIVE_LOGIT] * n_tokens
+            scores[q % n_tokens] = rng.choice([-_NEGATIVE_LOGIT, _NEGATIVE_LOGIT, 0.0, -0.0, 2.0])
+            predictions.append((random_box(rng), TokenLogits(tuple(scores))))
+        ground_truth = [gt(k + 1, random_box(rng)) for k in range(6)]
+        masks = [[t == k % n_tokens for t in range(n_tokens)] for k in range(6)]
+        assert assert_terms_match_scalar(predictions, ground_truth, masks) is None
+
+    def test_degenerate_geometry(self):
+        a = BoundingBox(10, 10, 30, 40)
+        shapes = [
+            a,
+            BoundingBox(12, 15, 20, 25),  # nested
+            BoundingBox(30, 10, 50, 40),  # touching along an edge
+            BoundingBox(30, 40, 35, 45),  # touching at a corner
+            BoundingBox(15, 0, 15, 60),  # zero width, crossing
+            BoundingBox(0, 20, 60, 20),  # zero height, crossing
+            BoundingBox(-0.0, -0.0, 1 / 3, 2 / 3),
+        ]
+        logits = TokenLogits((0.5, -0.5))
+        predictions = [(box, logits) for box in shapes]
+        ground_truth = [
+            gt(1, a), gt(2, BoundingBox(0, 0, 60, 60)), gt(3, BoundingBox(15, 20, 16, 21)),
+        ]
+        masks = [[True, False], [False, True], [True, True]]
+        assert assert_terms_match_scalar(predictions, ground_truth, masks, 64, 48) is None
+
+    def test_empty_sides(self):
+        box = BoundingBox(0, 0, 4, 4)
+        # No predictions: masks need not agree in length with anything.
+        masks = [[True], [True, False]]
+        assert assert_terms_match_scalar([], [gt(1, box), gt(2, box)], masks) is None
+        # No ground truth: token counts may differ between predictions.
+        ragged = [(box, TokenLogits((1.0,))), (box, TokenLogits((0.0, -3.0, 2.0)))]
+        assert assert_terms_match_scalar(ragged, [], []) is None
+        assert assert_terms_match_scalar([], [], []) is None
+
+    def test_grounding_dino_scale(self):
+        rng = np.random.default_rng(900)
+        corners = rng.uniform(0, 500, (950, 2))
+        sides = rng.uniform(1, 140, (950, 2))
+        boxes = [BoundingBox(x, y, x + w, y + h) for (x, y), (w, h) in zip(corners, sides)]
+        logits = rng.normal(0, 6, (900, 5))
+        predictions = [(b, TokenLogits(tuple(row))) for b, row in zip(boxes, logits.tolist())]
+        ground_truth = [gt(k + 1, b) for k, b in enumerate(boxes[900:])]
+        masks = (rng.random((50, 5)) < 0.3).tolist()
+        assert assert_terms_match_scalar(predictions, ground_truth, masks, 640, 640) is None
+
+    @pytest.mark.parametrize(
+        "boxes, tokens, size, message", [
+            # (0, 1) mismatches tokens before (1, 0) is degenerate.
+            ([(0, 0, 4, 4), (5, 5, 5, 5)], [2, 2], (64, 64), "token dimension mismatch: 2 logits"),
+            # Within a pair GIoU fails before the token check.
+            ([(5, 5, 5, 5), (0, 0, 4, 4)], [3, 2], (64, 64), "giou is undefined"),
+            # A bad image size fails the first pair, before anything else.
+            ([(5, 5, 5, 5), (5, 5, 5, 5)], [1, 3], (0, 64), "image dimensions must be positive"),
+        ],
+    )
+    def test_first_failing_pair_raises_scalar_error(self, boxes, tokens, size, message):
+        predictions = [
+            (BoundingBox(*box), TokenLogits((0.0,) * n)) for box, n in zip(boxes, tokens)
+        ]
+        ground_truth = [gt(1, BoundingBox(1, 1, 1, 1)), gt(2, BoundingBox(2, 2, 6, 6))]
+        masks = [[True, False], [True, False, False]]
+        assert message in assert_terms_match_scalar(predictions, ground_truth, masks, *size)
+
+    def test_empty_token_vector_rejected_without_ground_truth(self):
+        box = BoundingBox(0, 0, 4, 4)
+        predictions = [(box, TokenLogits((1.0,))), (box, TokenLogits(()))]
+        message = assert_terms_match_scalar(predictions, [], [])
+        assert message == "token vectors must be non-empty"
 
 
 class TestBuildMatchCost:

@@ -64,6 +64,7 @@ class TestStats:
             ("annotations", "category_id", {}),
             ("annotations", "iscrowd", "0"),
             ("images", "region", 5),
+            ("categories", "name", "\ud800"),  # a lone surrogate no output can write
         ],
     )
     def test_mistyped_field_exits_1(self, capsys, tmp_path, section, field, value):
@@ -361,6 +362,25 @@ class TestRecEval:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_lone_surrogate_prompt_exits_1(self, capsys, tmp_path, split_manifest):
+        """A prompt is an object key, which the markdown report writes out."""
+        filters = tmp_path / "filters.json"
+        filters.write_text(json.dumps({"apple": {"any": True}, "\ud800": {"any": True}}))
+        preds = tmp_path / "preds.json"
+        records = json.loads((SYN30 / "predictions_perfect.json").read_text())
+        preds.write_text(json.dumps([{**r, "prompt": "apple"} for r in records]))
+        code, _, err = run(
+            capsys,
+            "rec-eval",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(preds),
+            "--split", str(split_manifest),
+            "--filters", str(filters),
+            "--format", "markdown",
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "lone surrogate" in err
+
 
 class TestReport:
     def test_grid(self, capsys, tmp_path, split_manifest):
@@ -476,6 +496,18 @@ class TestIngestLabelme:
         payload = json.loads(out_path.read_text())
         assert len(payload["annotations"]) == 1
 
+    def test_duplicate_category_name_exits_1(self, capsys, tmp_path):
+        src, cats = unmapped_labels(tmp_path)
+        cats.write_text(json.dumps([{"id": 1, "name": "apple"}, {"id": 2, "name": "apple"}]))
+        out_path = tmp_path / "out.json"
+        code, _, err = run(
+            capsys, "ingest-labelme", "--dir", str(src), "--categories", str(cats),
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "duplicate category name 'apple'" in err
+        assert not out_path.exists()
+
     def test_fail_on_unmapped(self, capsys, tmp_path):
         src, cats = unmapped_labels(tmp_path)
         code, _, _ = run(
@@ -585,6 +617,14 @@ class TestUsageAndConfig:
         assert code == 1
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("path", ["a\x00b", "\ud800"])
+    def test_config_path_the_os_cannot_take_exits_1(self, capsys, tmp_path, path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"stats": {"annotations": path}}))
+        code, _, err = run(capsys, "--config", str(config), "stats")
+        assert code == 1
+        assert err.startswith("error: ") and "NUL or a lone surrogate" in err
+
     @pytest.mark.parametrize(
         "value, code, message", [
             (True, 1, "unmapped labels"),
@@ -607,10 +647,15 @@ class TestUsageAndConfig:
 
 # Arbitrary JSON values for the input fuzz: scalars (NaN and infinities
 # included, which Python's JSON reader accepts) nested in short lists/maps.
+# Strings draw from every code point, with U+0000 and lone surrogates (which
+# JSON can escape but no file name or output encoding can hold) as often as
+# all the rest.
+TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\x00\ud800\udfff"), max_size=4
+)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=5,
 )
 VALID_RECORDS = {
