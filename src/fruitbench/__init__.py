@@ -22,10 +22,12 @@ from .datamodel import (
     DetectionDataset,
     GroundTruthInstance,
     ImageRecord,
+    PredictionTable,
     compute_stats,
     load_coco,
     load_labelme,
     load_predictions,
+    read_predictions,
     write_coco,
 )
 from .errors import (

@@ -24,10 +24,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import datamodel, evaluation, reporting, splits
 from .assignment import LossBreakdown, LossWeights, TokenLogits, set_loss
 from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json
 from .errors import FruitBenchError, IntegrityError, ValidationError
+from .geometry import BoundingBox
 
 __all__ = ["main", "build_parser"]
 
@@ -159,7 +162,7 @@ def cmd_split(args) -> int:
 def cmd_evaluate(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     split = splits.load_manifest(args.split)
-    dets = datamodel.load_predictions(args.predictions, ds)
+    dets = datamodel.read_predictions(args.predictions, ds)
     report = evaluation.evaluate(ds, split, dets, _eval_config(args))
     if args.format == "markdown":
         text = reporting.render_report_table(report)
@@ -169,43 +172,43 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _detections_to_loss_inputs(ds, dets_for_image):
-    """Category-token reduction: the token vocabulary is the dataset's
-    categories in id order; a detection's logit for its own category token
-    is the log-odds of its score, every other token gets a saturated
-    negative logit; ground-truth masks are one-hot."""
-    vocabulary = [c.id for c in ds.categories]
-    index = {cid: i for i, cid in enumerate(vocabulary)}
+def _loss_predictions(table, rows, vocab_size: int):
+    """Category-token reduction of the table's ``rows``: the token
+    vocabulary is the dataset's categories in id order; a detection's logit
+    for its own category token is the log-odds of its score, every other
+    token gets a saturated negative logit."""
     preds = []
-    for det in dets_for_image:
-        scores = [_NEGATIVE_LOGIT] * len(vocabulary)
-        p = min(max(det.score, _SCORE_EPS), 1.0 - _SCORE_EPS)
-        scores[index[det.category_id]] = math.log(p / (1.0 - p))
-        preds.append((det.box, TokenLogits(tuple(scores))))
-    return preds, index, len(vocabulary)
+    columns = (table.boxes[rows], table.score[rows], table.category[rows])
+    for corners, score, category in zip(*(column.tolist() for column in columns)):
+        logits = [_NEGATIVE_LOGIT] * vocab_size
+        p = min(max(score, _SCORE_EPS), 1.0 - _SCORE_EPS)
+        logits[category] = math.log(p / (1.0 - p))
+        preds.append((BoundingBox(*corners), TokenLogits(tuple(logits))))
+    return preds
 
 
 def cmd_loss(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
-    dets = datamodel.load_predictions(args.predictions, ds)
+    table = datamodel.read_predictions(args.predictions, ds)
     if args.split:
         image_ids = sorted(splits.load_manifest(args.split).test_image_ids)
     else:
         image_ids = [m.id for m in ds.images]
-    by_image: dict[int, list] = {}
-    for det in dets:
-        by_image.setdefault(det.image_id, []).append(det)
+    by_image = np.argsort(table.image, kind="stable")  # input order within an image
+    bounds = np.searchsorted(table.image[by_image], np.arange(len(ds.images) + 1)).tolist()
+    vocab_size = len(ds.categories)
     weights = args.weights
     rows = []
     breakdowns: list[LossBreakdown] = []
     for image_id in image_ids:
-        img = ds.image(image_id)
+        k = ds.image_index(image_id)
+        img = ds.images[k]
         gts = list(ds.instances_for_image(image_id))
-        preds, index, vocab_size = _detections_to_loss_inputs(ds, by_image.get(image_id, []))
+        preds = _loss_predictions(table, by_image[bounds[k]:bounds[k + 1]], vocab_size)
         masks = []
         for gt in gts:
             mask = [False] * vocab_size
-            mask[index[gt.category_id]] = True
+            mask[ds.category_index(gt.category_id)] = True
             masks.append(mask)
         breakdown = set_loss(
             preds, gts, masks, img.width, img.height, weights,
@@ -242,7 +245,7 @@ def cmd_loss(args) -> int:
 def cmd_rec_eval(args) -> int:
     ds, _ = datamodel.load_coco(args.annotations)
     split = splits.load_manifest(args.split)
-    dets = datamodel.load_predictions(args.predictions, ds)
+    dets = datamodel.read_predictions(args.predictions, ds)
     context = f"--filters {args.filters}"
     raw = checked(read_json(args.filters), OBJECT, context)
     filters = {
@@ -281,7 +284,7 @@ def cmd_report(args) -> int:
     reports = {}
     for row in grid.rows:
         split = splits.load_manifest(base / row.manifest)
-        dets = datamodel.load_predictions(base / row.predictions, ds)
+        dets = datamodel.read_predictions(base / row.predictions, ds)
         reports[row.label] = evaluation.evaluate(ds, split, dets, _eval_config(args))
     text, missing = reporting.render_metric_grid(grid, reports)
     if missing:

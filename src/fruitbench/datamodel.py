@@ -18,6 +18,15 @@ take values out by exact JSON class (a boolean is no integer, a number
 comes back as a finite float). Bad text or a missing field is a
 ``ParseError``, a mistyped value a ``ValidationError``.
 
+A prediction file is read once into a ``PredictionTable`` of columns
+(image and category positions, corner boxes, scores, prompts) that
+evaluation scores from directly. ``read_predictions`` checks exact classes
+in one pass over the records and the values with numpy; when anything
+fails, the scalar record reader replays the file and raises for the first
+bad record, so there is one set of rules and one set of messages. The
+table is also a ``Sequence[Detection]`` of views, and ``load_predictions``
+is the list of them.
+
 Datasets are treated as immutable after load. Loading is order-insensitive:
 categories, images and instances are normalized to ascending-id order.
 """
@@ -28,11 +37,16 @@ import dataclasses
 import json
 import logging
 import math
+import operator
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from .errors import IntegrityError, ParseError, ValidationError
 from .geometry import BoundingBox, BoxFormat, area, box_from_values, box_to_values
@@ -50,6 +64,8 @@ __all__ = [
     "load_coco",
     "load_labelme",
     "write_coco",
+    "PredictionTable",
+    "read_predictions",
     "load_predictions",
     "compute_stats",
 ]
@@ -129,8 +145,8 @@ class DetectionDataset:
     images: list[ImageRecord]
     instances: list[GroundTruthInstance]
 
-    _category_by_id: dict[int, Category] = dataclasses.field(init=False, repr=False, compare=False)
-    _image_by_id: dict[int, ImageRecord] = dataclasses.field(init=False, repr=False, compare=False)
+    _category_pos: dict[int, int] = dataclasses.field(init=False, repr=False, compare=False)
+    _image_pos: dict[int, int] = dataclasses.field(init=False, repr=False, compare=False)
     _instances_by_image: dict[int, tuple[GroundTruthInstance, ...]] = dataclasses.field(
         init=False, repr=False, compare=False
     )
@@ -140,10 +156,10 @@ class DetectionDataset:
         self.images = sorted(self.images, key=lambda m: m.id)
         self.instances = sorted(self.instances, key=lambda a: a.id)
 
-        self._category_by_id = {}
+        self._category_pos = {}
         names_seen: dict[str, str] = {}
-        for cat in self.categories:
-            if cat.id in self._category_by_id:
+        for position, cat in enumerate(self.categories):
+            if cat.id in self._category_pos:
                 raise ValidationError(f"duplicate category id {cat.id}")
             folded = cat.name.casefold()
             if folded in names_seen:
@@ -152,13 +168,13 @@ class DetectionDataset:
                     f"{names_seen[folded]!r} vs {cat.name!r}"
                 )
             names_seen[folded] = cat.name
-            self._category_by_id[cat.id] = cat
+            self._category_pos[cat.id] = position
 
-        self._image_by_id = {}
-        for img in self.images:
-            if img.id in self._image_by_id:
+        self._image_pos = {}
+        for position, img in enumerate(self.images):
+            if img.id in self._image_pos:
                 raise ValidationError(f"duplicate image id {img.id}")
-            self._image_by_id[img.id] = img
+            self._image_pos[img.id] = position
 
         seen_instance_ids = set()
         grouped: dict[int, list[GroundTruthInstance]] = {}
@@ -166,10 +182,10 @@ class DetectionDataset:
             if inst.id in seen_instance_ids:
                 raise ValidationError(f"duplicate instance id {inst.id}")
             seen_instance_ids.add(inst.id)
-            img = self._image_by_id.get(inst.image_id)
-            if img is None:
+            if inst.image_id not in self._image_pos:
                 raise IntegrityError(f"instance {inst.id} references unknown image {inst.image_id}")
-            if inst.category_id not in self._category_by_id:
+            img = self.images[self._image_pos[inst.image_id]]
+            if inst.category_id not in self._category_pos:
                 raise IntegrityError(
                     f"instance {inst.id} references unknown category {inst.category_id}"
                 )
@@ -183,22 +199,30 @@ class DetectionDataset:
         self._instances_by_image = {k: tuple(v) for k, v in grouped.items()}
 
     def category(self, category_id: int) -> Category:
+        return self.categories[self.category_index(category_id)]
+
+    def image(self, image_id: int) -> ImageRecord:
+        return self.images[self.image_index(image_id)]
+
+    def category_index(self, category_id: int) -> int:
+        """The category's position in ``categories`` (ascending-id order)."""
         try:
-            return self._category_by_id[category_id]
+            return self._category_pos[category_id]
         except KeyError:
             raise IntegrityError(f"unknown category {category_id}") from None
 
-    def image(self, image_id: int) -> ImageRecord:
+    def image_index(self, image_id: int) -> int:
+        """The image's position in ``images`` (ascending-id order)."""
         try:
-            return self._image_by_id[image_id]
+            return self._image_pos[image_id]
         except KeyError:
             raise IntegrityError(f"unknown image {image_id}") from None
 
     def has_image(self, image_id: int) -> bool:
-        return image_id in self._image_by_id
+        return image_id in self._image_pos
 
     def has_category(self, category_id: int) -> bool:
-        return category_id in self._category_by_id
+        return category_id in self._category_pos
 
     def instances_for_image(self, image_id: int) -> tuple[GroundTruthInstance, ...]:
         return self._instances_by_image.get(image_id, ())
@@ -337,7 +361,7 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
         box = box_from_values(field(a, "bbox", context), BoxFormat.TOP_LEFT_SIZE)
         img = image_by_id[image_id]
         clipped = box.clamped(img.width, img.height)
-        if clipped != box:
+        if clipped is not box:
             clamped += 1
         attributes = field(a, "attributes", context, OBJECT, {})
         for key, value in attributes.items():
@@ -464,8 +488,81 @@ def write_coco(ds: DetectionDataset, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
+class PredictionTable(Sequence):
+    """Detections as columns, against one dataset: ``image`` and
+    ``category`` are int64 positions in ``image_ids`` / ``category_ids``,
+    which list the dataset's ids in ascending order (so position order is
+    id order, for ids of any size) and after them any id the dataset lacks;
+    ``boxes`` holds (N, 4) float64 corners, ``score`` float64 scores and
+    ``prompt`` a string or None per row. The arrays are read-only.
+
+    As a ``Sequence[Detection]`` the table yields one ``Detection`` view
+    per row, equal to the one the scalar reader builds."""
+
+    def __init__(self, ds, image, category, boxes, score, prompt, image_ids, category_ids):
+        self.ds = ds
+        self.image, self.category, self.boxes, self.score = image, category, boxes, score
+        for column in (image, category, boxes, score):
+            column.flags.writeable = False
+        self.prompt = tuple(prompt)
+        self.image_ids, self.category_ids = image_ids, category_ids
+
+    @classmethod
+    def from_detections(cls, ds: DetectionDataset, dets) -> "PredictionTable":
+        """The table of any sequence of ``Detection``; an id that ``ds``
+        lacks gets a position past the dataset's own."""
+        image_pos, category_pos = dict(ds._image_pos), dict(ds._category_pos)
+        corners = [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets]
+        return cls(
+            ds,
+            np.array([image_pos.setdefault(d.image_id, len(image_pos)) for d in dets], np.int64),
+            np.array(
+                [category_pos.setdefault(d.category_id, len(category_pos)) for d in dets], np.int64
+            ),
+            np.array(corners, dtype=np.float64).reshape(-1, 4),
+            np.array([d.score for d in dets], dtype=np.float64),
+            [d.prompt for d in dets],
+            tuple(image_pos),
+            tuple(category_pos),
+        )
+
+    def take(self, rows: np.ndarray) -> "PredictionTable":
+        """The table of the rows at ``rows``, in that order."""
+        return PredictionTable(
+            self.ds, self.image[rows], self.category[rows], self.boxes[rows], self.score[rows],
+            [self.prompt[k] for k in rows.tolist()], self.image_ids, self.category_ids,
+        )
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, index: int) -> Detection:
+        index = range(len(self))[index]
+        return self._view(
+            self.image[index], self.category[index], self.boxes[index].tolist(),
+            float(self.score[index]), self.prompt[index],
+        )
+
+    def __iter__(self):
+        columns = (self.image, self.category, self.boxes, self.score)
+        return map(self._view, *(column.tolist() for column in columns), self.prompt)
+
+    def _view(self, image, category, corners, score, prompt) -> Detection:
+        return Detection(
+            self.image_ids[image], self.category_ids[category], BoundingBox(*corners), score, prompt
+        )
+
+
+_RECORD_FIELDS = tuple(map(operator.itemgetter, ("image_id", "category_id", "bbox", "score")))
+
+
+def read_predictions(path, ds: DetectionDataset) -> PredictionTable:
     """Load a prediction file and validate it against a dataset.
+
+    One pass takes the fields out of every record by exact JSON class,
+    then numpy checks the values. If any record fails, the scalar reader
+    replays the records in file order and raises for the first bad one, so
+    the error class and message name its ``detection #index``.
 
     Raises:
         ParseError: malformed or non-UTF-8 text, a missing field.
@@ -475,25 +572,78 @@ def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
             non-string prompt.
     """
     path = Path(path)
-    detections = []
-    for index, record in enumerate(checked(read_json(path), ARRAY, path)):
-        context = f"detection #{index}"
-        image_id = field(record, "image_id", context, INTEGER)
-        category_id = field(record, "category_id", context, INTEGER)
-        if not ds.has_image(image_id):
-            raise IntegrityError(f"{context} references unknown image {image_id}")
-        if not ds.has_category(category_id):
-            raise IntegrityError(f"{context} references unknown category {category_id}")
-        detections.append(
-            Detection(
-                image_id=image_id,
-                category_id=category_id,
-                box=box_from_values(field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
-                score=field(record, "score", context, NUMBER),
-                prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
-            )
-        )
-    return detections
+    records = checked(read_json(path), ARRAY, path)
+    table = _columns(records, ds)
+    if table is None:
+        dets = [_detection(index, record, ds) for index, record in enumerate(records)]
+        table = PredictionTable.from_detections(ds, dets)
+    return table
+
+
+def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
+    """``read_predictions`` as a list of ``Detection`` views."""
+    return list(read_predictions(path, ds))
+
+
+def _columns(records: list, ds: DetectionDataset) -> PredictionTable | None:
+    """The table of ``records``, or None if some record is invalid."""
+    if not records:
+        return PredictionTable.from_detections(ds, ())
+    n = len(records)
+    try:
+        image, category, bbox, score = (list(map(get, records)) for get in _RECORD_FIELDS)
+        prompt = tuple(map(dict.get, records, repeat("prompt")))
+        for value in set(prompt):
+            checked(value, OPTIONAL_STRING, "prompt")
+        if not (
+            _classes(image) == _classes(category) == {int}
+            and _classes(bbox) == {list}
+            and set(map(len, bbox)) == {4}
+            and _classes(chain.from_iterable(bbox)) <= {int, float}
+            and _classes(score) <= {int, float}
+        ):
+            return None
+        # An unknown id maps to None, which np.fromiter rejects with a TypeError.
+        image = np.fromiter(map(ds._image_pos.get, image), np.int64, n)
+        category = np.fromiter(map(ds._category_pos.get, category), np.int64, n)
+        xywh = np.fromiter(chain.from_iterable(bbox), np.float64, 4 * n).reshape(n, 4)
+        score = np.fromiter(score, np.float64, n)
+    except (KeyError, TypeError, OverflowError, ValidationError):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+    # Finite corners imply finite sizes; NaN fails every comparison.
+    if not (
+        np.isfinite(boxes).all()
+        and (xywh[:, 2:] >= 0).all()
+        and ((score >= 0) & (score <= 1)).all()
+    ):
+        return None
+    return PredictionTable(
+        ds, image, category, boxes, score, prompt, tuple(ds._image_pos), tuple(ds._category_pos)
+    )
+
+
+def _classes(values) -> set:
+    return set(map(type, values))
+
+
+def _detection(index: int, record, ds: DetectionDataset) -> Detection:
+    """The scalar reader of one prediction record."""
+    context = f"detection #{index}"
+    image_id = field(record, "image_id", context, INTEGER)
+    category_id = field(record, "category_id", context, INTEGER)
+    if not ds.has_image(image_id):
+        raise IntegrityError(f"{context} references unknown image {image_id}")
+    if not ds.has_category(category_id):
+        raise IntegrityError(f"{context} references unknown category {category_id}")
+    return Detection(
+        image_id=image_id,
+        category_id=category_id,
+        box=box_from_values(field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
+        score=field(record, "score", context, NUMBER),
+        prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
+    )
 
 
 @dataclass(frozen=True)

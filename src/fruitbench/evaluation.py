@@ -24,9 +24,13 @@ A category with no ground truth in the split reports absent metrics when
 it also has no detections and zeros otherwise; either way it is excluded
 from the aggregate means.
 
-One array path computes it all: a numpy IoU array per image/category
-cell, bit-identical to ``geometry.iou``; greedy matching over short
-per-detection candidate lists; a cumsum / envelope / searchsorted sweep.
+One array path computes it all. Detections arrive as a
+``PredictionTable`` (any other ``Sequence[Detection]`` is converted once);
+``np.isin`` picks the rows of test images, one stable lexsort by
+(category, image, descending score) and its segment offsets form the
+capped cells. Each cell gets a numpy IoU array, bit-identical to
+``geometry.iou``, greedy matching over short per-detection candidate
+lists, and each category a cumsum / envelope / searchsorted sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .datamodel import (
-    ARRAY, BOOLEAN, STRING, Detection, DetectionDataset, GroundTruthInstance, checked, field,
+    ARRAY, BOOLEAN, STRING, Detection, DetectionDataset, GroundTruthInstance, PredictionTable,
+    checked, field,
 )
 from .errors import IntegrityError, ValidationError
 from .splits import SplitResult
@@ -132,10 +137,6 @@ class EvaluationReport:
     prompt: str | None = None
 
 
-def _sorted_by_score(dets: Sequence[Detection]) -> list[Detection]:
-    return sorted(dets, key=lambda d: -d.score)  # stable: input order breaks ties
-
-
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every row of ``a`` (D, 4) against every row of ``b`` (G, 4).
 
@@ -152,9 +153,16 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(union <= 0.0, 0.0, inter / union)
 
 
-def _greedy(dets, gts, thresholds) -> list[list[tuple[int, int]]]:
-    """Per threshold, the ``(row, column)`` hits of one cell's ``dets``
-    (sorted by descending score) on its ``gts``; a crowd hit is ignored.
+def _corners(items) -> np.ndarray:
+    """The (N, 4) float64 corners of detections or ground truth."""
+    corners = [(x.box.x_min, x.box.y_min, x.box.x_max, x.box.y_max) for x in items]
+    return np.array(corners, dtype=np.float64).reshape(-1, 4)
+
+
+def _greedy(a, b, crowd, thresholds) -> list[list[tuple[int, int]]]:
+    """Per threshold, the ``(row, column)`` hits of one cell's detection
+    corners ``a`` (D, 4), sorted by descending score, on its ground-truth
+    corners ``b`` (G, 4); a hit on a ``crowd`` column is ignored.
 
     A row's candidates are its columns with IoU >= the lowest threshold:
     non-crowd ones by descending IoU, earliest first on ties, then crowd
@@ -162,13 +170,12 @@ def _greedy(dets, gts, thresholds) -> list[list[tuple[int, int]]]:
     threshold exactly when some untaken candidate does, and is the first
     one that does; a crowd candidate is only the fallback.
     """
-    if not (dets and gts):
+    if not (len(a) and len(b)):
         return [[] for _ in thresholds]
-    a, b = ([(x.box.x_min, x.box.y_min, x.box.x_max, x.box.y_max) for x in c] for c in (dets, gts))
-    ious = _iou_matrix(np.array(a, dtype=np.float64), np.array(b, dtype=np.float64))
+    ious = _iou_matrix(a, b)
     rows, cols = np.nonzero(ious >= min(thresholds))
     values = ious[rows, cols]
-    is_crowd = np.array([g.iscrowd for g in gts], dtype=bool)[cols]
+    is_crowd = crowd[cols]
     order = np.lexsort((np.where(is_crowd, 0.0, -values), is_crowd, rows))
     candidates: dict[int, list[tuple[int, float, bool]]] = {}
     for r, c, v, k in zip(*(x[order].tolist() for x in (rows, cols, values, is_crowd))):
@@ -219,8 +226,9 @@ def match_detections(
     """Greedy matching of one image/category cell at one threshold."""
     if not (0.0 < threshold <= 1.0):
         raise ValidationError(f"IoU threshold must lie in (0, 1], got {threshold!r}")
-    ordered = _sorted_by_score(dets)
-    hit = {r: gts[c] for r, c in _greedy(ordered, gts, (threshold,))[0]}
+    ordered = sorted(dets, key=lambda d: -d.score)  # stable: input order breaks ties
+    crowd = np.array([g.iscrowd for g in gts], dtype=bool)
+    hit = {r: gts[c] for r, c in _greedy(_corners(ordered), _corners(gts), crowd, (threshold,))[0]}
     return [
         DetMatch(det, hit[r].id, not hit[r].iscrowd, bool(hit[r].iscrowd))
         if r in hit
@@ -252,34 +260,69 @@ class _Pool:
     """One category's capped detections: scores, and per threshold the
     true-positive and crowd-matched rows; plus its non-crowd GT count."""
 
-    scores: list[float]
+    scores: np.ndarray
     hits: list[tuple[list[int], list[int]]]
     num_gt: int = 0
 
 
-def _category_pools(ds, test_ids, dets, config, gt_filter) -> dict[int, _Pool]:
+def _segments(*keys: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal rows in the sorted ``keys``
+    columns, followed by their length."""
+    change = np.zeros(len(keys[0]), dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    return np.append(np.flatnonzero(change), len(change))
+
+
+def _category_pools(ds, test_ids, table, used, config, gt_filter) -> list[_Pool]:
+    """One pool per category of ``ds``, in position order, from the
+    ``used`` rows of ``table``."""
     gts_cell: dict[tuple[int, int], list[GroundTruthInstance]] = {}
     for image_id in test_ids:
+        image_position = ds.image_index(image_id)
         for inst in ds.instances_for_image(image_id):
             if gt_filter is None or gt_filter(inst):
-                gts_cell.setdefault((inst.category_id, image_id), []).append(inst)
-    dets_cell: dict[tuple[int, int], list[Detection]] = {}
-    for det in dets:
-        dets_cell.setdefault((det.category_id, det.image_id), []).append(det)
-    pools = {cat.id: _Pool([], [([], []) for _ in config.iou_thresholds]) for cat in ds.categories}
-    for cat_id, image_id in sorted(set(gts_cell) | set(dets_cell)):
-        if cat_id not in pools:
-            raise IntegrityError(f"detection references unknown category {cat_id}")
-        pool = pools[cat_id]
-        gts = gts_cell.get((cat_id, image_id), [])
-        capped = _sorted_by_score(dets_cell.get((cat_id, image_id), []))[: config.max_dets]
-        base = len(pool.scores)
-        pool.scores.extend(d.score for d in capped)
-        pool.num_gt += sum(not g.iscrowd for g in gts)
-        for (tps, ignored), hits in zip(pool.hits, _greedy(capped, gts, config.iou_thresholds)):
-            for r, c in hits:
-                (ignored if gts[c].iscrowd else tps).append(base + r)
+                key = (ds.category_index(inst.category_id), image_position)
+                gts_cell.setdefault(key, []).append(inst)
+    unknown = table.category[used] >= len(ds.categories)
+    if unknown.any():
+        cat_id = min(table.category_ids[k] for k in table.category[used][unknown].tolist())
+        raise IntegrityError(f"detection references unknown category {cat_id}")
+    # Cells in (category, image) order, each by descending score with input
+    # order breaking ties, capped at max_dets; a category's cells are one run.
+    order = used[np.lexsort((-table.score[used], table.image[used], table.category[used]))]
+    bounds = _segments(table.category[order], table.image[order])
+    rank = np.arange(len(order)) - np.repeat(bounds[:-1], np.diff(bounds))
+    kept = order[rank < config.max_dets]
+    category, image = table.category[kept], table.image[kept]
+    runs = np.searchsorted(category, np.arange(len(ds.categories) + 1)).tolist()
+    pools = [
+        _Pool(table.score[kept[runs[k]:runs[k + 1]]], [([], []) for _ in config.iou_thresholds])
+        for k in range(len(ds.categories))
+    ]
+    for (k, _), gts in gts_cell.items():
+        pools[k].num_gt += sum(not g.iscrowd for g in gts)
+    bounds = _segments(category, image)
+    starts, ends = bounds[:-1], bounds[1:]
+    cells = (x.tolist() for x in (category[starts], image[starts], starts, ends))
+    for k, image_position, start, end in zip(*cells):
+        gts = gts_cell.get((k, image_position))
+        if not gts:
+            continue
+        crowd = np.array([g.iscrowd for g in gts], dtype=bool)
+        hits = _greedy(table.boxes[kept[start:end]], _corners(gts), crowd, config.iou_thresholds)
+        base = start - runs[k]
+        for (tps, ignored), cell_hits in zip(pools[k].hits, hits):
+            for r, c in cell_hits:
+                (ignored if crowd[c] else tps).append(base + r)
     return pools
+
+
+def _table(ds: DetectionDataset, dets: Sequence[Detection]) -> PredictionTable:
+    if isinstance(dets, PredictionTable) and dets.ds is ds:
+        return dets
+    return PredictionTable.from_detections(ds, dets)
 
 
 def evaluate(
@@ -292,30 +335,29 @@ def evaluate(
 ) -> EvaluationReport:
     """Score detections against the test portion of a split.
 
-    Detections referencing images outside the test split are ignored and
-    counted. With ``gt_filter``, only the ground truth it accepts is
+    ``dets`` is a ``PredictionTable`` read against ``ds`` or any sequence
+    of ``Detection``. Detections referencing images outside the test split
+    are ignored and counted. With ``gt_filter``, only the ground truth it accepts is
     scored. Raises on an empty test split.
     """
     test_ids = sorted(split.test_image_ids)
     if not test_ids:
         raise ValidationError("empty test split")
-    for image_id in test_ids:
-        ds.image(image_id)
-    test_set = set(test_ids)
-    used = [d for d in dets if d.image_id in test_set]
-    pools = _category_pools(ds, test_ids, used, config, gt_filter)
+    test_positions = [ds.image_index(image_id) for image_id in test_ids]
+    table = _table(ds, dets)
+    used = np.flatnonzero(np.isin(table.image, test_positions))
+    pools = _category_pools(ds, test_ids, table, used, config, gt_filter)
 
     rows = []
-    for cat in ds.categories:
-        pool = pools[cat.id]
-        order = np.argsort(-np.array(pool.scores, dtype=np.float64), kind="stable")
+    for cat, pool in zip(ds.categories, pools):
+        order = np.argsort(-pool.scores, kind="stable")
         aps = []
         ars = []
         for tps, crowd_rows in pool.hits:
             ap, _ = _sweep(order, tps, crowd_rows, pool.num_gt, curve=False)
             aps.append(ap)
             ars.append(len(tps) / pool.num_gt if pool.num_gt else (None if ap is None else 0.0))
-        if pool.num_gt == 0 and not pool.scores:
+        if pool.num_gt == 0 and not len(pool.scores):
             map_value = ap50 = mar = None
         else:
             map_value = sum(aps) / len(aps)
@@ -348,8 +390,8 @@ def evaluate(
         iou_thresholds=config.iou_thresholds,
         max_dets=config.max_dets,
         num_detections_used=len(used),
-        num_detections_ignored=len(dets) - len(used),
-        num_gt=sum(pool.num_gt for pool in pools.values()),
+        num_detections_ignored=len(table) - len(used),
+        num_gt=sum(pool.num_gt for pool in pools),
         split_digest=split.manifest_digest,
     )
 
@@ -406,16 +448,18 @@ def evaluate_rec(
     scored; the result is one report per prompt (sorted by prompt). Every
     prompt appearing on a detection must have a filter.
     """
-    by_prompt: dict[str, list[Detection]] = {prompt: [] for prompt in prompt_filters}
-    for det in dets:
-        if det.prompt is None:
+    table = _table(ds, dets)
+    rows: dict[str, list[int]] = {prompt: [] for prompt in prompt_filters}
+    for row, prompt in enumerate(table.prompt):
+        if prompt is None:
             raise ValidationError("REC evaluation requires a prompt on every detection")
-        if det.prompt not in prompt_filters:
-            raise ValidationError(f"unknown prompt {det.prompt!r}: no filter provided")
-        by_prompt[det.prompt].append(det)
+        if prompt not in rows:
+            raise ValidationError(f"unknown prompt {prompt!r}: no filter provided")
+        rows[prompt].append(row)
     reports = []
     for prompt in sorted(prompt_filters):
-        report = evaluate(ds, split, by_prompt[prompt], config, gt_filter=prompt_filters[prompt])
+        part = table.take(np.array(rows[prompt], dtype=np.int64))
+        report = evaluate(ds, split, part, config, gt_filter=prompt_filters[prompt])
         reports.append(replace(report, prompt=prompt))
     return reports
 

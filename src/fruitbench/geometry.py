@@ -70,7 +70,10 @@ class BoundingBox:
         )
 
     def clamped(self, img_w: float, img_h: float) -> "BoundingBox":
-        """Return the box clipped to the image rectangle [0, img_w] x [0, img_h]."""
+        """Return the box clipped to the image rectangle [0, img_w] x [0, img_h];
+        a box already inside it is returned as it is."""
+        if 0 <= self.x_min and 0 <= self.y_min and self.x_max <= img_w and self.y_max <= img_h:
+            return self
         x0 = min(max(self.x_min, 0.0), img_w)
         y0 = min(max(self.y_min, 0.0), img_h)
         x1 = min(max(self.x_max, 0.0), img_w)

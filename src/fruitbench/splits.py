@@ -107,8 +107,9 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """A materialized partition: disjoint, sorted image-id tuples plus the
-    spec that produced them and a content digest over all three."""
+    """A materialized partition: disjoint, sorted tuples of distinct image
+    ids plus the spec that produced them and a content digest over all
+    three."""
 
     train_image_ids: tuple[int, ...]
     test_image_ids: tuple[int, ...]
@@ -116,6 +117,11 @@ class SplitResult:
     manifest_digest: str
 
     def __post_init__(self):
+        for name in ("train_image_ids", "test_image_ids"):
+            ids = getattr(self, name)
+            if len(set(ids)) != len(ids):
+                repeated = next(i for i, n in Counter(ids).items() if n > 1)
+                raise ValidationError(f"{name} repeats image id {repeated}")
         if set(self.train_image_ids) & set(self.test_image_ids):
             raise ValidationError("train and test image sets overlap")
 

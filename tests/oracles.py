@@ -8,12 +8,16 @@ is meaningful.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from fruitbench.assignment import token_alignment_cost
-from fruitbench.errors import ValidationError
-from fruitbench.geometry import BoundingBox, giou, iou, l1_box_distance
+from fruitbench.datamodel import (
+    ARRAY, INTEGER, NUMBER, OPTIONAL_STRING, Detection, checked, field, read_json,
+)
+from fruitbench.errors import IntegrityError, ValidationError
+from fruitbench.geometry import BoundingBox, BoxFormat, box_from_values, giou, iou, l1_box_distance
 
 
 def raster_intersection_union_enclosure(a: BoundingBox, b: BoundingBox):
@@ -70,6 +74,33 @@ def scalar_cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
     l1, g, tac = (np.array(t, dtype=np.float64).reshape(shape) for t in (l1, g, tac))
     negative = [token_alignment_cost(logits, [False] * len(logits)) for _, logits in predictions]
     return l1, g, tac, np.array(negative, dtype=np.float64)
+
+
+def scalar_load_predictions(path, ds) -> list[Detection]:
+    """A prediction file read record by record through ``field``,
+    ``box_from_values`` and the ``Detection`` constructor: the reader the
+    columnar ``read_predictions`` must agree with, value for value and
+    error for error."""
+    path = Path(path)
+    detections = []
+    for index, record in enumerate(checked(read_json(path), ARRAY, path)):
+        context = f"detection #{index}"
+        image_id = field(record, "image_id", context, INTEGER)
+        category_id = field(record, "category_id", context, INTEGER)
+        if not ds.has_image(image_id):
+            raise IntegrityError(f"{context} references unknown image {image_id}")
+        if not ds.has_category(category_id):
+            raise IntegrityError(f"{context} references unknown category {category_id}")
+        detections.append(
+            Detection(
+                image_id=image_id,
+                category_id=category_id,
+                box=box_from_values(field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
+                score=field(record, "score", context, NUMBER),
+                prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
+            )
+        )
+    return detections
 
 
 def brute_force_assignment_cost(matrix) -> float:

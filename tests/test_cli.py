@@ -219,6 +219,31 @@ class TestEvaluate:
         assert code == 1
         assert "999" in err
 
+    def test_repeated_test_image_id_exits_1(self, capsys, tmp_path):
+        """A manifest that lists a test image twice, with its digest
+        recomputed, is rejected rather than double-counting the image."""
+        manifest = tmp_path / "split.json"
+        assert main([
+            "split", "--annotations", str(SYN30 / "annotations.json"), "--kind", "train-test",
+            "--fraction", "0.6", "--seed", "1", "--out", str(manifest),
+        ]) == 0
+        payload = json.loads(manifest.read_text())
+        repeated = payload["test_image_ids"][0]
+        payload["test_image_ids"].append(repeated)
+        body = {key: payload[key] for key in ("spec", "train_image_ids", "test_image_ids")}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        payload["digest"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        manifest.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(SYN30 / "predictions_perfect.json"),
+            "--split", str(manifest),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: test_image_ids repeats image id {repeated}\n"
+
     def test_json_errors_flag(self, capsys, split_manifest, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

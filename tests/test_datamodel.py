@@ -1,7 +1,8 @@
 import json
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fruitbench.datamodel import (
     Category,
@@ -9,14 +10,18 @@ from fruitbench.datamodel import (
     Detection,
     GroundTruthInstance,
     ImageRecord,
+    PredictionTable,
     compute_stats,
     load_coco,
     load_labelme,
     load_predictions,
+    read_predictions,
     write_coco,
 )
-from fruitbench.errors import IntegrityError, ParseError, ValidationError
+from fruitbench.errors import FruitBenchError, IntegrityError, ParseError, ValidationError
 from fruitbench.geometry import BoundingBox
+
+from . import oracles
 
 
 def minimal_coco(tmp_path, **overrides):
@@ -434,6 +439,178 @@ class TestLoadPredictions:
         assert len(dets) == 3
         assert sum(1 for d in dets if d.image_id == 1) == 2
         assert all(isinstance(d, Detection) for d in dets)
+
+
+BIG_ID = 2**70  # past int64: positions, not ids, go into the arrays
+PREDICTION_DS = DetectionDataset(
+    [Category(1, "apple"), Category(3, "lemon")],
+    [ImageRecord(i, f"{i}.jpg", 64, 64) for i in (1, 2, BIG_ID)],
+    [],
+)
+# Box values and scores of every size: any finite float, -0.0, and ints
+# past 2**53 and far past int64.
+COORDINATES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from([-0.0, 2**53 + 1, 2**100, 10**300])
+)
+SIZES = (
+    st.floats(min_value=0.0, allow_infinity=False)
+    | st.integers(0, 2**80)
+    | st.sampled_from([-0.0, 2**53 + 1, 10**300])
+)
+SCORES = st.floats(0.0, 1.0) | st.sampled_from([0, 1, -0.0, 5e-324, 1 - 2**-53])
+PROMPTS = st.none() | st.text(st.characters(max_codepoint=127), max_size=3) | st.text(max_size=3)
+# Values that break a record: mistyped, boolean, unknown ids, ints past the
+# float range, negative sizes, x + w past the float range, non-finite
+# values, scores just outside [0, 1] and lone surrogates.
+BROKEN = {
+    "image_id": [True, False, 1.0, "1", None, [1], {}, 99, BIG_ID + 1, 0],
+    "category_id": [True, 2, 1.5, "3", None, 2**70],
+    "bbox": [
+        None, "abcd", {}, [0, 0, 1], [0, 0, 1, 1, 1], [True, 0, 1, 1], [0, 0, False, 1],
+        [0, "0", 1, 1], [0, 0, 1, None], [[0], 0, 1, 1], [0, 0, -1, 1], [0, 0, 1, -5e-324],
+        [1.7e308, 0, 1.7e308, 1], [0, 1e308, 1, 1e308], [10**400, 0, 1, 1],
+        [0, 0, -(10**400), 1], [math.nan, 0, 1, 1], [0, 0, math.inf, 1], [-math.inf, 0, 1, 1],
+    ],
+    "score": [
+        True, False, None, "0.5", [0.5], -5e-324, 1 + 2**-52, -1, 2, 2**64, 10**400,
+        math.nan, math.inf,
+    ],
+    "prompt": [1, True, [], {}, 0.5, "\ud800", "a\udfffb"],
+}
+FAULTS = (
+    [("missing", key, None) for key in ("image_id", "category_id", "bbox", "score")]
+    + [("value", key, value) for key, values in BROKEN.items() for value in values]
+    + [("record", None, value) for value in (5, "x", [1, 2, 3, 4], None, True, 1.5)]
+)
+
+
+@st.composite
+def prediction_records(draw):
+    record = {
+        "image_id": draw(st.sampled_from([1, 2, BIG_ID])),
+        "category_id": draw(st.sampled_from([1, 3])),
+        "bbox": [draw(COORDINATES), draw(COORDINATES), draw(SIZES), draw(SIZES)],
+        "score": draw(SCORES),
+    }
+    if draw(st.booleans()):
+        record["prompt"] = draw(PROMPTS)
+    return record
+
+
+def _broken(record, fault):
+    kind, key, value = fault
+    if kind == "record":
+        return value
+    record = dict(record)
+    if kind == "missing":
+        del record[key]
+    else:
+        record[key] = value
+    return record
+
+
+@st.composite
+def prediction_files(draw):
+    """Valid records with up to two broken ones among them."""
+    records = draw(st.lists(prediction_records(), max_size=6))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        at = draw(st.integers(0, len(records)))
+        records.insert(at, _broken(draw(prediction_records()), draw(st.sampled_from(FAULTS))))
+    return records
+
+
+def _fields(image_ids, category_ids, boxes, scores, prompts):
+    return [
+        (
+            image_id.__class__, image_id, category_id.__class__, category_id,
+            tuple(map(float.hex, box)), float.hex(score), prompt,
+        )
+        for image_id, category_id, box, score, prompt in zip(
+            image_ids, category_ids, boxes, scores, prompts
+        )
+    ]
+
+
+def _outcomes(path):
+    """What the scalar reader, the table's columns and its views hold, or
+    the error each raises."""
+    outcomes = []
+    for read in (oracles.scalar_load_predictions, read_predictions):
+        try:
+            dets = read(path, PREDICTION_DS)
+        except FruitBenchError as exc:
+            outcomes += [(type(exc), str(exc))] * (1 + (read is read_predictions))
+            continue
+        if read is read_predictions:
+            outcomes.append(
+                _fields(
+                    [dets.image_ids[k] for k in dets.image.tolist()],
+                    [dets.category_ids[k] for k in dets.category.tolist()],
+                    dets.boxes.tolist(), dets.score.tolist(), dets.prompt,
+                )
+            )
+        outcomes.append(
+            _fields(
+                [d.image_id for d in dets], [d.category_id for d in dets],
+                [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets],
+                [d.score for d in dets], [d.prompt for d in dets],
+            )
+        )
+    return outcomes
+
+
+class TestReadPredictions:
+    """``read_predictions`` against ``oracles.scalar_load_predictions``: its
+    columns and its views equal the scalar reader's detections bit for
+    bit, or both raise the same error class with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        records=prediction_files(),
+        top_level=st.sampled_from(["array"] * 12 + ["object", "number", "null"]),
+    )
+    def test_agrees_with_the_scalar_reader(self, tmp_path_factory, records, top_level):
+        payload = {"array": records, "object": {"predictions": records}, "number": 5}.get(
+            top_level
+        )
+        path = tmp_path_factory.getbasetemp() / "predictions.json"
+        path.write_text(json.dumps(payload))
+        expected, *got = _outcomes(path)
+        assert got == [expected, expected]
+
+    @pytest.mark.parametrize("fault", FAULTS, ids=repr)
+    def test_each_fault_agrees(self, tmp_path, fault):
+        valid = {"image_id": 2, "category_id": 3, "bbox": [1, 2.5, 3, 4], "score": 0.5}
+        path = tmp_path / "predictions.json"
+        path.write_text(json.dumps([valid, _broken(valid, fault), valid]))
+        expected, *got = _outcomes(path)
+        assert got == [expected, expected]
+        assert expected[0] in (ParseError, ValidationError, IntegrityError)
+
+    def test_sequence_of_views(self, tmp_path):
+        path = tmp_path / "predictions.json"
+        records = [
+            {"image_id": BIG_ID, "category_id": 3, "bbox": [1, 2, 3, 4], "score": 1, "prompt": ""},
+            {"image_id": 1, "category_id": 1, "bbox": [0.5, 0, 0, 2**60], "score": 0.25},
+        ]
+        path.write_text(json.dumps(records))
+        table = read_predictions(path, PREDICTION_DS)
+        assert isinstance(table, PredictionTable) and len(table) == 2
+        assert table.image.tolist() == [2, 0] and table.category.tolist() == [1, 0]
+        assert table.boxes.tolist() == [[1.0, 2.0, 4.0, 6.0], [0.5, 0.0, 0.5, 2.0**60]]
+        assert table[-1] == Detection(1, 1, BoundingBox(0.5, 0.0, 0.5, 2.0**60), 0.25)
+        assert list(table) == [table[0], table[1]] == oracles.scalar_load_predictions(
+            path, PREDICTION_DS
+        )
+        with pytest.raises(IndexError):
+            table[2]
+        with pytest.raises(ValueError):
+            table.score[0] = 0.5  # read-only columns
+        assert PredictionTable.from_detections(PREDICTION_DS, table).boxes.tobytes() == (
+            table.boxes.tobytes()
+        )
 
 
 class TestComputeStats:

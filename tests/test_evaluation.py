@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from fruitbench.datamodel import (
     DetectionDataset,
     GroundTruthInstance,
     ImageRecord,
+    PredictionTable,
+    read_predictions,
 )
-from fruitbench.errors import ValidationError
+from fruitbench.errors import IntegrityError, ValidationError
 from fruitbench.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     EvalConfig,
@@ -494,6 +498,149 @@ class TestEvaluateRec:
         (report,) = evaluate_rec(ds, split, [], {"apple on a wire": predicate})
         assert report.per_category[0].map is None
         assert report.mean_ap is None
+
+
+def write_predictions(path, dets):
+    records = [
+        {
+            "image_id": d.image_id,
+            "category_id": d.category_id,
+            "bbox": [d.box.x_min, d.box.y_min, d.box.width, d.box.height],
+            "score": d.score,
+            **({} if d.prompt is None else {"prompt": d.prompt}),
+        }
+        for d in dets
+    ]
+    path.write_text(json.dumps(records))
+    return path
+
+
+def oracle_fields(report):
+    """A report in the shape of ``naive_evaluate``'s result."""
+    return {
+        "per_category": {
+            row.category_id: {
+                "per_threshold_ap": list(row.per_threshold_ap),
+                "per_threshold_ar": list(row.per_threshold_ar),
+                "mAP": row.map,
+                "AP50": row.ap50,
+                "mAR": row.mar,
+                "num_gt": row.num_gt,
+            }
+            for row in report.per_category
+        },
+        "aggregate": {"mAP": report.mean_ap, "AP50": report.mean_ap50, "mAR": report.mean_ar},
+    }
+
+
+class TestPredictionTable:
+    """Scoring a ``PredictionTable`` read from a file against scoring its
+    ``Detection`` views, the naive oracle, and metamorphic variants."""
+
+    def instances(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            ds, dets = random_eval_instance(rng, max_images=6, max_gts=10, max_dets=14)
+            yield rng, ds, dets, split_train_test(ds, 0.5, seed=rng.randrange(2**32))
+
+    def test_table_and_list_agree_with_the_oracle(self, tmp_path):
+        for _, ds, dets, split in self.instances(31, 80):
+            table = read_predictions(write_predictions(tmp_path / "p.json", dets), ds)
+            for max_dets in (100, 2):
+                config = EvalConfig(max_dets=max_dets)
+                report = evaluate(ds, split, table, config)
+                assert report == evaluate(ds, split, list(table), config)
+                assert oracle_fields(report) == naive_evaluate(
+                    ds, split, list(table), DEFAULT_IOU_THRESHOLDS, max_dets
+                )
+
+    def test_rec_table_and_list_agree_with_the_oracle(self, tmp_path):
+        filters = {
+            "any": attribute_predicate({"any": True}),
+            "even": lambda inst: inst.id % 2 == 0,
+            "first category": lambda inst: inst.category_id == 1,
+        }
+        for rng, ds, dets, split in self.instances(32, 40):
+            dets = [replace(d, prompt=rng.choice(sorted(filters))) for d in dets]
+            table = read_predictions(write_predictions(tmp_path / "p.json", dets), ds)
+            reports = evaluate_rec(ds, split, table, filters)
+            assert reports == evaluate_rec(ds, split, list(table), filters)
+            for report in reports:
+                keep = filters[report.prompt]
+                filtered = DetectionDataset(
+                    list(ds.categories), list(ds.images), [g for g in ds.instances if keep(g)]
+                )
+                prompt_dets = [d for d in table if d.prompt == report.prompt]
+                assert oracle_fields(report) == naive_evaluate(
+                    filtered, split, prompt_dets, DEFAULT_IOU_THRESHOLDS, 100
+                )
+
+    def test_rec_rejects_the_first_bad_prompt_in_input_order(self, tmp_path):
+        ds = single_image_dataset([gt(1, 1, 1, B(0, 0, 10, 10))])
+        split = TestEvaluateRec().split_all_test(ds)
+        dets = [det(1, 1, B(0, 0, 5, 5), 0.5, prompt) for prompt in ("a", "zz", None, "yy")]
+        table = read_predictions(write_predictions(tmp_path / "p.json", dets), ds)
+        with pytest.raises(ValidationError, match="^unknown prompt 'zz': no filter provided$"):
+            evaluate_rec(ds, split, table, {"a": lambda inst: True})
+        with pytest.raises(ValidationError, match="requires a prompt on every detection"):
+            evaluate_rec(ds, split, table, {"a": lambda inst: True, "zz": lambda inst: True})
+
+    def test_sequences_may_hold_ids_the_dataset_lacks(self):
+        """A detection of an unknown image lies outside every split; one of
+        an unknown category is an error only inside the split."""
+        ds = TestEvaluate().make_corpus()
+        split = split_train_test(ds, 0.5, seed=1)
+        inside, outside = split.test_image_ids[0], split.train_image_ids[0]
+        dets = perfect_detections(ds)
+        stray = [det(2**70, 1, B(0, 0, 5, 5), 0.5), det(outside, 2**70, B(0, 0, 5, 5), 0.5)]
+        report = evaluate(ds, split, dets + stray)
+        assert report.num_detections_ignored == evaluate(ds, split, dets).num_detections_ignored + 2
+        assert [d.image_id for d in PredictionTable.from_detections(ds, stray)] == [2**70, outside]
+        unknown = [det(inside, 9, B(0, 0, 5, 5), 0.5), det(inside, 7, B(0, 0, 5, 5), 0.5)]
+        with pytest.raises(IntegrityError, match="^detection references unknown category 7$"):
+            evaluate(ds, split, dets + unknown)
+
+    def test_permuting_records_leaves_the_report(self, tmp_path):
+        """Records whose scores are distinct within each image/category
+        cell score the same in any order."""
+        for rng, ds, dets, split in self.instances(33, 80):
+            cells = {}
+            for d in dets:
+                cells.setdefault((d.image_id, d.category_id), []).append(d)
+            dets = [
+                replace(d, score=score / 100)
+                for cell in cells.values()
+                for d, score in zip(cell, rng.sample(range(1, 100), len(cell)))
+            ]
+            shuffled = rng.sample(dets, len(dets))
+            reports = [
+                report_to_dict(evaluate(ds, split, read_predictions(write_predictions(
+                    tmp_path / "p.json", order), ds)))
+                for order in (dets, shuffled)
+            ]
+            assert reports[0] == reports[1]
+
+    def test_out_of_split_detections_change_only_the_ignored_count(self, tmp_path):
+        checked = 0
+        for rng, ds, dets, split in self.instances(34, 80):
+            outside = sorted({m.id for m in ds.images} - set(split.test_image_ids))
+            if not outside:
+                continue
+            extra = [
+                det(rng.choice(outside), rng.choice(ds.categories).id, B(0, 0, 8, 8), rng.random())
+                for _ in range(rng.randint(1, 5))
+            ]
+            base, more = (
+                report_to_dict(evaluate(ds, split, read_predictions(write_predictions(
+                    tmp_path / "p.json", dets_), ds)))
+                for dets_ in (dets, dets + extra)
+            )
+            assert more["counts"].pop("detections_ignored") == (
+                base["counts"].pop("detections_ignored") + len(extra)
+            )
+            assert more == base
+            checked += 1
+        assert checked > 20
 
 
 class TestAttributePredicate:

@@ -57,6 +57,27 @@ class TestBoundingBox:
     def test_zero_area_allowed(self):
         assert area(box(0, 0, 0, 5)) == 0.0
 
+    @pytest.mark.parametrize(
+        "inside", [box(0, 0, 64, 48), box(-0.0, 3, 10.5, 48.0), box(1.5, 2, 3, 4)]
+    )
+    def test_clamped_keeps_an_inside_box(self, inside):
+        assert inside.clamped(64, 48) is inside
+
+    @pytest.mark.parametrize(
+        "outside, expected",
+        [
+            (box(-1, 2, 10, 20), (0.0, 2, 10, 20)),
+            (box(5, -0.5, 70, 20), (5, 0.0, 64, 20)),
+            (box(5, 6, 10, 48.25), (5, 6, 10, 48)),
+            (box(-9, -9, -1, -1), (0.0, 0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_clamped_clips_an_outside_box(self, outside, expected):
+        clipped = outside.clamped(64, 48)
+        assert clipped is not outside
+        got = (clipped.x_min, clipped.y_min, clipped.x_max, clipped.y_max)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
+
 
 class TestArea:
     def test_unit_box(self):

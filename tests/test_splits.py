@@ -7,7 +7,9 @@ from fruitbench.datamodel import Category, DetectionDataset, GroundTruthInstance
 from fruitbench.errors import ManifestDigestError, ValidationError
 from fruitbench.geometry import BoundingBox
 from fruitbench.splits import (
+    SplitResult,
     SplitSpec,
+    _digest,
     load_manifest,
     majority_category,
     sample_k_shot,
@@ -263,6 +265,25 @@ class TestManifests:
         path.write_text(json.dumps(payload))
         with pytest.raises(ManifestDigestError):
             load_manifest(path)
+
+    @pytest.mark.parametrize("key", ["train_image_ids", "test_image_ids"])
+    def test_repeated_image_id_rejected(self, tmp_path, key):
+        """A repeated id would double-count its image's ground truth, even
+        under a recomputed digest."""
+        ds = make_dataset({"apple": 10})
+        result = split_train_test(ds, 0.6, seed=1)
+        path = tmp_path / "split.json"
+        write_manifest(result, path)
+        payload = json.loads(path.read_text())
+        repeated = payload[key][1]
+        payload[key].append(repeated)
+        train, test = tuple(payload["train_image_ids"]), tuple(payload["test_image_ids"])
+        payload["digest"] = _digest(result.spec, train, test)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"{key} repeats image id {repeated}$"):
+            load_manifest(path)
+        with pytest.raises(ValidationError, match=f"{key} repeats image id {repeated}$"):
+            SplitResult(train, test, result.spec, payload["digest"])
 
     def test_not_a_manifest(self, tmp_path):
         from fruitbench.errors import ParseError
