@@ -27,7 +27,6 @@ from .datamodel import (
     load_coco,
     load_labelme,
     load_predictions,
-    read_predictions,
     write_coco,
 )
 from .errors import (

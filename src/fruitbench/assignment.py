@@ -67,14 +67,6 @@ class CostMatrix:
             raise ValidationError("cost matrix entries must be finite")
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def n_predictions(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_ground_truth(self) -> int:
-        return self.entries.shape[1]
-
 
 @dataclass(frozen=True)
 class Assignment:

@@ -18,6 +18,7 @@ takes true or false, and null leaves a flag unset.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -96,6 +97,14 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _load_coco(path) -> datamodel.DetectionDataset:
+    """``load_coco``'s dataset, with its clamped boxes reported on stderr."""
+    ds, clamped = datamodel.load_coco(path)
+    if clamped:
+        print(f"{Path(path)}: clamped {clamped} out-of-image boxes", file=sys.stderr)
+    return ds
+
+
 def _eval_config(args) -> evaluation.EvalConfig:
     return evaluation.EvalConfig(iou_thresholds=args.thresholds, max_dets=args.max_dets)
 
@@ -109,11 +118,14 @@ def cmd_ingest_labelme(args) -> int:
             raise IntegrityError(f"{context}: duplicate category name {name!r}")
         category_map[name] = datamodel.Category(id=field(c, "id", context, INTEGER), name=name)
     ds, unmapped = datamodel.load_labelme(args.dir, category_map)
+    shapes = sum(unmapped.values())
+    if shapes:
+        print(f"{Path(args.dir)}: {shapes} shapes with unmapped labels", file=sys.stderr)
     datamodel.write_coco(ds, args.out)
     for label, count in sorted(unmapped.items()):
         print(f"unmapped label {label!r}: {count} shapes", file=sys.stderr)
-    if unmapped and args.fail_on_unmapped:
-        raise ValidationError(f"{sum(unmapped.values())} shapes carried unmapped labels")
+    if shapes and args.fail_on_unmapped:
+        raise ValidationError(f"{shapes} shapes carried unmapped labels")
     print(
         f"wrote {args.out}: {len(ds.images)} images, {len(ds.instances)} instances",
         file=sys.stderr,
@@ -122,20 +134,20 @@ def cmd_ingest_labelme(args) -> int:
 
 
 def cmd_write_coco(args) -> int:
-    ds, _ = datamodel.load_coco(args.annotations)
+    ds = _load_coco(args.annotations)
     datamodel.write_coco(ds, args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    ds, _ = datamodel.load_coco(args.annotations)
+    ds = _load_coco(args.annotations)
     stats = datamodel.compute_stats(ds)
     _write_output(reporting.render_stats_table(stats, args.format), args.out)
     return 0
 
 
 def cmd_split(args) -> int:
-    ds, _ = datamodel.load_coco(args.annotations)
+    ds = _load_coco(args.annotations)
     if args.kind == splits.KIND_TRAIN_TEST:
         result = splits.split_train_test(ds, args.fraction, args.seed)
     elif args.kind == splits.KIND_ZERO_SHOT:
@@ -160,9 +172,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ds, _ = datamodel.load_coco(args.annotations)
+    ds = _load_coco(args.annotations)
     split = splits.load_manifest(args.split)
-    dets = datamodel.read_predictions(args.predictions, ds)
+    dets = datamodel.load_predictions(args.predictions, ds)
     report = evaluation.evaluate(ds, split, dets, _eval_config(args))
     if args.format == "markdown":
         text = reporting.render_report_table(report)
@@ -188,8 +200,8 @@ def _loss_predictions(table, rows, vocab_size: int):
 
 
 def cmd_loss(args) -> int:
-    ds, _ = datamodel.load_coco(args.annotations)
-    table = datamodel.read_predictions(args.predictions, ds)
+    ds = _load_coco(args.annotations)
+    table = datamodel.load_predictions(args.predictions, ds)
     if args.split:
         image_ids = sorted(splits.load_manifest(args.split).test_image_ids)
     else:
@@ -243,9 +255,9 @@ def cmd_loss(args) -> int:
 
 
 def cmd_rec_eval(args) -> int:
-    ds, _ = datamodel.load_coco(args.annotations)
+    ds = _load_coco(args.annotations)
     split = splits.load_manifest(args.split)
-    dets = datamodel.read_predictions(args.predictions, ds)
+    dets = datamodel.load_predictions(args.predictions, ds)
     context = f"--filters {args.filters}"
     raw = checked(read_json(args.filters), OBJECT, context)
     filters = {
@@ -280,11 +292,11 @@ def cmd_report(args) -> int:
     )
     base = grid_path.parent
     grid.check_files_exist(base)
-    ds, _ = datamodel.load_coco(args.annotations)
+    ds = _load_coco(args.annotations)
     reports = {}
     for row in grid.rows:
         split = splits.load_manifest(base / row.manifest)
-        dets = datamodel.read_predictions(base / row.predictions, ds)
+        dets = datamodel.load_predictions(base / row.predictions, ds)
         reports[row.label] = evaluation.evaluate(ds, split, dets, _eval_config(args))
     text, missing = reporting.render_metric_grid(grid, reports)
     if missing:
@@ -395,17 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsers keep no state between parses, so each process builds them once.
+_parser = functools.cache(build_parser)
+_config_parser = _Parser(add_help=False)
+_config_parser.add_argument("--config")
+
+
 def _with_config(parser, argv: list[str]) -> list[str]:
     """``argv`` with the chosen subcommand's config section inserted as
     ``--flag=value`` tokens right after the subcommand name."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    config_path = pre.parse_known_args(argv)[0].config
+    config_path = _config_parser.parse_known_args(argv)[0].config
     if not config_path:
         return argv
     context = f"config file {config_path}"
     config = checked(read_json(config_path), OBJECT, context)
-    at = next((k for k, token in enumerate(argv) if token in parser.commands), None)
+    # The value of --config, or of a prefix of it such as --conf, names no command.
+    skip = {k + 1 for k, t in enumerate(argv) if len(t) > 2 and "--config".startswith(t)}
+    at = next((k for k, t in enumerate(argv) if t in parser.commands and k not in skip), None)
     if at is None:
         return argv
     command = argv[at]
@@ -431,7 +449,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     json_errors = "--json-errors" in argv
     try:
-        parser = build_parser()
+        parser = _parser()
         argv = _with_config(parser, argv)
         for token in argv:
             if "\0" in token or not _os_encodable(token):

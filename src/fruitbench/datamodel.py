@@ -18,14 +18,17 @@ take values out by exact JSON class (a boolean is no integer, a number
 comes back as a finite float). Bad text or a missing field is a
 ``ParseError``, a mistyped value a ``ValidationError``.
 
-A prediction file is read once into a ``PredictionTable`` of columns
-(image and category positions, corner boxes, scores, prompts) that
-evaluation scores from directly. ``read_predictions`` checks exact classes
-in one pass over the records and the values with numpy; when anything
-fails, the scalar record reader replays the file and raises for the first
-bad record, so there is one set of rules and one set of messages. The
-table is also a ``Sequence[Detection]`` of views, and ``load_predictions``
-is the list of them.
+A prediction file is read once, by ``load_predictions``, into a
+``PredictionTable`` of columns (image and category positions, corner
+boxes, scores, prompts) that evaluation scores from directly. The loader
+checks exact classes in one pass over the records and the values with
+numpy; when anything fails, the scalar record reader replays the file and
+raises for the first bad record, so there is one set of rules and one set
+of messages. The table is also a read-only ``Sequence[Detection]`` of
+views; ``list(table)`` is the list of them.
+
+Loaders return what they repaired or skipped (clamped boxes, unmapped
+labels) and print nothing; the CLI reports it.
 
 Datasets are treated as immutable after load. Loading is order-insensitive:
 categories, images and instances are normalized to ascending-id order.
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import math
 import operator
 import re
@@ -51,8 +53,6 @@ import numpy as np
 from .errors import IntegrityError, ParseError, ValidationError
 from .geometry import BoundingBox, BoxFormat, area, box_from_values, box_to_values
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
     "Category",
     "ImageRecord",
@@ -65,7 +65,6 @@ __all__ = [
     "load_labelme",
     "write_coco",
     "PredictionTable",
-    "read_predictions",
     "load_predictions",
     "compute_stats",
 ]
@@ -314,7 +313,7 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
     Boxes are stored as top-left-size quadruples. Ground-truth boxes that
     stick out of their image are clamped to the image rectangle rather than
     rejected (field annotations routinely touch image borders); the number
-    of clamped boxes is returned alongside the dataset and logged.
+    of clamped boxes is returned alongside the dataset.
 
     Returns:
         (dataset, clamped_count)
@@ -376,8 +375,6 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
                 iscrowd=bool(iscrowd),
             )
         )
-    if clamped:
-        logger.warning("%s: clamped %d out-of-image boxes", path, clamped)
     return DetectionDataset(categories, images, instances), clamped
 
 
@@ -449,8 +446,6 @@ def load_labelme(
                 )
             )
             next_instance_id += 1
-    if unmapped:
-        logger.warning("%s: %d shapes with unmapped labels", directory, sum(unmapped.values()))
     return DetectionDataset(categories, images, instances), dict(unmapped)
 
 
@@ -497,7 +492,9 @@ class PredictionTable(Sequence):
     ``prompt`` a string or None per row. The arrays are read-only.
 
     As a ``Sequence[Detection]`` the table yields one ``Detection`` view
-    per row, equal to the one the scalar reader builds."""
+    per row, equal to the one the scalar reader builds. Indexing with an
+    int gives that view; a slice or an int64 array of row numbers gives
+    the table of those rows, in that order."""
 
     def __init__(self, ds, image, category, boxes, score, prompt, image_ids, category_ids):
         self.ds = ds
@@ -526,17 +523,16 @@ class PredictionTable(Sequence):
             tuple(category_pos),
         )
 
-    def take(self, rows: np.ndarray) -> "PredictionTable":
-        """The table of the rows at ``rows``, in that order."""
-        return PredictionTable(
-            self.ds, self.image[rows], self.category[rows], self.boxes[rows], self.score[rows],
-            [self.prompt[k] for k in rows.tolist()], self.image_ids, self.category_ids,
-        )
-
     def __len__(self) -> int:
         return len(self.score)
 
-    def __getitem__(self, index: int) -> Detection:
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            rows = np.arange(len(self))[index]
+            return PredictionTable(
+                self.ds, self.image[rows], self.category[rows], self.boxes[rows], self.score[rows],
+                [self.prompt[k] for k in rows.tolist()], self.image_ids, self.category_ids,
+            )
         index = range(len(self))[index]
         return self._view(
             self.image[index], self.category[index], self.boxes[index].tolist(),
@@ -556,7 +552,7 @@ class PredictionTable(Sequence):
 _RECORD_FIELDS = tuple(map(operator.itemgetter, ("image_id", "category_id", "bbox", "score")))
 
 
-def read_predictions(path, ds: DetectionDataset) -> PredictionTable:
+def load_predictions(path, ds: DetectionDataset) -> PredictionTable:
     """Load a prediction file and validate it against a dataset.
 
     One pass takes the fields out of every record by exact JSON class,
@@ -578,11 +574,6 @@ def read_predictions(path, ds: DetectionDataset) -> PredictionTable:
         dets = [_detection(index, record, ds) for index, record in enumerate(records)]
         table = PredictionTable.from_detections(ds, dets)
     return table
-
-
-def load_predictions(path, ds: DetectionDataset) -> list[Detection]:
-    """``read_predictions`` as a list of ``Detection`` views."""
-    return list(read_predictions(path, ds))
 
 
 def _columns(records: list, ds: DetectionDataset) -> PredictionTable | None:

@@ -458,7 +458,7 @@ def evaluate_rec(
         rows[prompt].append(row)
     reports = []
     for prompt in sorted(prompt_filters):
-        part = table.take(np.array(rows[prompt], dtype=np.int64))
+        part = table[np.array(rows[prompt], dtype=np.int64)]
         report = evaluate(ds, split, part, config, gt_filter=prompt_filters[prompt])
         reports.append(replace(report, prompt=prompt))
     return reports

@@ -240,11 +240,9 @@ def split_train_test(ds: DetectionDataset, fraction: float, seed: int) -> SplitR
 
 def split_zero_shot(ds: DetectionDataset, fraction: float, seed: int) -> SplitResult:
     """Empty train set over the standard test portion, so zero-shot numbers
-    are comparable with every other row on the same test images."""
-    spec = SplitSpec(kind=KIND_ZERO_SHOT, seed=seed, train_fraction=float(fraction))
-    parts = _partition(ds, spec.train_fraction, seed)
-    test = [i for _, te in parts.values() for i in te]
-    return _build_result((), test, spec)
+    are comparable with every other row on the same test images: the
+    0-shot sample of the train/test split."""
+    return sample_k_shot(ds, split_train_test(ds, fraction, seed), 0, seed)
 
 
 def sample_k_shot(

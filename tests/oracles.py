@@ -79,7 +79,7 @@ def scalar_cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
 def scalar_load_predictions(path, ds) -> list[Detection]:
     """A prediction file read record by record through ``field``,
     ``box_from_values`` and the ``Detection`` constructor: the reader the
-    columnar ``read_predictions`` must agree with, value for value and
+    columnar ``load_predictions`` must agree with, value for value and
     error for error."""
     path = Path(path)
     detections = []

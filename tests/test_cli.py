@@ -1035,3 +1035,193 @@ class TestBenchmarkTablesScript:
         ]
         assert all(artifacts.values())
         assert artifacts["table.md"].startswith("| Setting |")
+
+
+@pytest.fixture
+def clamped_corpus(tmp_path, monkeypatch):
+    """In a fresh working directory: the stats fixture with one box
+    sticking out of its image, a train-test manifest of it, an empty
+    prediction file, a filter file and a one-row grid."""
+    monkeypatch.chdir(tmp_path)
+    payload = json.loads((DATA / "fixture_stats" / "annotations.json").read_text())
+    image = payload["images"][0]
+    payload["annotations"][0].update(image_id=image["id"], bbox=[image["width"] - 5, 0, 20, 10])
+    Path("clamped.json").write_text(json.dumps(payload))
+    Path("predictions.json").write_text("[]")
+    Path("filters.json").write_text(json.dumps({"apple": {"any": True}}))
+    Path("grid.json").write_text(json.dumps({
+        "rows": [{"label": "none", "manifest": "split.json", "predictions": "predictions.json"}]
+    }))
+    assert main([
+        "split", "--annotations", "clamped.json", "--kind", "train-test", "--seed", "1",
+        "--out", "split.json",
+    ]) == 0
+    return tmp_path
+
+
+class TestWarningsOnStderr:
+    """The CLI prints each loader's repairs itself, on stderr, naming the
+    path as given without its ``./`` or trailing slash."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stats"],
+        ["write-coco", "--out", "out.json"],
+        ["split", "--kind", "zero-shot", "--seed", "2", "--out", "zero.json"],
+        ["evaluate", "--predictions", "predictions.json", "--split", "split.json"],
+        ["loss", "--predictions", "predictions.json"],
+        [
+            "rec-eval", "--predictions", "predictions.json", "--split", "split.json",
+            "--filters", "filters.json",
+        ],
+        ["report", "--grid", "grid.json"],
+    ], ids=lambda argv: argv[0])
+    def test_clamp_line(self, capsys, clamped_corpus, argv):
+        code, _, err = run(capsys, argv[0], "--annotations", "./clamped.json", *argv[1:])
+        assert (code, err) == (0, "clamped.json: clamped 1 out-of-image boxes\n")
+
+    @pytest.mark.parametrize("fail, code", [(False, 0), (True, 1)])
+    def test_unmapped_summary_line(self, capsys, tmp_path, monkeypatch, fail, code):
+        unmapped_labels(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        result, _, err = run(
+            capsys, "ingest-labelme", "--dir", "labels/", "--categories", "cats.json",
+            "--out", "out.json", *(["--fail-on-unmapped"] if fail else []),
+        )
+        assert result == code
+        assert err.splitlines()[:2] == [
+            "labels: 1 shapes with unmapped labels", "unmapped label 'pear': 1 shapes",
+        ]
+
+
+# `split --kind zero-shot` digests on synthetic30, seeds 0-9 per fraction.
+ZERO_SHOT_DIGESTS = {
+    "0.3": [
+        "db44f3c3d49b8ff3d3eb238706817a7e734053e32b8559d81a9a3f610e808321",
+        "f9c17f2ee6f8d5258463a5dee564b55aadc5860633b36df4b2630b30fbf8d1dd",
+        "c7a08c1f398d3046f4a73ad547f2f30ffb670ef906d9365a657cc731e8a8d4bd",
+        "46b2a4e532b11da314a56818a19a78189efc668e2c337588e9a20c3042f09d9b",
+        "c4e3262ee8a9a887342eb109dd88826aa851d486cf0eb9d6c54fb3684f908e84",
+        "65bc8f5c1454304b6f0021b3275d9f536d7c533c9812d052068c26186100a39b",
+        "a25179ac5116513d84e5cc532f3f81c88741a614d6eb18a41278b740cd167ba6",
+        "09309c06ed2573b83afb0d514d15f76f5eaa20cd4d4cb4f6ea26084753e5107f",
+        "5ef7255ba010b842a86e09392719907199f26b00db65fae6a635f6ddaeb3e937",
+        "dc6f70218aa157b7548c0ec36baba938cfc190ef74c12b9d382faedef0f5f9ae",
+    ],
+    "0.6": [
+        "18ae1e583bd257dba081eac5fb7bcbca43972e054ce70a88d47e51cf8135e6e9",
+        "c70a3885dbcc8e6680be06b34384ef6e69007ac489e220de1ed8d66ae8b73920",
+        "ecaf919a8f12c1d4cc2581731849e59fcf0137ff3b99f696519832d239599700",
+        "be999ed9834ac593ddd7a683c0e4619724166c7cd4797cc207a043f61811fc17",
+        "e6e778f9d970d3b3169c2d5076cfe7f6ea31f56c76da83ea6764d9ab3b3c2227",
+        "1353267de90edb373169beb982800444fbed8a2b135f4d4693d2d17bafa93c4f",
+        "b269b128173a4d6ec2aaf34ac844bfac61df4f71131993a797b3799d87d83ec3",
+        "885e4e3d0fdaae4c686f69f6c4b3f624079d7e26e9a97e8f98d0d6f732215a5a",
+        "bd03975e4bf0c486985c42e79ca74b010d1cb6652a8205405e0c6237d7a2f878",
+        "c116fa41a85021a6387b4a46be0cb65e9d807ae03e9c904e080297ded8107d35",
+    ],
+    "0.8": [
+        "382806367abf7bbee52eed57b415393510e3c359b32858fb95eee65ec43c2b22",
+        "45709cee4bd45c7e46f98f3766df32b888a66557fa245785a39d4e4a401fe2b6",
+        "e033d2d2b562bd8529bb5245fb68f0d09fd51460e7bf6343f978badf606af2d0",
+        "d1b589d0af14e1c158abf492ac14f1244b81c567f4521406c3284c160e173535",
+        "e1d5187381ce3f2a1e800947bb3f969e0b61e671225d105aaa18004a812245d8",
+        "c260e0c9799bff3be6b67fb03d23cc643b768cc592c94e7b525f53661ff6e17b",
+        "cdd75c8b090cc78f7e2c05df67684b5fb6d58418252a408b4c32527d71a99545",
+        "92eaeb93b5460ace8ac65fb238d2217efba76d733ed6bf36c5df0695c3740164",
+        "386077aebdcc595e0e866c46fe10e13004498d46dde2abdcb86cb2fba443924c",
+        "58266efa3f82556593551675d149b3037f181f2d3189bbb32f91e5eb47eaa0e1",
+    ],
+}
+
+
+class TestZeroShotSplit:
+    @pytest.mark.parametrize("fraction", sorted(ZERO_SHOT_DIGESTS))
+    def test_golden_digests_and_k_0(self, capsys, tmp_path, fraction):
+        """Zero-shot manifests keep their digests, and ``--kind k-shot
+        --k 0`` writes the same file."""
+        for seed, digest in enumerate(ZERO_SHOT_DIGESTS[fraction]):
+            written = []
+            for kind in (["zero-shot"], ["k-shot", "--k", "0"]):
+                out_path = tmp_path / f"{kind[0]}.json"
+                code, out, _ = run(
+                    capsys, "split", "--annotations", str(SYN30 / "annotations.json"),
+                    "--kind", *kind, "--fraction", fraction, "--seed", str(seed),
+                    "--out", str(out_path),
+                )
+                assert (code, out) == (0, digest + "\n")
+                written.append(out_path.read_bytes())
+            assert written[0] == written[1]
+
+
+class TestPredictionLoadCalls:
+    """Every prediction file a subcommand scores is read by one call of
+    ``datamodel.load_predictions``, looked up on the module at call time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from fruitbench import datamodel
+
+        counted = []
+        load = datamodel.load_predictions
+
+        def counting(path, ds):
+            counted.append(Path(path).name)
+            return load(path, ds)
+
+        monkeypatch.setattr(datamodel, "load_predictions", counting)
+        return counted
+
+    def test_one_call_per_file(self, capsys, tmp_path, split_manifest, calls):
+        rec = tmp_path / "rec.json"
+        records = json.loads((SYN30 / "predictions_perfect.json").read_text())
+        rec.write_text(json.dumps([{**r, "prompt": "apple"} for r in records]))
+        filters = tmp_path / "filters.json"
+        filters.write_text(json.dumps({"apple": {"any": True}}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"rows": [
+            {
+                "label": name, "manifest": str(split_manifest),
+                "predictions": str(SYN30 / f"predictions_{name}.json"),
+            }
+            for name in ("perfect", "noisy", "empty")
+        ]}))
+        scored = ["--annotations", str(SYN30 / "annotations.json")]
+        perfect = ["--predictions", str(SYN30 / "predictions_perfect.json")]
+        commands = {
+            "evaluate": [*perfect, "--split", str(split_manifest)],
+            "rec-eval": [
+                "--predictions", str(rec), "--split", str(split_manifest),
+                "--filters", str(filters),
+            ],
+            "report": ["--grid", str(grid)],
+            "loss": perfect,
+        }
+        expected = {
+            "evaluate": ["predictions_perfect.json"],
+            "rec-eval": ["rec.json"],
+            "report": [f"predictions_{n}.json" for n in ("perfect", "noisy", "empty")],
+            "loss": ["predictions_perfect.json"],
+        }
+        for command, argv in commands.items():
+            calls.clear()
+            code, _, err = run(capsys, command, *scored, *argv)
+            assert code == 0, err
+            assert calls == expected[command], command
+
+
+class TestConfigPathNamedLikeASubcommand:
+    @pytest.mark.parametrize("config", [
+        ["--config", "split"], ["--conf", "split"], ["--c", "split"], ["--config=split"],
+        ["--json-errors", "--config", "split"],
+    ], ids=" ".join)
+    def test_config_file_is_read(self, capsys, tmp_path, monkeypatch, config):
+        """A config file named like a subcommand is the config file, not
+        the subcommand, in every form argparse reads ``--config`` in."""
+        monkeypatch.chdir(tmp_path)
+        Path("split").write_text(json.dumps({"stats": {"format": "csv"}}))
+        code, out, err = run(
+            capsys, *config, "stats",
+            "--annotations", str(DATA / "fixture_stats" / "annotations.json"),
+        )
+        assert code == 0, err
+        assert out.startswith("Category,")

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,6 @@ from fruitbench.datamodel import (
     load_coco,
     load_labelme,
     load_predictions,
-    read_predictions,
     write_coco,
 )
 from fruitbench.errors import FruitBenchError, IntegrityError, ParseError, ValidationError
@@ -364,7 +364,7 @@ class TestLoadPredictions:
         ds, _ = load_coco(minimal_coco(tmp_path))
         path = tmp_path / "preds.json"
         path.write_text("[]")
-        assert load_predictions(path, ds) == []
+        assert list(load_predictions(path, ds)) == []
 
     def test_score_out_of_range(self, tmp_path):
         ds, _ = load_coco(minimal_coco(tmp_path))
@@ -537,13 +537,13 @@ def _outcomes(path):
     """What the scalar reader, the table's columns and its views hold, or
     the error each raises."""
     outcomes = []
-    for read in (oracles.scalar_load_predictions, read_predictions):
+    for read in (oracles.scalar_load_predictions, load_predictions):
         try:
             dets = read(path, PREDICTION_DS)
         except FruitBenchError as exc:
-            outcomes += [(type(exc), str(exc))] * (1 + (read is read_predictions))
+            outcomes += [(type(exc), str(exc))] * (1 + (read is load_predictions))
             continue
-        if read is read_predictions:
+        if read is load_predictions:
             outcomes.append(
                 _fields(
                     [dets.image_ids[k] for k in dets.image.tolist()],
@@ -562,7 +562,7 @@ def _outcomes(path):
 
 
 class TestReadPredictions:
-    """``read_predictions`` against ``oracles.scalar_load_predictions``: its
+    """``load_predictions`` against ``oracles.scalar_load_predictions``: its
     columns and its views equal the scalar reader's detections bit for
     bit, or both raise the same error class with the same message."""
 
@@ -596,7 +596,7 @@ class TestReadPredictions:
             {"image_id": 1, "category_id": 1, "bbox": [0.5, 0, 0, 2**60], "score": 0.25},
         ]
         path.write_text(json.dumps(records))
-        table = read_predictions(path, PREDICTION_DS)
+        table = load_predictions(path, PREDICTION_DS)
         assert isinstance(table, PredictionTable) and len(table) == 2
         assert table.image.tolist() == [2, 0] and table.category.tolist() == [1, 0]
         assert table.boxes.tolist() == [[1.0, 2.0, 4.0, 6.0], [0.5, 0.0, 0.5, 2.0**60]]
@@ -611,6 +611,57 @@ class TestReadPredictions:
         assert PredictionTable.from_detections(PREDICTION_DS, table).boxes.tobytes() == (
             table.boxes.tobytes()
         )
+
+
+ROWS = 7
+
+
+@pytest.fixture(scope="module")
+def seven_rows(tmp_path_factory):
+    """A table of seven distinct detections, with and without prompts."""
+    path = tmp_path_factory.mktemp("rows") / "predictions.json"
+    path.write_text(json.dumps([
+        {
+            "image_id": (1, 2, BIG_ID)[k % 3], "category_id": (1, 3)[k % 2],
+            "bbox": [k, 2 * k, 3, 4.5], "score": k / 10, **({"prompt": f"p{k}"} if k % 2 else {}),
+        }
+        for k in range(ROWS)
+    ]))
+    return load_predictions(path, PREDICTION_DS)
+
+
+def assert_same_table(part, views):
+    """``part`` is a table whose views are ``views`` and whose columns
+    hold them."""
+    assert isinstance(part, PredictionTable) and list(part) == views
+    assert part.ds is PREDICTION_DS and len(part) == len(views)
+    assert part.score.tolist() == [d.score for d in views]
+    assert part.prompt == tuple(d.prompt for d in views)
+    assert part.boxes.shape == (len(views), 4) and not part.boxes.flags.writeable
+
+
+class TestPredictionTableRows:
+    """An int gives one view; a slice or an int64 array gives the table of
+    those rows, in that order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.slices(ROWS) | st.sampled_from([
+        slice(None, None, -1), slice(5, 1, -2), slice(3, 3), slice(6, 2), slice(-2, None),
+        slice(None, -9), slice(-100, 100, 3),
+    ]))
+    def test_slice_is_the_list_slice(self, seven_rows, rows):
+        assert_same_table(seven_rows[rows], list(seven_rows)[rows])
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.integers(-ROWS, ROWS - 1), max_size=12))
+    def test_int64_array_picks_those_rows(self, seven_rows, rows):
+        views = list(seven_rows)
+        assert_same_table(seven_rows[np.array(rows, dtype=np.int64)], [views[k] for k in rows])
+
+    def test_out_of_range_rows_raise_index_error(self, seven_rows):
+        for index in (ROWS, -ROWS - 1, np.array([0, ROWS], dtype=np.int64)):
+            with pytest.raises(IndexError):
+                seven_rows[index]
 
 
 class TestComputeStats:

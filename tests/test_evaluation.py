@@ -12,7 +12,7 @@ from fruitbench.datamodel import (
     GroundTruthInstance,
     ImageRecord,
     PredictionTable,
-    read_predictions,
+    load_predictions,
 )
 from fruitbench.errors import IntegrityError, ValidationError
 from fruitbench.evaluation import (
@@ -545,7 +545,7 @@ class TestPredictionTable:
 
     def test_table_and_list_agree_with_the_oracle(self, tmp_path):
         for _, ds, dets, split in self.instances(31, 80):
-            table = read_predictions(write_predictions(tmp_path / "p.json", dets), ds)
+            table = load_predictions(write_predictions(tmp_path / "p.json", dets), ds)
             for max_dets in (100, 2):
                 config = EvalConfig(max_dets=max_dets)
                 report = evaluate(ds, split, table, config)
@@ -562,7 +562,7 @@ class TestPredictionTable:
         }
         for rng, ds, dets, split in self.instances(32, 40):
             dets = [replace(d, prompt=rng.choice(sorted(filters))) for d in dets]
-            table = read_predictions(write_predictions(tmp_path / "p.json", dets), ds)
+            table = load_predictions(write_predictions(tmp_path / "p.json", dets), ds)
             reports = evaluate_rec(ds, split, table, filters)
             assert reports == evaluate_rec(ds, split, list(table), filters)
             for report in reports:
@@ -579,7 +579,7 @@ class TestPredictionTable:
         ds = single_image_dataset([gt(1, 1, 1, B(0, 0, 10, 10))])
         split = TestEvaluateRec().split_all_test(ds)
         dets = [det(1, 1, B(0, 0, 5, 5), 0.5, prompt) for prompt in ("a", "zz", None, "yy")]
-        table = read_predictions(write_predictions(tmp_path / "p.json", dets), ds)
+        table = load_predictions(write_predictions(tmp_path / "p.json", dets), ds)
         with pytest.raises(ValidationError, match="^unknown prompt 'zz': no filter provided$"):
             evaluate_rec(ds, split, table, {"a": lambda inst: True})
         with pytest.raises(ValidationError, match="requires a prompt on every detection"):
@@ -614,7 +614,7 @@ class TestPredictionTable:
             ]
             shuffled = rng.sample(dets, len(dets))
             reports = [
-                report_to_dict(evaluate(ds, split, read_predictions(write_predictions(
+                report_to_dict(evaluate(ds, split, load_predictions(write_predictions(
                     tmp_path / "p.json", order), ds)))
                 for order in (dets, shuffled)
             ]
@@ -631,7 +631,7 @@ class TestPredictionTable:
                 for _ in range(rng.randint(1, 5))
             ]
             base, more = (
-                report_to_dict(evaluate(ds, split, read_predictions(write_predictions(
+                report_to_dict(evaluate(ds, split, load_predictions(write_predictions(
                     tmp_path / "p.json", dets_), ds)))
                 for dets_ in (dets, dets + extra)
             )
