@@ -47,7 +47,7 @@ from .evaluation import (
     evaluate_rec,
     match_detections,
 )
-from .geometry import BoundingBox, BoxFormat, area, giou, iou, l1_box_distance
+from .geometry import BoundingBox, area, giou, iou, l1_box_distance
 from .reporting import (
     ExperimentGrid,
     GridRow,

@@ -19,12 +19,13 @@ solvers do not promise. Optimality and the tie-break are cross-checked
 against brute-force enumeration, and optimality at scale against SciPy, in
 the test suite.
 
-The cost terms are built as exact (P, G) float64 arrays: elementwise numpy
-in the operation order of ``geometry.l1_box_distance`` and
-``geometry.giou``, and the cross-entropy's ``math`` transcendentals looked
-up in a table with one entry per distinct logit. Every entry equals the
-scalar reference functions' value bit for bit; the suite checks this
-against the pair-by-pair loop.
+The cost terms are built as exact (P, G) float64 arrays: intersection and
+union come from ``geometry.pairwise_areas``; the array twins of
+``geometry.l1_box_distance`` and ``geometry.giou`` are elementwise numpy
+in their operation order, in ``_cost_terms``; and the cross-entropy's
+``math`` transcendentals are looked up in a table with one entry per
+distinct logit. Every entry equals the scalar reference functions' value
+bit for bit; the suite checks this against the pair-by-pair loop.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .datamodel import GroundTruthInstance
 from .errors import ValidationError
-from .geometry import BoundingBox, giou, l1_box_distance
+from .geometry import BoundingBox, corner_array, giou, l1_box_distance, pairwise_areas
 
 __all__ = [
     "CostMatrix",
@@ -355,21 +356,13 @@ def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
     if not n_pred:
         empty = np.zeros((0, n_gt))
         return empty, empty, empty, np.zeros(0)
-    pred_boxes = np.array(
-        [(x.x_min, x.y_min, x.x_max, x.y_max) for x, _ in predictions], dtype=np.float64
-    )
-    gt_boxes = np.array(
-        [(g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max) for g in ground_truth],
-        dtype=np.float64,
-    ).reshape(n_gt, 4)
+    pred_boxes = corner_array(box for box, _ in predictions)
+    gt_boxes = corner_array(g.box for g in ground_truth)
     lengths = np.array([len(logits) for _, logits in predictions])
+    inter, union = pairwise_areas(pred_boxes, gt_boxes)
     ax0, ay0, ax1, ay1 = pred_boxes.T[:, :, None]
     bx0, by0, bx1, by1 = gt_boxes.T
     with np.errstate(all="ignore"):
-        iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
-        ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
-        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
         bad = (
             (img_w <= 0 or img_h <= 0)
             | (union <= 0.0)

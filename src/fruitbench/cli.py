@@ -415,15 +415,16 @@ _config_parser.add_argument("--config")
 
 def _with_config(parser, argv: list[str]) -> list[str]:
     """``argv`` with the chosen subcommand's config section inserted as
-    ``--flag=value`` tokens right after the subcommand name."""
-    config_path = _config_parser.parse_known_args(argv)[0].config
+    ``--flag=value`` tokens right after the subcommand name. Only a
+    ``--config`` before the subcommand is read; argparse rejects one after."""
+    # The value of --config, or of a prefix of it such as --conf, names no command.
+    skip = {k + 1 for k, t in enumerate(argv) if len(t) > 2 and "--config".startswith(t)}
+    at = next((k for k, t in enumerate(argv) if t in parser.commands and k not in skip), None)
+    config_path = _config_parser.parse_known_args(argv[:at])[0].config
     if not config_path:
         return argv
     context = f"config file {config_path}"
     config = checked(read_json(config_path), OBJECT, context)
-    # The value of --config, or of a prefix of it such as --conf, names no command.
-    skip = {k + 1 for k, t in enumerate(argv) if len(t) > 2 and "--config".startswith(t)}
-    at = next((k for k, t in enumerate(argv) if t in parser.commands and k not in skip), None)
     if at is None:
         return argv
     command = argv[at]

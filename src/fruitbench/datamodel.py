@@ -51,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import IntegrityError, ParseError, ValidationError
-from .geometry import BoundingBox, BoxFormat, area, box_from_values, box_to_values
+from .geometry import BoundingBox, area, box_from_xywh, corner_array
 
 __all__ = [
     "Category",
@@ -357,7 +357,7 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
         iscrowd = field(a, "iscrowd", context, FLAG, 0)
         if image_id not in image_by_id:
             raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
-        box = box_from_values(field(a, "bbox", context), BoxFormat.TOP_LEFT_SIZE)
+        box = box_from_xywh(field(a, "bbox", context))
         img = image_by_id[image_id]
         clipped = box.clamped(img.width, img.height)
         if clipped is not box:
@@ -472,7 +472,7 @@ def write_coco(ds: DetectionDataset, path) -> None:
                 "id": a.id,
                 "image_id": a.image_id,
                 "category_id": a.category_id,
-                "bbox": list(box_to_values(a.box, BoxFormat.TOP_LEFT_SIZE)),
+                "bbox": [a.box.x_min, a.box.y_min, a.box.width, a.box.height],
                 "iscrowd": 1 if a.iscrowd else 0,
                 **({"attributes": dict(a.attributes)} if a.attributes else {}),
             }
@@ -509,14 +509,13 @@ class PredictionTable(Sequence):
         """The table of any sequence of ``Detection``; an id that ``ds``
         lacks gets a position past the dataset's own."""
         image_pos, category_pos = dict(ds._image_pos), dict(ds._category_pos)
-        corners = [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets]
         return cls(
             ds,
             np.array([image_pos.setdefault(d.image_id, len(image_pos)) for d in dets], np.int64),
             np.array(
                 [category_pos.setdefault(d.category_id, len(category_pos)) for d in dets], np.int64
             ),
-            np.array(corners, dtype=np.float64).reshape(-1, 4),
+            corner_array(d.box for d in dets),
             np.array([d.score for d in dets], dtype=np.float64),
             [d.prompt for d in dets],
             tuple(image_pos),
@@ -631,7 +630,7 @@ def _detection(index: int, record, ds: DetectionDataset) -> Detection:
     return Detection(
         image_id=image_id,
         category_id=category_id,
-        box=box_from_values(field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
+        box=box_from_xywh(field(record, "bbox", context)),
         score=field(record, "score", context, NUMBER),
         prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
     )
@@ -660,12 +659,22 @@ def _region_label(regions) -> str:
     return " & ".join(sorted({r for r in regions if r}))
 
 
+def _mean_area(instances, name: str) -> float | None:
+    if not instances:
+        return None
+    mean = sum(area(a.box) for a in instances) / len(instances)
+    if not math.isfinite(mean):
+        raise ValidationError(f"stats row {name!r}: the mean box area overflows a float")
+    return mean
+
+
 def compute_stats(ds: DetectionDataset) -> DatasetStats:
     """Per-category image/box counts, boxes-per-image and mean box area.
 
     A category's image count is the number of distinct images containing at
     least one of its instances; the total row counts every image in the
-    dataset. Mean areas are taken over instances in id order.
+    dataset. Mean areas are taken over instances in id order; one that
+    overflows a float is a ``ValidationError``.
     """
     rows = []
     for cat in ds.categories:
@@ -679,9 +688,7 @@ def compute_stats(ds: DetectionDataset) -> DatasetStats:
                 image_count=n_img,
                 bbox_count=n_box,
                 avg_boxes_per_image=n_box / n_img if n_img else None,
-                avg_instance_area=(
-                    sum(area(a.box) for a in cat_instances) / n_box if n_box else None
-                ),
+                avg_instance_area=_mean_area(cat_instances, cat.name),
                 region=_region_label(ds.image(i).region for i in image_ids),
             )
         )
@@ -692,9 +699,7 @@ def compute_stats(ds: DetectionDataset) -> DatasetStats:
         image_count=n_img_total,
         bbox_count=n_box_total,
         avg_boxes_per_image=n_box_total / n_img_total if n_img_total else None,
-        avg_instance_area=(
-            sum(area(a.box) for a in ds.instances) / n_box_total if n_box_total else None
-        ),
+        avg_instance_area=_mean_area(ds.instances, "Total"),
         region=_region_label(m.region for m in ds.images),
     )
     return DatasetStats(per_category=tuple(rows), total=total)

@@ -28,9 +28,10 @@ One array path computes it all. Detections arrive as a
 ``PredictionTable`` (any other ``Sequence[Detection]`` is converted once);
 ``np.isin`` picks the rows of test images, one stable lexsort by
 (category, image, descending score) and its segment offsets form the
-capped cells. Each cell gets a numpy IoU array, bit-identical to
-``geometry.iou``, greedy matching over short per-detection candidate
-lists, and each category a cumsum / envelope / searchsorted sweep.
+capped cells. Each cell gets its IoU array from ``geometry.pairwise_iou``,
+the exact array twin of ``geometry.iou``, greedy matching over short
+per-detection candidate lists, and each category a cumsum / envelope /
+searchsorted sweep.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .datamodel import (
     checked, field,
 )
 from .errors import IntegrityError, ValidationError
+from .geometry import corner_array, pairwise_iou
 from .splits import SplitResult
 
 __all__ = [
@@ -137,28 +139,6 @@ class EvaluationReport:
     prompt: str | None = None
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of ``a`` (D, 4) against every row of ``b`` (G, 4).
-
-    Performs the IEEE operations of ``geometry.iou`` in the same order, so
-    every entry equals the scalar value bit for bit.
-    """
-    ax0, ay0, ax1, ay1 = a.T[:, :, None]
-    bx0, by0, bx1, by1 = b.T
-    with np.errstate(all="ignore"):
-        iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
-        ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
-        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-        return np.where(union <= 0.0, 0.0, inter / union)
-
-
-def _corners(items) -> np.ndarray:
-    """The (N, 4) float64 corners of detections or ground truth."""
-    corners = [(x.box.x_min, x.box.y_min, x.box.x_max, x.box.y_max) for x in items]
-    return np.array(corners, dtype=np.float64).reshape(-1, 4)
-
-
 def _greedy(a, b, crowd, thresholds) -> list[list[tuple[int, int]]]:
     """Per threshold, the ``(row, column)`` hits of one cell's detection
     corners ``a`` (D, 4), sorted by descending score, on its ground-truth
@@ -172,7 +152,7 @@ def _greedy(a, b, crowd, thresholds) -> list[list[tuple[int, int]]]:
     """
     if not (len(a) and len(b)):
         return [[] for _ in thresholds]
-    ious = _iou_matrix(a, b)
+    ious = pairwise_iou(a, b)
     rows, cols = np.nonzero(ious >= min(thresholds))
     values = ious[rows, cols]
     is_crowd = crowd[cols]
@@ -228,7 +208,8 @@ def match_detections(
         raise ValidationError(f"IoU threshold must lie in (0, 1], got {threshold!r}")
     ordered = sorted(dets, key=lambda d: -d.score)  # stable: input order breaks ties
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
-    hit = {r: gts[c] for r, c in _greedy(_corners(ordered), _corners(gts), crowd, (threshold,))[0]}
+    a, b = corner_array(d.box for d in ordered), corner_array(g.box for g in gts)
+    hit = {r: gts[c] for r, c in _greedy(a, b, crowd, (threshold,))[0]}
     return [
         DetMatch(det, hit[r].id, not hit[r].iscrowd, bool(hit[r].iscrowd))
         if r in hit
@@ -311,7 +292,8 @@ def _category_pools(ds, test_ids, table, used, config, gt_filter) -> list[_Pool]
         if not gts:
             continue
         crowd = np.array([g.iscrowd for g in gts], dtype=bool)
-        hits = _greedy(table.boxes[kept[start:end]], _corners(gts), crowd, config.iou_thresholds)
+        b = corner_array(g.box for g in gts)
+        hits = _greedy(table.boxes[kept[start:end]], b, crowd, config.iou_thresholds)
         base = start - runs[k]
         for (tps, ignored), cell_hits in zip(pools[k].hits, hits):
             for r, c in cell_hits:

@@ -6,27 +6,35 @@ Area is the plain coordinate product ``(x_max - x_min) * (y_max - y_min)``
 with no +1 pixel correction; this matches the dominant convention of modern
 detection benchmarks. Zero-width or zero-height boxes are legal values,
 inverted boxes are rejected at construction.
+
+This module owns the box layout: files store ``[x, y, w, h]``
+(``box_from_xywh``), arrays (N, 4) float64 corners (``corner_array``).
+Each array kernel sits next to the scalar function it matches bit for bit
+by the same IEEE operations in the same order; the array twins of ``giou``
+and ``l1_box_distance`` are in ``assignment._cost_terms``, their only user.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
     "BoundingBox",
-    "BoxFormat",
+    "box_from_xywh",
+    "corner_array",
     "area",
     "intersection_area",
     "union_area",
+    "pairwise_areas",
     "iou",
+    "pairwise_iou",
     "giou",
     "l1_box_distance",
-    "box_from_values",
-    "box_to_values",
 ]
 
 
@@ -81,17 +89,30 @@ class BoundingBox:
         return BoundingBox(x0, y0, x1, y1)
 
 
-class BoxFormat(str, Enum):
-    """Supported quadruple layouts for box serialization.
+def box_from_xywh(values) -> BoundingBox:
+    """The box of an on-disk ``[x, y, w, h]`` (top-left corner and size):
+    a list or tuple of 4 ints or floats (booleans are not numbers here) with
+    a non-negative size. Corners are exact for coordinates exactly
+    representable in binary (integers, quarter pixels, ...)."""
+    if not (isinstance(values, (list, tuple)) and len(values) == 4):
+        raise ValidationError(f"expected a list of 4 box numbers, got {values!r}")
+    for v in values:  # plain floats, the common case, pass on the first test
+        if v.__class__ is not float and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            raise ValidationError(f"expected a list of 4 box numbers, got {values!r}")
+    try:
+        x, y, w, h = map(float, values)
+    except OverflowError:
+        raise ValidationError(f"box value out of range: {values!r}") from None
+    if w < 0 or h < 0:
+        raise ValidationError(f"negative box size: w={w}, h={h}")
+    return BoundingBox(x, y, x + w, y + h)
 
-    CORNER             (x_min, y_min, x_max, y_max), absolute pixels
-    TOP_LEFT_SIZE      (x, y, w, h), absolute pixels; the on-disk layout
-    CENTER_NORMALIZED  (cx, cy, w, h), fractions of the image dimensions
-    """
 
-    CORNER = "corner"
-    TOP_LEFT_SIZE = "top-left-size"
-    CENTER_NORMALIZED = "center-size-normalized"
+def corner_array(boxes) -> np.ndarray:
+    """The (N, 4) float64 corners ``(x_min, y_min, x_max, y_max)`` of an
+    iterable of ``BoundingBox``es, one row per box."""
+    corners = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
+    return np.array(corners, dtype=np.float64).reshape(-1, 4)
 
 
 def area(b: BoundingBox) -> float:
@@ -111,6 +132,20 @@ def union_area(a: BoundingBox, b: BoundingBox) -> float:
     return area(a) + area(b) - intersection_area(a, b)
 
 
+def pairwise_areas(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(inter, union)``: the (D, G) arrays of ``intersection_area`` and
+    ``union_area`` of every row of the corners ``a`` (D, 4) against every
+    row of ``b`` (G, 4), each entry equal to the scalar value bit for bit."""
+    ax0, ay0, ax1, ay1 = a.T[:, :, None]
+    bx0, by0, bx1, by1 = b.T
+    with np.errstate(all="ignore"):
+        iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+        ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return inter, union
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union in [0, 1].
 
@@ -121,6 +156,15 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if union <= 0.0:
         return 0.0
     return intersection_area(a, b) / union
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (D, G) array of ``iou`` of every row of the corners ``a`` (D, 4)
+    against every row of ``b`` (G, 4), each entry equal to the scalar value
+    bit for bit."""
+    inter, union = pairwise_areas(a, b)
+    with np.errstate(all="ignore"):
+        return np.where(union <= 0.0, 0.0, inter / union)
 
 
 def giou(a: BoundingBox, b: BoundingBox) -> float:
@@ -149,67 +193,9 @@ def l1_box_distance(a: BoundingBox, b: BoundingBox, img_w: float, img_h: float) 
     """
     if img_w <= 0 or img_h <= 0:
         raise ValidationError(f"image dimensions must be positive, got {img_w!r} x {img_h!r}")
-    acx, acy, aw, ah = box_to_values(a, BoxFormat.CENTER_NORMALIZED, img_w, img_h)
-    bcx, bcy, bw, bh = box_to_values(b, BoxFormat.CENTER_NORMALIZED, img_w, img_h)
-    return abs(acx - bcx) + abs(acy - bcy) + abs(aw - bw) + abs(ah - bh)
-
-
-def box_from_values(
-    values, fmt: BoxFormat, img_w: float | None = None, img_h: float | None = None
-) -> BoundingBox:
-    """Build a box from a 4-tuple in the given format.
-
-    ``values`` must be a list or tuple of 4 ints or floats (booleans are
-    not numbers here). CENTER_NORMALIZED requires the image dimensions.
-    Conversions are exact for coordinates exactly representable in binary
-    (integers, quarter pixels, ...); arbitrary floats round-trip to within
-    one ulp.
-    """
-    if not (isinstance(values, (list, tuple)) and len(values) == 4):
-        raise ValidationError(f"expected a list of 4 box numbers, got {values!r}")
-    for v in values:  # plain floats, the common case, pass on the first test
-        if v.__class__ is not float and (isinstance(v, bool) or not isinstance(v, (int, float))):
-            raise ValidationError(f"expected a list of 4 box numbers, got {values!r}")
-    try:
-        vals = tuple(map(float, values))
-    except OverflowError:
-        raise ValidationError(f"box value out of range: {values!r}") from None
-    if fmt is BoxFormat.CORNER:
-        return BoundingBox(*vals)
-    if fmt is BoxFormat.TOP_LEFT_SIZE:
-        x, y, w, h = vals
-        if w < 0 or h < 0:
-            raise ValidationError(f"negative box size: w={w}, h={h}")
-        return BoundingBox(x, y, x + w, y + h)
-    if fmt is BoxFormat.CENTER_NORMALIZED:
-        if img_w is None or img_h is None or img_w <= 0 or img_h <= 0:
-            raise ValidationError("center-normalized boxes need positive image dimensions")
-        cx, cy, w, h = vals
-        if w < 0 or h < 0:
-            raise ValidationError(f"negative box size: w={w}, h={h}")
-        half_w = w * img_w / 2.0
-        half_h = h * img_h / 2.0
-        return BoundingBox(
-            cx * img_w - half_w, cy * img_h - half_h, cx * img_w + half_w, cy * img_h + half_h
-        )
-    raise ValidationError(f"unknown box format {fmt!r}")
-
-
-def box_to_values(
-    b: BoundingBox, fmt: BoxFormat, img_w: float | None = None, img_h: float | None = None
-) -> tuple[float, float, float, float]:
-    """Serialize a box as a 4-tuple in the given format."""
-    if fmt is BoxFormat.CORNER:
-        return (b.x_min, b.y_min, b.x_max, b.y_max)
-    if fmt is BoxFormat.TOP_LEFT_SIZE:
-        return (b.x_min, b.y_min, b.x_max - b.x_min, b.y_max - b.y_min)
-    if fmt is BoxFormat.CENTER_NORMALIZED:
-        if img_w is None or img_h is None or img_w <= 0 or img_h <= 0:
-            raise ValidationError("center-normalized boxes need positive image dimensions")
-        return (
-            (b.x_min + b.x_max) / 2.0 / img_w,
-            (b.y_min + b.y_max) / 2.0 / img_h,
-            (b.x_max - b.x_min) / img_w,
-            (b.y_max - b.y_min) / img_h,
-        )
-    raise ValidationError(f"unknown box format {fmt!r}")
+    return (
+        abs((a.x_min + a.x_max) / 2.0 / img_w - (b.x_min + b.x_max) / 2.0 / img_w)
+        + abs((a.y_min + a.y_max) / 2.0 / img_h - (b.y_min + b.y_max) / 2.0 / img_h)
+        + abs((a.x_max - a.x_min) / img_w - (b.x_max - b.x_min) / img_w)
+        + abs((a.y_max - a.y_min) / img_h - (b.y_max - b.y_min) / img_h)
+    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +80,8 @@ class TimingRecord:
             raise ValidationError(f"model {self.model!r}: empty latency list")
         if any(v <= 0 for v in self.latencies_ms):
             raise ValidationError(f"model {self.model!r}: latencies must be positive")
+        if not (math.isfinite(self.mean_ms) and math.isfinite(1000.0 / self.mean_ms)):
+            raise ValidationError(f"model {self.model!r}: mean latency or FPS overflows a float")
 
     @property
     def mean_ms(self) -> float:

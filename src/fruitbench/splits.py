@@ -156,38 +156,19 @@ def _build_result(train, test, spec: SplitSpec) -> SplitResult:
     return SplitResult(train, test, spec, _digest(spec, train, test))
 
 
-class _PinnedStream:
-    """Unbiased bounded draws from one Philox-4x64 counter stream."""
-
-    _BLOCK = 256
-
-    def __init__(self, seed: int, category_id: int, domain: int):
-        counter = np.array([0, 0, 0, domain], dtype=np.uint64)
-        key = np.array([seed, category_id], dtype=np.uint64)
-        self._bitgen = np.random.Philox(counter=counter, key=key)
-        self._words: list[int] = []
-        self._pos = 0
-
-    def _next_word(self) -> int:
-        if self._pos >= len(self._words):
-            self._words = [int(w) for w in self._bitgen.random_raw(self._BLOCK)]
-            self._pos = 0
-        word = self._words[self._pos]
-        self._pos += 1
-        return word
-
-    def randbelow(self, bound: int) -> int:
-        # Rejection sampling keeps the draw exactly uniform on [0, bound).
-        span = _MAX_SEED - (_MAX_SEED % bound)
-        while True:
-            word = self._next_word()
-            if word < span:
-                return word % bound
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
+def _shuffle(items: list, seed: int, category_id: int, domain: int) -> None:
+    """Fisher-Yates shuffle of ``items`` in place, drawing 64-bit words from
+    the Philox-4x64 counter stream of ``(seed, category_id, domain)``."""
+    counter = np.array([0, 0, 0, domain], dtype=np.uint64)
+    key = np.array([seed, category_id], dtype=np.uint64)
+    bitgen = np.random.Philox(counter=counter, key=key)
+    for i in range(len(items) - 1, 0, -1):
+        # Rejection sampling keeps the draw exactly uniform on [0, i].
+        span = _MAX_SEED - (_MAX_SEED % (i + 1))
+        while (word := int(bitgen.random_raw())) >= span:
+            pass
+        j = word % (i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def _floor_fraction(fraction: float, n: int) -> int:
@@ -222,7 +203,7 @@ def _partition(ds: DetectionDataset, fraction: float, seed: int):
     parts = {}
     for category_id in sorted(grouped):
         order = list(grouped[category_id])
-        _PinnedStream(seed, category_id, _SHUFFLE_DOMAIN).shuffle(order)
+        _shuffle(order, seed, category_id, _SHUFFLE_DOMAIN)
         n_train = _floor_fraction(fraction, len(order))
         parts[category_id] = (order[:n_train], order[n_train:])
     return parts
@@ -273,7 +254,7 @@ def sample_k_shot(
                 f"category {name!r} has only {len(pool)} train images, cannot draw k={k}"
             )
         order = list(pool)
-        _PinnedStream(seed, category_id, _SHOT_DOMAIN).shuffle(order)
+        _shuffle(order, seed, category_id, _SHOT_DOMAIN)
         train.extend(order[:k])
     return _build_result(train, train_pool.test_image_ids, spec)
 

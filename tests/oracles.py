@@ -17,7 +17,7 @@ from fruitbench.datamodel import (
     ARRAY, INTEGER, NUMBER, OPTIONAL_STRING, Detection, checked, field, read_json,
 )
 from fruitbench.errors import IntegrityError, ValidationError
-from fruitbench.geometry import BoundingBox, BoxFormat, box_from_values, giou, iou, l1_box_distance
+from fruitbench.geometry import BoundingBox, box_from_xywh, giou, iou, l1_box_distance
 
 
 def raster_intersection_union_enclosure(a: BoundingBox, b: BoundingBox):
@@ -78,7 +78,7 @@ def scalar_cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
 
 def scalar_load_predictions(path, ds) -> list[Detection]:
     """A prediction file read record by record through ``field``,
-    ``box_from_values`` and the ``Detection`` constructor: the reader the
+    ``box_from_xywh`` and the ``Detection`` constructor: the reader the
     columnar ``load_predictions`` must agree with, value for value and
     error for error."""
     path = Path(path)
@@ -95,7 +95,7 @@ def scalar_load_predictions(path, ds) -> list[Detection]:
             Detection(
                 image_id=image_id,
                 category_id=category_id,
-                box=box_from_values(field(record, "bbox", context), BoxFormat.TOP_LEFT_SIZE),
+                box=box_from_xywh(field(record, "bbox", context)),
                 score=field(record, "score", context, NUMBER),
                 prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
             )

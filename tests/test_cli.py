@@ -76,6 +76,22 @@ class TestStats:
         assert code == 1
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("output_format", ["markdown", "csv", "json"])
+    def test_overflowing_mean_area_exits_1(self, capsys, tmp_path, output_format):
+        """A mean box area past the float range is an error, neither a
+        traceback nor an ``Infinity`` that no JSON reader accepts."""
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps({
+            "images": [{"id": 1, "file_name": "a.jpg", "width": 10**200, "height": 10**200}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1e200, 1e200]}
+            ],
+            "categories": [{"id": 1, "name": "apple"}],
+        }))
+        code, out, err = run(capsys, "stats", "--annotations", str(path), "--format", output_format)
+        assert (code, out) == (1, "")
+        assert err == "error: stats row 'apple': the mean box area overflows a float\n"
+
     @pytest.mark.parametrize("command", ["stats", "write-coco"])
     def test_clamp_reported_once(self, tmp_path, command):
         payload = json.loads((DATA / "fixture_stats" / "annotations.json").read_text())
@@ -484,6 +500,20 @@ class TestBench:
         assert "21.9" in out and "45.7" in out
         assert "5.5" in out and "181.8" in out
 
+    @pytest.mark.parametrize("output_format", ["markdown", "csv", "json"])
+    @pytest.mark.parametrize("latencies", [[1e308, 1e308], [5e-324]], ids=["mean", "fps"])
+    def test_overflowing_mean_latency_exits_1(self, capsys, tmp_path, output_format, latencies):
+        """A mean latency or FPS past the float range is an error, not an
+        ``inf`` cell or an ``Infinity`` that no JSON reader accepts."""
+        log = tmp_path / "timing.jsonl"
+        log.write_text("".join(
+            json.dumps({"model": "m", "image_id": k, "latency_ms": v}) + "\n"
+            for k, v in enumerate(latencies)
+        ))
+        code, out, err = run(capsys, "bench", "--timings", str(log), "--format", output_format)
+        assert (code, out) == (1, "")
+        assert err == "error: model 'm': mean latency or FPS overflows a float\n"
+
 
 class TestIngestLabelme:
     def test_roundtrip(self, capsys, tmp_path):
@@ -607,6 +637,20 @@ class TestUsageAndConfig:
         )
         assert code == 0
         assert out.startswith("| Category |")  # flag wins
+
+    @pytest.mark.parametrize("content", [None, {"stats": {"bogus_key": 1}}], ids=["missing", "bad"])
+    def test_config_after_subcommand_not_read(self, capsys, tmp_path, content):
+        """``--config`` after the subcommand is an unknown option of that
+        subcommand: the file is neither opened nor checked."""
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(json.dumps(content))
+        code, out, err = run(
+            capsys, "stats", "--annotations", str(DATA / "fixture_stats" / "annotations.json"),
+            "--config", str(config),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: --config {config}\n"
 
     def test_config_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -1151,6 +1195,108 @@ class TestZeroShotSplit:
                 assert (code, out) == (0, digest + "\n")
                 written.append(out_path.read_bytes())
             assert written[0] == written[1]
+
+
+# `split` digests on synthetic30 at the default fraction 0.6, seeds 0-9, per
+# kind and its arguments.
+SPLIT_DIGESTS = {
+    "k-shot --k 1": [
+        "9bd6f13915a629cd3165f0e9c9878b4e4d0b12b1315a54b0525e8f484e0f82b1",
+        "2cee5edf48b6b392d69429cebff48a59286204007fa78784b19978039ca7fa98",
+        "1dd56a014ffd188953a72dbb566f1a8b236fd7287a8c68a59d5656a282a6ee3d",
+        "34436431596dbc7f2694cc0aa7a6bd21e60a8984ed49bb6e1dc60bc2c2c29e7c",
+        "48f3a48612a12d95d01f3968574882bc1aaaa594aad72032315aab770f80938d",
+        "211ded606f6ce294f2a3c5244d122067d2e02e852028813b5e8df5e45c1d6498",
+        "fc46c1ddd580d1bafd4c96cfa4e3164cf213b98c064755df0b3be169c16626ed",
+        "3d5b5a5144694e673c5915a479ce16cab8eee292ecf1087fe08a8f3f5f705b44",
+        "8962bb72b2540b06b3e5241f291ed853b2deaaa2e4d4dd7896a1ff5680240f05",
+        "3f63dd645b5b9997337992808e1c0f550e40387fbf18b6d4e7f4e35ff80333d8",
+    ],
+    "k-shot --k 3": [
+        "4561255dfcf692304fba5a2adfcc299d9ca09526e77794f2b58f9a9e3950fa92",
+        "95d5aa33e12a9fd365d6b9fa20f4881bc6df60da665df44001a65e76e337d0e4",
+        "7c8ea0eb3ec1c1c49745b70fc868b20b45d8ef474c57648bdfb7779f42d893ff",
+        "0c2f16e1d88c905b2c9987b9b99e02f1bc13bf364589aa585904059ca4f6bb86",
+        "fdbb8a62eb7a405bcece7fc201f0f7d21a24abe623321df9757f4a55b8797635",
+        "65aeeeec1ac1fc128fc4ff87134b89b3899a50ef31a2c16618fd46900b558e66",
+        "6a0e1b288f5b0702f66380560e2254336b2cd6310c03052cbd187412544eb807",
+        "e019c47d633afb2e63de9f4b6f9c1973470361c0226b852577e70ae616cdbd64",
+        "c2cd4b7b1e0c6b82bd6e897500f651c25f1a6aae1fbbe2007857159fdacd0382",
+        "9ccd6797f1392adb632f994323e0b4224acd653a02b7c212cf2ae2e9ed0930cc",
+    ],
+    "cross-class --held-out apple": [
+        "6680216a80f2231c2c00dc0c9a1ffaa28f583ee9c12d784d7291f32ad7b925f6",
+        "010d8a0799a60238aa3e19cbb33912e959677315a3a45be503a39bc80f7a365e",
+        "0cb384861f33ce773988a2f57baba440a76c3d83da459477c325986457ecf8a0",
+        "a11caf9401c4255dbdc3c9622753edbc6518bbee485fc3c07c80705edb4a4ee2",
+        "bba1efeab4047c9ab266bc89c94c40aa31ee0eec53f555b4ff3622dea7052206",
+        "278b52765dd0ec22789a6d86e04c9682a7bdd2ecfd653f581296863ecfc079a3",
+        "8d1654f0708effa30e9e52f80785c7f325819497cdf7fbb6e1b8b1bba11513e2",
+        "52838b236af32658bf19c90e30b5c2408ef37e6464ed7a021f657f5917e95b4f",
+        "8fe8c0615f4a9c9ed92ff5992f811581dc9d01697965a350aba7e25901535ca4",
+        "0280253dbec8dacd2fd7e0374ce6cd7dd2bcd82b1a0b50e83f57c41bff4e2a0d",
+    ],
+    "cross-class --held-out orange": [
+        "977b4ea45ef2b259d530456f842e6bbdb151b0660d13b98ac39ede167fe115ed",
+        "f8d0cea2df397c0cddda1052621e5cace172b2aa6c90021d8f9f4663478d7495",
+        "113c0fc8e6e28bb495d28607dc90f9308a8d7d33e0418275a6323d803ce9f07b",
+        "f221540db63a0d057a6a21c465ca0ebcfa59556f2bedab918a750dc1c4b1475f",
+        "f57ded497390664d5541cc57df7bddfed98c73d785a672041589c4ea4e5b496e",
+        "e092fd8cc92d811c0dba736e5e66a38217bfab8023501abbc385ed893f604d51",
+        "f7e42c504df7dc6aa007bc8d9ae95db1879bc4dd254ee54994d442689193c306",
+        "45a5e1596c48383b1bc8e70d091f5daf50940a8b067f3b208c467af9f3a12721",
+        "657cd723b1fda216ffcf8b2ac701d1935b21061ef2cd30eaa7abd8dd1a8a4d59",
+        "d8cb294f204748564fcbf44d22230c89c3aa0a2361ca1f4dd2641d71d6691ee6",
+    ],
+    "cross-class --held-out lemon": [
+        "3af94712fa2a1925eace239011dd3ae519b42639b1e135db4b9ed80905835ae7",
+        "a94ae046ce7984f7bb8383a9a8824e79209d322a14406e5740c97b8a0e2b5f59",
+        "5cfced02fd72d1dc99ce3113c63ca0daf7d8194bc63bc982f4e5daa8183a6cab",
+        "efe28bd864586fd8557805664dd2fbc77191a6f969b2a63b652a0dc86e9f3bda",
+        "27f7c9148c34d410531d87fc6110f5c8408c2f9ee82406683b27ec5fe957f30e",
+        "cd463c51bc8a46f0c8818c4afe4591db6df8a13a7d2e8aa2bf594daea6c8e802",
+        "9b70adcc3aa03b15dcbb6e88c211c133ee1fc77b546dc853ff8528c0abd4f0eb",
+        "dcb58aa92bbf0cede9ed3b470c4e3cb740f5e81ff3505151369da321ff22cd84",
+        "5ad3f8e12535d132bb7ae4ceafe98f77014766f3b77d8fd667dd9a661543f99f",
+        "2c24a81d43066621b0fdabd9e0284ca0865a93b3193a1bd29efd1cd4a3642c79",
+    ],
+    "cross-class --held-out grapefruit": [
+        "86648d0dd5fb52f5ab0344b1b3892879988e02aa37000a5602dc12cf1db2f9cc",
+        "72b48718ecbb36a9e4da97f49319ff469839989e4f199c5f7eeec4bdb6b8a0ae",
+        "d8bff2716e0f6f3361778851ea0da84296cf517d47f223e3858c77b61467c923",
+        "3a89adfc5a8a693d85dd1107965b7d5239ddee3ab9847983c46689bb5a8f7843",
+        "666143e86d688345faf8cb8bd24fdd474da47e74e2d84e5fe56e6e98e382acc1",
+        "b55d255ecb4e0f29b7bf729fc37ed334608d12273acf082c96c6820dfc1997ca",
+        "6e7f1892fb35218c4c6ab1e5366170b69153b1f71bff7202a7ff0e6c61049a0b",
+        "ade8fe328fc9bd028ca0ee60f27755a609449dad7f10a8b096b4e84ca69fc0b2",
+        "65df0e50767765582eb2fe70b3dd0f7823aaa1b1d64e981026331947e9b08a49",
+        "629a90b76913b41d6e741a65c81244a15d5f3c39e86dbd259d7538f2757121bf",
+    ],
+    "cross-class --held-out tangerine": [
+        "b0e194cfa428c71e4dbdc97249ab36e4f0f0b24c3789bc6cdf5d2c14504d7157",
+        "d4736da55c2f51a186ac17a283253cb211a55c9f3f2ed5a9e19bc1e6ce5348b2",
+        "5786d7d7c80beb686d1a5a21009df32d5894feb2c7016bdd373867554ddabe00",
+        "edacfa33025f6812a64cce88a152e5321bf46ba1d63c7d37c7b7098a3baac8e0",
+        "bbddef234332363436b8ee0be2c7c9ec6b8439127c099ec279182ebdd26cf3c2",
+        "e297bd2dd3a8dba276df01cb4d687be8adb8a4564f1aed405ecc435771b6bf5d",
+        "94976135c04c6c97448381b6b2f6139905423a8dec3033cc1822f2738134cb05",
+        "0d3815ea85ab06c0da046dffb41b797b8d5a6f6c36a7af8cceb52b4e37097541",
+        "42aa7de4d87aafcc4fb8a3b985f3aa86c2099c0cd98c0b29a8c5079c7a548456",
+        "4fbe161e730f2ba12955f3350a768b91e2d12f22e6863c6d76cf6100daf268d5",
+    ],
+}
+
+
+class TestShotAndCrossClassSplits:
+    @pytest.mark.parametrize("kind", sorted(SPLIT_DIGESTS))
+    def test_golden_digests(self, capsys, tmp_path, kind):
+        """k-shot and cross-class manifests keep their digests."""
+        for seed, digest in enumerate(SPLIT_DIGESTS[kind]):
+            code, out, _ = run(
+                capsys, "split", "--annotations", str(SYN30 / "annotations.json"),
+                "--kind", *kind.split(), "--seed", str(seed), "--out", str(tmp_path / "split.json"),
+            )
+            assert (code, out) == (0, digest + "\n")
 
 
 class TestPredictionLoadCalls:

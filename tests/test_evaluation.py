@@ -18,7 +18,6 @@ from fruitbench.errors import IntegrityError, ValidationError
 from fruitbench.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     EvalConfig,
-    _iou_matrix,
     average_precision,
     attribute_predicate,
     evaluate,
@@ -26,7 +25,7 @@ from fruitbench.evaluation import (
     match_detections,
     report_to_dict,
 )
-from fruitbench.geometry import BoundingBox, iou
+from fruitbench.geometry import BoundingBox, iou, pairwise_iou
 from fruitbench.splits import split_train_test
 
 from .generators import random_eval_instance
@@ -73,7 +72,7 @@ class TestIouMatrix:
     ]
 
     def assert_bitwise_equal(self, a, b):
-        got = _iou_matrix(corners(a), corners(b))
+        got = pairwise_iou(corners(a), corners(b))
         assert got.shape == (len(a), len(b))
         for i, box_a in enumerate(a):
             for j, box_b in enumerate(b):

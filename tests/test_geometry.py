@@ -6,13 +6,15 @@ from hypothesis import given, strategies as st
 from fruitbench.errors import ValidationError
 from fruitbench.geometry import (
     BoundingBox,
-    BoxFormat,
     area,
-    box_from_values,
-    box_to_values,
+    box_from_xywh,
+    corner_array,
     giou,
+    intersection_area,
     iou,
     l1_box_distance,
+    pairwise_areas,
+    union_area,
 )
 
 from .oracles import raster_giou, raster_iou
@@ -146,28 +148,8 @@ class TestL1BoxDistance:
 
 class TestFormatConversions:
     @given(boxes())
-    def test_corner_roundtrip(self, b):
-        values = box_to_values(b, BoxFormat.CORNER)
-        assert box_from_values(values, BoxFormat.CORNER) == b
-
-    @given(boxes())
     def test_top_left_size_roundtrip(self, b):
-        values = box_to_values(b, BoxFormat.TOP_LEFT_SIZE)
-        assert box_from_values(values, BoxFormat.TOP_LEFT_SIZE) == b
-
-    @given(boxes())
-    def test_center_normalized_roundtrip(self, b):
-        w, h = 2048.0, 1024.0
-        values = box_to_values(b, BoxFormat.CENTER_NORMALIZED, w, h)
-        back = box_from_values(values, BoxFormat.CENTER_NORMALIZED, w, h)
-        assert back.x_min == pytest.approx(b.x_min, abs=1e-9)
-        assert back.y_min == pytest.approx(b.y_min, abs=1e-9)
-        assert back.x_max == pytest.approx(b.x_max, abs=1e-9)
-        assert back.y_max == pytest.approx(b.y_max, abs=1e-9)
-
-    def test_normalized_requires_dims(self):
-        with pytest.raises(ValidationError):
-            box_to_values(box(0, 0, 1, 1), BoxFormat.CENTER_NORMALIZED)
+        assert box_from_xywh([b.x_min, b.y_min, b.width, b.height]) == b
 
     @pytest.mark.parametrize(
         "values",
@@ -176,7 +158,26 @@ class TestFormatConversions:
     )
     def test_malformed_values_rejected(self, values):
         with pytest.raises(ValidationError):
-            box_from_values(values, BoxFormat.TOP_LEFT_SIZE)
+            box_from_xywh(values)
+
+
+class TestArrayKernels:
+    @given(
+        st.lists(boxes(st.floats(-1e300, 1e300)), max_size=5),
+        st.lists(boxes(st.floats(-1e300, 1e300)), max_size=5),
+    )
+    def test_pairwise_areas_match_scalar(self, a, b):
+        """Corner rows in box order; each area equals the scalar value bit
+        for bit, overflow to infinity included."""
+        corners_a, corners_b = corner_array(a), corner_array(b)
+        assert corners_a.shape == (len(a), 4)
+        assert corners_a.tolist() == [[x.x_min, x.y_min, x.x_max, x.y_max] for x in a]
+        inter, union = pairwise_areas(corners_a, corners_b)
+        assert inter.shape == union.shape == (len(a), len(b))
+        for i, box_a in enumerate(a):
+            for j, box_b in enumerate(b):
+                assert float(inter[i, j]).hex() == intersection_area(box_a, box_b).hex()
+                assert float(union[i, j]).hex() == union_area(box_a, box_b).hex()
 
 
 class TestProperties:
