@@ -31,6 +31,7 @@ bit for bit; the suite checks this against the pair-by-pair loop.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -364,7 +365,7 @@ def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
     bx0, by0, bx1, by1 = gt_boxes.T
     with np.errstate(all="ignore"):
         bad = (
-            (img_w <= 0 or img_h <= 0)
+            (not (0 < img_w <= sys.float_info.max and 0 < img_h <= sys.float_info.max))
             | (union <= 0.0)
             | (lengths[:, None] != [len(m) for m in gt_token_masks])
             | (lengths[:, None] == 0)
@@ -382,7 +383,8 @@ def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
             np.maximum(ay1, by1) - np.minimum(ay0, by0)
         )
         g = inter / union - (enclose - union) / enclose
-        w, h = float(img_w), float(img_h)
+        # Without ground truth no pair checked the size, and no entry uses it.
+        w, h = (float(img_w), float(img_h)) if n_gt else (1.0, 1.0)
         l1 = (
             np.abs((ax0 + ax1) / 2.0 / w - (bx0 + bx1) / 2.0 / w)
             + np.abs((ay0 + ay1) / 2.0 / h - (by0 + by1) / 2.0 / h)

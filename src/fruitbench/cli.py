@@ -184,19 +184,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _loss_predictions(table, rows, vocab_size: int):
+def _loss_predictions(table, rows, one_hot):
     """Category-token reduction of the table's ``rows``: the token
-    vocabulary is the dataset's categories in id order; a detection's logit
-    for its own category token is the log-odds of its score, every other
-    token gets a saturated negative logit."""
-    preds = []
-    columns = (table.boxes[rows], table.score[rows], table.category[rows])
-    for corners, score, category in zip(*(column.tolist() for column in columns)):
-        logits = [_NEGATIVE_LOGIT] * vocab_size
-        p = min(max(score, _SCORE_EPS), 1.0 - _SCORE_EPS)
-        logits[category] = math.log(p / (1.0 - p))
-        preds.append((BoundingBox(*corners), TokenLogits(tuple(logits))))
-    return preds
+    vocabulary is the dataset's categories in id order (``one_hot`` holds
+    their masks); a detection's logit for its own category token is the
+    log-odds of its score, every other token gets a saturated negative
+    logit."""
+    p = np.clip(table.score[rows], _SCORE_EPS, 1.0 - _SCORE_EPS).tolist()
+    own = np.array([math.log(v / (1.0 - v)) for v in p]).reshape(-1, 1)
+    logits = np.where(one_hot[table.category[rows]], own, _NEGATIVE_LOGIT).tolist()
+    boxes = table.boxes[rows].tolist()
+    return [(BoundingBox(*c), TokenLogits(tuple(row))) for c, row in zip(boxes, logits)]
 
 
 def cmd_loss(args) -> int:
@@ -208,22 +206,18 @@ def cmd_loss(args) -> int:
         image_ids = [m.id for m in ds.images]
     by_image = np.argsort(table.image, kind="stable")  # input order within an image
     bounds = np.searchsorted(table.image[by_image], np.arange(len(ds.images) + 1)).tolist()
-    vocab_size = len(ds.categories)
+    one_hot = np.eye(len(ds.categories), dtype=bool)
     weights = args.weights
     rows = []
     breakdowns: list[LossBreakdown] = []
     for image_id in image_ids:
         k = ds.image_index(image_id)
         img = ds.images[k]
-        gts = list(ds.instances_for_image(image_id))
-        preds = _loss_predictions(table, by_image[bounds[k]:bounds[k + 1]], vocab_size)
-        masks = []
-        for gt in gts:
-            mask = [False] * vocab_size
-            mask[ds.category_index(gt.category_id)] = True
-            masks.append(mask)
+        gt_rows = ds.gt_rows(k)
+        gts = [ds.instances[r] for r in gt_rows.tolist()]
+        preds = _loss_predictions(table, by_image[bounds[k]:bounds[k + 1]], one_hot)
         breakdown = set_loss(
-            preds, gts, masks, img.width, img.height, weights,
+            preds, gts, one_hot[ds.gt_category[gt_rows]], img.width, img.height, weights,
             count_unmatched_contrastive=not args.no_unmatched_contrastive,
         )
         breakdowns.append(breakdown)

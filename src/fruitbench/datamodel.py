@@ -18,6 +18,11 @@ take values out by exact JSON class (a boolean is no integer, a number
 comes back as a finite float). Bad text or a missing field is a
 ``ParseError``, a mistyped value a ``ValidationError``.
 
+A dataset lays out its ground truth once, as read-only columns in
+instance (id) order (``gt_image`` / ``gt_category`` positions, ``gt_boxes``
+corners, ``gt_crowd`` flags) and per-image row ranges (``gt_rows``), which
+evaluation, the set loss, the splits and the statistics read.
+
 A prediction file is read once, by ``load_predictions``, into a
 ``PredictionTable`` of columns (image and category positions, corner
 boxes, scores, prompts) that evaluation scores from directly. The loader
@@ -138,7 +143,8 @@ class Detection:
 class DetectionDataset:
     """Categories, images and ground-truth instances with referential
     integrity. Construction validates everything and normalizes list order
-    to ascending ids."""
+    to ascending ids, and lays out the ground-truth columns and ranges
+    (see the module docstring)."""
 
     categories: list[Category]
     images: list[ImageRecord]
@@ -146,9 +152,12 @@ class DetectionDataset:
 
     _category_pos: dict[int, int] = dataclasses.field(init=False, repr=False, compare=False)
     _image_pos: dict[int, int] = dataclasses.field(init=False, repr=False, compare=False)
-    _instances_by_image: dict[int, tuple[GroundTruthInstance, ...]] = dataclasses.field(
-        init=False, repr=False, compare=False
-    )
+    gt_image: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    gt_category: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    gt_boxes: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    gt_crowd: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    gt_by_image: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    gt_offsets: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.categories = sorted(self.categories, key=lambda c: c.id)
@@ -176,7 +185,6 @@ class DetectionDataset:
             self._image_pos[img.id] = position
 
         seen_instance_ids = set()
-        grouped: dict[int, list[GroundTruthInstance]] = {}
         for inst in self.instances:
             if inst.id in seen_instance_ids:
                 raise ValidationError(f"duplicate instance id {inst.id}")
@@ -194,19 +202,19 @@ class DetectionDataset:
                     f"instance {inst.id} box exceeds image {img.id} bounds "
                     f"({img.width}x{img.height}); clamp it at load time"
                 )
-            grouped.setdefault(inst.image_id, []).append(inst)
-        self._instances_by_image = {k: tuple(v) for k, v in grouped.items()}
+        image = [self._image_pos[a.image_id] for a in self.instances]
+        self.gt_image = _read_only(np.array(image, dtype=np.int64))
+        category = [self._category_pos[a.category_id] for a in self.instances]
+        self.gt_category = _read_only(np.array(category, dtype=np.int64))
+        self.gt_boxes = _read_only(corner_array(a.box for a in self.instances))
+        self.gt_crowd = _read_only(np.array([a.iscrowd for a in self.instances], dtype=bool))
+        self.gt_by_image = _read_only(np.argsort(self.gt_image, kind="stable"))
+        starts = np.searchsorted(self.gt_image[self.gt_by_image], np.arange(len(self.images) + 1))
+        self.gt_offsets = _read_only(starts)
 
     def category(self, category_id: int) -> Category:
-        return self.categories[self.category_index(category_id)]
-
-    def image(self, image_id: int) -> ImageRecord:
-        return self.images[self.image_index(image_id)]
-
-    def category_index(self, category_id: int) -> int:
-        """The category's position in ``categories`` (ascending-id order)."""
         try:
-            return self._category_pos[category_id]
+            return self.categories[self._category_pos[category_id]]
         except KeyError:
             raise IntegrityError(f"unknown category {category_id}") from None
 
@@ -224,7 +232,19 @@ class DetectionDataset:
         return category_id in self._category_pos
 
     def instances_for_image(self, image_id: int) -> tuple[GroundTruthInstance, ...]:
-        return self._instances_by_image.get(image_id, ())
+        """The image's instances in id order; ``()`` for an unknown id."""
+        if image_id not in self._image_pos:
+            return ()
+        return tuple(self.instances[k] for k in self.gt_rows(self._image_pos[image_id]).tolist())
+
+    def gt_rows(self, position: int) -> np.ndarray:
+        """The rows of the image at ``position`` in ``images``, in id order."""
+        return self.gt_by_image[self.gt_offsets[position]:self.gt_offsets[position + 1]]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # Value kinds: how an error names the kind, then the exact JSON value
@@ -655,17 +675,13 @@ class DatasetStats:
     total: CategoryStats
 
 
-def _region_label(regions) -> str:
-    return " & ".join(sorted({r for r in regions if r}))
-
-
-def _mean_area(instances, name: str) -> float | None:
-    if not instances:
-        return None
-    mean = sum(area(a.box) for a in instances) / len(instances)
-    if not math.isfinite(mean):
+def _stats_row(name: str, instances, images) -> CategoryStats:
+    n_box, n_img = len(instances), len(images)
+    mean = sum(area(a.box) for a in instances) / n_box if n_box else None
+    if mean is not None and not math.isfinite(mean):
         raise ValidationError(f"stats row {name!r}: the mean box area overflows a float")
-    return mean
+    region = " & ".join(sorted({m.region for m in images if m.region}))
+    return CategoryStats(name, n_img, n_box, n_box / n_img if n_img else None, mean, region)
 
 
 def compute_stats(ds: DetectionDataset) -> DatasetStats:
@@ -677,29 +693,9 @@ def compute_stats(ds: DetectionDataset) -> DatasetStats:
     overflows a float is a ``ValidationError``.
     """
     rows = []
-    for cat in ds.categories:
-        cat_instances = [a for a in ds.instances if a.category_id == cat.id]
-        image_ids = {a.image_id for a in cat_instances}
-        n_img = len(image_ids)
-        n_box = len(cat_instances)
-        rows.append(
-            CategoryStats(
-                name=cat.name,
-                image_count=n_img,
-                bbox_count=n_box,
-                avg_boxes_per_image=n_box / n_img if n_img else None,
-                avg_instance_area=_mean_area(cat_instances, cat.name),
-                region=_region_label(ds.image(i).region for i in image_ids),
-            )
-        )
-    n_img_total = len(ds.images)
-    n_box_total = len(ds.instances)
-    total = CategoryStats(
-        name="Total",
-        image_count=n_img_total,
-        bbox_count=n_box_total,
-        avg_boxes_per_image=n_box_total / n_img_total if n_img_total else None,
-        avg_instance_area=_mean_area(ds.instances, "Total"),
-        region=_region_label(m.region for m in ds.images),
-    )
-    return DatasetStats(per_category=tuple(rows), total=total)
+    for position, cat in enumerate(ds.categories):
+        members = np.flatnonzero(ds.gt_category == position)
+        images = np.unique(ds.gt_image[members]).tolist()
+        instances = [ds.instances[k] for k in members.tolist()]
+        rows.append(_stats_row(cat.name, instances, [ds.images[p] for p in images]))
+    return DatasetStats(tuple(rows), _stats_row("Total", ds.instances, ds.images))

@@ -25,13 +25,15 @@ it also has no detections and zeros otherwise; either way it is excluded
 from the aggregate means.
 
 One array path computes it all. Detections arrive as a
-``PredictionTable`` (any other ``Sequence[Detection]`` is converted once);
-``np.isin`` picks the rows of test images, one stable lexsort by
-(category, image, descending score) and its segment offsets form the
-capped cells. Each cell gets its IoU array from ``geometry.pairwise_iou``,
-the exact array twin of ``geometry.iou``, greedy matching over short
-per-detection candidate lists, and each category a cumsum / envelope /
-searchsorted sweep.
+``PredictionTable`` (any other ``Sequence[Detection]`` is converted once)
+and ground truth as the dataset's columns; on both sides a cell is keyed by
+``category * len(ds.images) + image``. ``np.isin`` picks the test images'
+rows (``gt_filter`` is one mask over the ground-truth ones); a stable
+lexsort by (key, descending score) and its segment offsets form the capped
+detection cells, and ``searchsorted`` finds each one's ground-truth run.
+Each cell gets its IoU array from ``geometry.pairwise_iou``, the exact
+array twin of ``geometry.iou``, greedy matching over short per-detection
+candidate lists, and each category a cumsum / envelope / searchsorted sweep.
 """
 
 from __future__ import annotations
@@ -243,57 +245,58 @@ class _Pool:
 
     scores: np.ndarray
     hits: list[tuple[list[int], list[int]]]
-    num_gt: int = 0
+    num_gt: int
 
 
-def _segments(*keys: np.ndarray) -> np.ndarray:
-    """Start offsets of the runs of equal rows in the sorted ``keys``
-    columns, followed by their length."""
-    change = np.zeros(len(keys[0]), dtype=bool)
-    change[:1] = True
-    for key in keys:
-        change[1:] |= key[1:] != key[:-1]
+def _segments(key: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal values in the sorted ``key``,
+    followed by its length."""
+    change = np.ones(len(key), dtype=bool)
+    change[1:] = key[1:] != key[:-1]
     return np.append(np.flatnonzero(change), len(change))
 
 
-def _category_pools(ds, test_ids, table, used, config, gt_filter) -> list[_Pool]:
+def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[_Pool]:
     """One pool per category of ``ds``, in position order, from the
-    ``used`` rows of ``table``."""
-    gts_cell: dict[tuple[int, int], list[GroundTruthInstance]] = {}
-    for image_id in test_ids:
-        image_position = ds.image_index(image_id)
-        for inst in ds.instances_for_image(image_id):
-            if gt_filter is None or gt_filter(inst):
-                key = (ds.category_index(inst.category_id), image_position)
-                gts_cell.setdefault(key, []).append(inst)
+    ``used`` rows of ``table``. A cell of either side is keyed by
+    ``category * len(ds.images) + image``."""
+    n_images = len(ds.images)
+    gt = np.flatnonzero(np.isin(ds.gt_image, test_positions))
+    if gt_filter is not None:
+        gt = gt[np.array([bool(gt_filter(ds.instances[k])) for k in gt.tolist()], dtype=bool)]
+    gt_key = ds.gt_category[gt] * n_images + ds.gt_image[gt]
+    by_key = np.argsort(gt_key, kind="stable")  # id order within a cell
+    gt, gt_key = gt[by_key], gt_key[by_key]
+    gt_boxes, gt_crowd = ds.gt_boxes[gt], ds.gt_crowd[gt]
+    num_gt = np.bincount(ds.gt_category[gt[~gt_crowd]], minlength=len(ds.categories)).tolist()
     unknown = table.category[used] >= len(ds.categories)
     if unknown.any():
         cat_id = min(table.category_ids[k] for k in table.category[used][unknown].tolist())
         raise IntegrityError(f"detection references unknown category {cat_id}")
-    # Cells in (category, image) order, each by descending score with input
-    # order breaking ties, capped at max_dets; a category's cells are one run.
-    order = used[np.lexsort((-table.score[used], table.image[used], table.category[used]))]
-    bounds = _segments(table.category[order], table.image[order])
-    rank = np.arange(len(order)) - np.repeat(bounds[:-1], np.diff(bounds))
-    kept = order[rank < config.max_dets]
-    category, image = table.category[kept], table.image[kept]
-    runs = np.searchsorted(category, np.arange(len(ds.categories) + 1)).tolist()
+    # Cells in key order, each by descending score with input order breaking
+    # ties, capped at max_dets; a category's cells are one run.
+    key = table.category[used] * n_images + table.image[used]
+    by_key = np.lexsort((-table.score[used], key))
+    order, key = used[by_key], key[by_key]
+    bounds = _segments(key)
+    capped = np.arange(len(order)) - np.repeat(bounds[:-1], np.diff(bounds)) < config.max_dets
+    kept, key = order[capped], key[capped]
+    runs = np.searchsorted(key, np.arange(len(ds.categories) + 1) * n_images).tolist()
     pools = [
-        _Pool(table.score[kept[runs[k]:runs[k + 1]]], [([], []) for _ in config.iou_thresholds])
-        for k in range(len(ds.categories))
+        _Pool(table.score[kept[runs[k]:runs[k + 1]]], [([], []) for _ in config.iou_thresholds], n)
+        for k, n in enumerate(num_gt)
     ]
-    for (k, _), gts in gts_cell.items():
-        pools[k].num_gt += sum(not g.iscrowd for g in gts)
-    bounds = _segments(category, image)
-    starts, ends = bounds[:-1], bounds[1:]
-    cells = (x.tolist() for x in (category[starts], image[starts], starts, ends))
-    for k, image_position, start, end in zip(*cells):
-        gts = gts_cell.get((k, image_position))
-        if not gts:
+    bounds = _segments(key)
+    cell_key = key[bounds[:-1]]
+    gt_bounds = (np.searchsorted(gt_key, cell_key, side) for side in ("left", "right"))
+    cells = (x.tolist() for x in (cell_key // n_images, bounds[:-1], bounds[1:], *gt_bounds))
+    for k, start, end, gt_start, gt_end in zip(*cells):
+        if gt_start == gt_end:
             continue
-        crowd = np.array([g.iscrowd for g in gts], dtype=bool)
-        b = corner_array(g.box for g in gts)
-        hits = _greedy(table.boxes[kept[start:end]], b, crowd, config.iou_thresholds)
+        crowd = gt_crowd[gt_start:gt_end]
+        hits = _greedy(
+            table.boxes[kept[start:end]], gt_boxes[gt_start:gt_end], crowd, config.iou_thresholds
+        )
         base = start - runs[k]
         for (tps, ignored), cell_hits in zip(pools[k].hits, hits):
             for r, c in cell_hits:
@@ -328,7 +331,7 @@ def evaluate(
     test_positions = [ds.image_index(image_id) for image_id in test_ids]
     table = _table(ds, dets)
     used = np.flatnonzero(np.isin(table.image, test_positions))
-    pools = _category_pools(ds, test_ids, table, used, config, gt_filter)
+    pools = _category_pools(ds, test_positions, table, used, config, gt_filter)
 
     rows = []
     for cat, pool in zip(ds.categories, pools):

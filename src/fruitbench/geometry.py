@@ -17,7 +17,9 @@ and ``l1_box_distance`` are in ``assignment._cost_terms``, their only user.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -111,8 +113,8 @@ def box_from_xywh(values) -> BoundingBox:
 def corner_array(boxes) -> np.ndarray:
     """The (N, 4) float64 corners ``(x_min, y_min, x_max, y_max)`` of an
     iterable of ``BoundingBox``es, one row per box."""
-    corners = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
-    return np.array(corners, dtype=np.float64).reshape(-1, 4)
+    corners = chain.from_iterable((b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes)
+    return np.fromiter(corners, np.float64).reshape(-1, 4)
 
 
 def area(b: BoundingBox) -> float:
@@ -191,8 +193,10 @@ def l1_box_distance(a: BoundingBox, b: BoundingBox, img_w: float, img_h: float) 
     Both boxes are converted to (cx, cy, w, h) fractions of the image
     dimensions; the distance is the L1 norm of the component differences.
     """
-    if img_w <= 0 or img_h <= 0:
-        raise ValidationError(f"image dimensions must be positive, got {img_w!r} x {img_h!r}")
+    if not (0 < img_w <= sys.float_info.max and 0 < img_h <= sys.float_info.max):
+        raise ValidationError(
+            f"image dimensions must be positive and fit a float, got {img_w!r:.40} x {img_h!r:.40}"
+        )
     return (
         abs((a.x_min + a.x_max) / 2.0 / img_w - (b.x_min + b.x_max) / 2.0 / img_w)
         + abs((a.y_min + a.y_max) / 2.0 / img_h - (b.y_min + b.y_max) / 2.0 / img_h)

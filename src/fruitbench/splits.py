@@ -178,12 +178,11 @@ def _floor_fraction(fraction: float, n: int) -> int:
 def majority_category(ds: DetectionDataset) -> dict[int, int]:
     """Assign each annotated image to one category for stratification:
     most instances wins, ties go to the lowest category id."""
-    counts: dict[int, Counter] = {}
-    for inst in ds.instances:
-        counts.setdefault(inst.image_id, Counter())[inst.category_id] += 1
     assignment = {}
-    for image_id, per_cat in counts.items():
-        assignment[image_id] = min(per_cat, key=lambda cid: (-per_cat[cid], cid))
+    for position, image in enumerate(ds.images):
+        counts = np.bincount(ds.gt_category[ds.gt_rows(position)])
+        if len(counts):  # the first largest count is the lowest category id's
+            assignment[image.id] = ds.categories[int(np.argmax(counts))].id
     return assignment
 
 

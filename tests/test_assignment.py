@@ -251,7 +251,8 @@ def cost_cases(draw):
     ]
     ground_truth = [gt(k + 1, draw(BOXES)) for k in range(draw(st.integers(0, 4)))]
     masks = [[draw(st.booleans()) for _ in range(tokens())] for _ in ground_truth]
-    size = draw(st.sampled_from([(640, 480)] * 4 + [(3, 7), (0.7, 1.0), (0, 480), (640, -2)]))
+    sizes = [(3, 7), (0.7, 1.0), (0, 480), (640, -2), (10**400, 480)]
+    size = draw(st.sampled_from([(640, 480)] * 4 + sizes))
     return (predictions, ground_truth, masks, *size)
 
 
@@ -313,6 +314,8 @@ class TestCostTerms:
         # No ground truth: token counts may differ between predictions.
         ragged = [(box, TokenLogits((1.0,))), (box, TokenLogits((0.0, -3.0, 2.0)))]
         assert assert_terms_match_scalar(ragged, [], []) is None
+        # No pair checks the image size, so even one past the float range passes.
+        assert assert_terms_match_scalar(ragged, [], [], 10**400, 480) is None
         assert assert_terms_match_scalar([], [], []) is None
 
     def test_grounding_dino_scale(self):
@@ -334,6 +337,8 @@ class TestCostTerms:
             ([(5, 5, 5, 5), (0, 0, 4, 4)], [3, 2], (64, 64), "giou is undefined"),
             # A bad image size fails the first pair, before anything else.
             ([(5, 5, 5, 5), (5, 5, 5, 5)], [1, 3], (0, 64), "image dimensions must be positive"),
+            # So does a size no float can hold.
+            ([(5, 5, 5, 5), (5, 5, 5, 5)], [1, 3], (10**400, 64), "positive and fit a float"),
         ],
     )
     def test_first_failing_pair_raises_scalar_error(self, boxes, tokens, size, message):

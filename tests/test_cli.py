@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -353,6 +356,83 @@ class TestLoss:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "loss weight" in err
+
+
+    def test_inputs_are_the_per_image_rows_and_one_hot_masks(
+        self, capsys, monkeypatch, golden_inputs
+    ):
+        """Each image's ground truth, masks and logits are what the
+        per-instance construction gave: instances in id order, a one-hot
+        category mask each, and per detection the log-odds of its clamped
+        score on its own category token over a saturated negative logit."""
+        from fruitbench import cli, datamodel
+
+        calls = []
+        set_loss = cli.set_loss
+
+        def recording(predictions, ground_truth, masks, *args, **kwargs):
+            calls.append((predictions, ground_truth, masks))
+            return set_loss(predictions, ground_truth, masks, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "set_loss", recording)
+        paths = golden_inputs["golden"]
+        code, _, err = run(
+            capsys, "loss", "--annotations", str(paths["annotations"]),
+            "--predictions", str(paths["predictions"]),
+        )
+        assert code == 0, err
+        ds, _ = datamodel.load_coco(paths["annotations"])
+        records = json.loads(paths["predictions"].read_text())
+        assert len(calls) == len(ds.images)
+        for image, (predictions, ground_truth, masks) in zip(ds.images, calls):
+            expected = [a for a in ds.instances if a.image_id == image.id]
+            assert list(ground_truth) == expected
+            assert np.asarray(masks).tolist() == [
+                [c.id == a.category_id for c in ds.categories] for a in expected
+            ]
+            logits = []
+            for r in (r for r in records if r["image_id"] == image.id):
+                row = [cli._NEGATIVE_LOGIT] * len(ds.categories)
+                p = min(max(r["score"], cli._SCORE_EPS), 1.0 - cli._SCORE_EPS)
+                row[[c.id for c in ds.categories].index(r["category_id"])] = math.log(p / (1 - p))
+                logits.append(tuple(row))
+            assert [t.scores for _, t in predictions] == logits
+
+    def test_image_size_past_the_float_range_exits_1(self, capsys, tmp_path):
+        """``loss`` rejects an image size no float holds; ``stats`` and
+        ``evaluate``, which never divide by it, still score the file."""
+        annotations = minimal_coco_file(tmp_path, width=10**400)
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text(json.dumps(
+            [{"image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20], "score": 0.9}]
+        ))
+        scored = ["--annotations", str(annotations), "--predictions", str(predictions)]
+        code, out, err = run(capsys, "loss", *scored)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "must be positive and fit a float" in err
+        manifest = tmp_path / "split.json"
+        code, _, err = run(
+            capsys, "split", "--annotations", str(annotations), "--kind", "train-test",
+            "--fraction", "0.5", "--seed", "1", "--out", str(manifest),
+        )
+        assert code == 0, err
+        code, out, err = run(capsys, "evaluate", *scored, "--split", str(manifest))
+        assert code == 0, err
+        assert json.loads(out)["aggregate"]["mAP"] == 1.0
+        code, out, err = run(capsys, "stats", "--annotations", str(annotations))
+        assert code == 0 and "apple" in out, err
+
+
+def minimal_coco_file(tmp_path, width=100, height=80) -> Path:
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({
+        "images": [{"id": 1, "file_name": "a.jpg", "width": width, "height": height}],
+        "annotations": [
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20], "iscrowd": 0}
+        ],
+        "categories": [{"id": 1, "name": "apple"}],
+    }))
+    return path
 
 
 class TestRecEval:
@@ -1371,3 +1451,165 @@ class TestConfigPathNamedLikeASubcommand:
         )
         assert code == 0, err
         assert out.startswith("Category,")
+
+
+def golden_corpus(directory: Path) -> dict[str, Path]:
+    """A seeded 12-image corpus with crowd regions, occlusion attributes
+    (some missing) and prompted detections. Image and instance ids are
+    sparse and instances are written out of id order, so an image's ground
+    truth is not a run of instance ids; ``pear`` has detections but no
+    ground truth, and the ``unlabelled`` prompt has ground truth but no
+    detections."""
+    rng = random.Random("golden-outputs")
+    categories = [{"id": c, "name": n} for c, n in ((2, "apple"), (5, "orange"), (7, "lemon"))]
+    categories.append({"id": 9, "name": "pear"})
+    images = [
+        {"id": 3 * k + 4, "file_name": f"g{k}.jpg", "width": 64, "height": 48} for k in range(12)
+    ]
+    ids = iter(rng.sample(range(1, 1000), 200))
+    annotations, predictions = [], []
+    prompts = ("any fruit", "unoccluded", "occluded")
+    for image in images:
+        cats = rng.sample([2, 5, 7], rng.randint(1, 2))
+        for _ in range(rng.randint(6, 14)):
+            wq, hq = rng.randint(4, 80), rng.randint(4, 64)  # quarter pixels
+            w, h = wq / 4, hq / 4
+            bbox = [rng.randint(0, 256 - wq) / 4, rng.randint(0, 192 - hq) / 4, w, h]
+            ann = {
+                "id": next(ids), "image_id": image["id"], "category_id": rng.choice(cats),
+                "bbox": bbox, "iscrowd": int(rng.random() < 0.12),
+            }
+            if rng.random() < 0.8:
+                ann["attributes"] = {"occlusion": rng.choice(["none", "leaf", "branch"])}
+            annotations.append(ann)
+            for _ in range(rng.randint(0, 2)):
+                x, y = bbox[0] + rng.randint(-8, 8) / 4, bbox[1] + rng.randint(-8, 8) / 4
+                box = [min(max(x, 0.0), 64 - w), min(max(y, 0.0), 48 - h), w, h]
+                category_id = ann["category_id"]
+                if rng.random() >= 0.85:
+                    category_id = rng.choice([2, 5, 7, 9])
+                predictions.append((image["id"], category_id, box))
+        for _ in range(3):
+            predictions.append((image["id"], rng.choice([*cats, 9]), [
+                rng.randint(0, 160) / 4, rng.randint(0, 120) / 4,
+                rng.randint(4, 96) / 4, rng.randint(4, 72) / 4,
+            ]))
+    rng.shuffle(annotations)
+    records = []
+    for image_id, category_id, box in predictions:
+        score = rng.randint(1, 20) / 20  # coarse grid: score ties are common
+        for prompt in ("any fruit", rng.choice(prompts[1:])):
+            records.append({
+                "image_id": image_id, "category_id": category_id, "bbox": box,
+                "score": score, "prompt": prompt,
+            })
+    filters = {
+        "any fruit": {"any": True},
+        "unoccluded": {"attribute": "occlusion", "equals": "none"},
+        "occluded": {"attribute": "occlusion", "in": ["leaf", "branch"]},
+        "unlabelled": {"attribute": "occlusion", "not_in": ["none", "leaf", "branch"]},
+    }
+    payload = {"images": images, "annotations": annotations, "categories": categories}
+    paths = {
+        "annotations": directory / "annotations.json",
+        "predictions": directory / "predictions.json",
+        "filters": directory / "filters.json",
+    }
+    for key, value in (("annotations", payload), ("predictions", records), ("filters", filters)):
+        paths[key].write_text(json.dumps(value))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    corpus = {"golden": golden_corpus(directory)}
+    corpus["synthetic30"] = {
+        "annotations": SYN30 / "annotations.json",
+        "predictions": SYN30 / "predictions_noisy.json",
+    }
+    for name, paths in corpus.items():
+        paths["split"] = directory / f"{name}_split.json"
+        assert main([
+            "split", "--annotations", str(paths["annotations"]), "--kind", "train-test",
+            "--fraction", "0.5", "--seed", "11", "--out", str(paths["split"]),
+        ]) == 0
+    syn30_rows = [
+        {"label": n, "manifest": str(corpus["synthetic30"]["split"]),
+         "predictions": str(SYN30 / f"predictions_{n}.json")}
+        for n in ("perfect", "noisy", "empty")
+    ]
+    golden_rows = [{
+        "label": "prompted", "manifest": str(corpus["golden"]["split"]),
+        "predictions": str(corpus["golden"]["predictions"]),
+    }]
+    for name, rows in (("synthetic30", syn30_rows), ("golden", golden_rows)):
+        corpus[name]["grid"] = directory / f"{name}_grid.json"
+        corpus[name]["grid"].write_text(json.dumps({"rows": rows}))
+    return corpus
+
+
+# sha256 of stdout per case: subcommand, corpus, output format and scoring
+# settings ("custom" is --max-dets 7 --thresholds 0.3,0.5,0.7).
+GOLDEN_OUTPUT_DIGESTS = {
+    "evaluate golden json custom":
+        "8e5c86e51b47f3c186e3765b367a94526994c5f1c105ed90895f8b807d9bbce9",
+    "evaluate golden json default":
+        "76be5002754e8aaf2333696b8d5464f2155d9742c553cb46caece1701e55120b",
+    "evaluate golden markdown custom":
+        "a91cbcdad5677f67ceb19dabe9d3888c532a1f0f88ba40ccbfcc37a7edfee6e7",
+    "evaluate golden markdown default":
+        "e47d840cb95b9867d8af61dea00cfab805ddc47334f1cc069c39490613a74f8d",
+    "evaluate synthetic30 json custom":
+        "61c75d533917e14babfe165df7204c298689030f3475acc006563035fd8a1392",
+    "evaluate synthetic30 json default":
+        "768eef7d9306bbc6d7ad14dfcbb93b2a091889e80954949b5111c9c3af2ae880",
+    "evaluate synthetic30 markdown custom":
+        "f8796d08250c7ee4dcebb3ba8fc23ab775743de9d1fa2b737b50f8b3a0757782",
+    "evaluate synthetic30 markdown default":
+        "3922056f2bd524fc148fe21e3ed91ee980b5048cd64583c72ac0eed68fb0b04f",
+    "rec-eval golden json custom":
+        "a15c412bc92904f8609a390ac05b29dc5eac5fcccb6250809fcdf49ef0532ff6",
+    "rec-eval golden json default":
+        "44b60d8875afa8a9f2faacbc3e388f0b30db118a9510f68856dbc9ed1093db8f",
+    "rec-eval golden markdown custom":
+        "86281b643466dc22090f601c1fba6be15449aee0ce39ebab9e06d7a3bef2b5ef",
+    "rec-eval golden markdown default":
+        "56e4e270da8d54a18237d85e1c64775649d0dd465eaba1e6c6dac500e343d68c",
+    "report golden json custom":
+        "b6d24560f3a599641a16dde9af027a9445e8b67e6bf17ae9196f428c0f1a0447",
+    "report golden json default":
+        "d32e79e0ee5e9ae6ccfa7b7620bc4edf0cca2d65a7d71260e57fa97920bff3cb",
+    "report golden markdown custom":
+        "05ff6b532b3c8ccc2797ea79714b9208de538f6f8ca931e5772e503b2e8a497a",
+    "report golden markdown default":
+        "0d64a2c8a143cdb29b87fefd01150ef026f75d458b33ebd95f4476236adbb2a5",
+    "report synthetic30 json custom":
+        "262bac585db3cdf508267a84ec23d7c3e4c1b6be148de73804f5df9270a3a59a",
+    "report synthetic30 json default":
+        "8ee32447be8a578ebd159f028d64d3573b3725c6dbe89436260cf1041cfaf183",
+    "report synthetic30 markdown custom":
+        "b71f2e5a9e3dea8eb44fba6ff8d902495e73984b4f3e665097da251dbb228112",
+    "report synthetic30 markdown default":
+        "05aa362207bb95c850e7686446baaa4dabca0c383fcbc6b0d7acb0c043984ee2",
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_OUTPUT_DIGESTS))
+    def test_stdout_digest(self, capsys, golden_inputs, case):
+        """Scoring output stays byte for byte what it was."""
+        command, corpus, output_format, settings = case.split()
+        paths = golden_inputs[corpus]
+        argv = [command, "--annotations", str(paths["annotations"]), "--format", output_format]
+        if command == "report":
+            argv += ["--grid", str(paths["grid"])]
+        else:
+            argv += ["--predictions", str(paths["predictions"]), "--split", str(paths["split"])]
+        if command == "rec-eval":
+            argv += ["--filters", str(paths["filters"])]
+        if settings == "custom":
+            argv += ["--max-dets", "7", "--thresholds", "0.3,0.5,0.7"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUT_DIGESTS[case]

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from fruitbench.errors import FruitBenchError, IntegrityError, ParseError, Valid
 from fruitbench.geometry import BoundingBox
 
 from . import oracles
+from .generators import random_eval_instance
 
 
 def minimal_coco(tmp_path, **overrides):
@@ -662,6 +665,73 @@ class TestPredictionTableRows:
         for index in (ROWS, -ROWS - 1, np.array([0, ROWS], dtype=np.int64)):
             with pytest.raises(IndexError):
                 seven_rows[index]
+
+
+@st.composite
+def shuffled_datasets(draw):
+    """A ``tests.generators`` dataset rebuilt with sparse image and
+    instance ids given out of order, so an image's rows are not a run of
+    ids, plus an image without instances."""
+    ds, _ = random_eval_instance(random.Random(draw(st.integers(0, 2**32))), max_gts=14)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    image_ids = dict(zip((m.id for m in ds.images), rng.sample(range(1, 60), len(ds.images))))
+    instance_ids = rng.sample(range(1, 500), len(ds.instances))
+    images = [replace(m, id=image_ids[m.id]) for m in ds.images]
+    images.append(ImageRecord(max(image_ids.values()) + 1, "empty.jpg", 32, 32))
+    instances = [
+        replace(a, id=k, image_id=image_ids[a.image_id]) for a, k in zip(ds.instances, instance_ids)
+    ]
+    rng.shuffle(instances)
+    return DetectionDataset(ds.categories, images, instances)
+
+
+COLUMNS = ("gt_image", "gt_category", "gt_boxes", "gt_crowd", "gt_by_image", "gt_offsets")
+
+
+class TestGroundTruthColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=shuffled_datasets())
+    def test_columns_hold_the_instance_fields(self, ds):
+        assert [c.dtype for c in (ds.gt_image, ds.gt_category, ds.gt_crowd)] == [
+            np.int64, np.int64, np.bool_,
+        ]
+        assert ds.gt_boxes.shape == (len(ds.instances), 4) and ds.gt_boxes.dtype == np.float64
+        for k, a in enumerate(ds.instances):
+            assert ds.images[ds.gt_image[k]].id == a.image_id
+            assert ds.categories[ds.gt_category[k]].id == a.category_id
+            assert ds.gt_crowd[k] == a.iscrowd
+            corners = (a.box.x_min, a.box.y_min, a.box.x_max, a.box.y_max)
+            assert list(map(float.hex, ds.gt_boxes[k].tolist())) == [
+                float.hex(float(v)) for v in corners
+            ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ds=shuffled_datasets())
+    def test_ranges_are_the_instances_of_each_image(self, ds):
+        for position, image in enumerate(ds.images):
+            expected = tuple(a for a in ds.instances if a.image_id == image.id)
+            assert ds.instances_for_image(image.id) == expected
+            assert [ds.instances[k] for k in ds.gt_rows(position).tolist()] == list(expected)
+        assert ds.gt_offsets.tolist()[-1] == len(ds.instances)
+        assert ds.instances_for_image(0) == ()
+        assert ds.instances_for_image(1000) == ()
+
+    def test_columns_are_read_only(self):
+        ds, _ = random_eval_instance(random.Random(5))
+        for name in COLUMNS:
+            column = getattr(ds, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
+    def test_columns_do_not_enter_equality_or_repr(self):
+        ds, _ = random_eval_instance(random.Random(6))
+        again = DetectionDataset(list(ds.categories), list(ds.images), list(ds.instances))
+        assert again == ds and "gt_" not in repr(ds)
+
+    def test_empty_dataset(self):
+        ds = DetectionDataset([], [ImageRecord(1, "a.jpg", 4, 4)], [])
+        assert ds.gt_boxes.shape == (0, 4) and ds.gt_offsets.tolist() == [0, 0]
+        assert ds.instances_for_image(1) == ()
 
 
 class TestComputeStats:

@@ -12,6 +12,7 @@ from fruitbench.datamodel import (
     GroundTruthInstance,
     ImageRecord,
     PredictionTable,
+    load_coco,
     load_predictions,
 )
 from fruitbench.errors import IntegrityError, ValidationError
@@ -676,3 +677,66 @@ class TestAttributePredicate:
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValidationError):
             attribute_predicate(spec)
+
+
+@pytest.fixture(scope="module")
+def benchmark_corpora(tmp_path_factory):
+    """The benchmark's full-scale grid-sparse and rec-dense corpora, with
+    every prediction coordinate rounded to a quarter pixel so that adding
+    an integer offset below 2**20 is exact in float64, and their reports."""
+    from perfbench import corpora
+
+    out = {}
+    for name, make in (("grid-sparse", corpora.grid_sparse), ("rec-dense", corpora.rec_dense)):
+        directory = tmp_path_factory.mktemp(name)
+        paths = make(directory, 3, corpora.SCALES[name]["full"])
+        predictions = paths.get("predictions") or paths["predictions_strong"]
+        records = json.loads(predictions.read_text())
+        for r in records:
+            r["bbox"] = [round(v * 4) / 4 for v in r["bbox"]]
+        annotations = json.loads(paths["annotations"].read_text())
+        filters = json.loads(paths["filters"].read_text()) if "filters" in paths else None
+        corpus = (annotations, records, filters, directory)
+        out[name] = corpus + (score_corpus(annotations, [records], filters, directory),)
+    return out
+
+
+def score_corpus(annotations, prediction_files, filters, directory):
+    """``report_to_dict`` of every report for the annotation document and
+    the prediction record lists, each read from its own file; the
+    detections are scored as the concatenation of the files in order."""
+    (directory / "annotations.json").write_text(json.dumps(annotations))
+    ds, _ = load_coco(directory / "annotations.json")
+    dets = []
+    for k, records in enumerate(prediction_files):
+        (directory / f"predictions{k}.json").write_text(json.dumps(records))
+        dets += list(load_predictions(directory / f"predictions{k}.json", ds))
+    split = split_train_test(ds, 0.5, seed=3)
+    if filters is None:
+        return [report_to_dict(evaluate(ds, split, dets))]
+    predicates = {prompt: attribute_predicate(spec) for prompt, spec in filters.items()}
+    return [report_to_dict(r) for r in evaluate_rec(ds, split, dets, predicates)]
+
+
+@pytest.mark.parametrize("corpus", ["grid-sparse", "rec-dense"])
+class TestMetamorphicCorpora:
+    """Rewrites of the benchmark corpora that must not change any report."""
+
+    def test_one_category_in_a_second_file(self, benchmark_corpora, corpus):
+        annotations, records, filters, directory, plain = benchmark_corpora[corpus]
+        moved = [r for r in records if r["category_id"] == 2]
+        rest = [r for r in records if r["category_id"] != 2]
+        assert moved and rest
+        assert score_corpus(annotations, [rest, moved], filters, directory) == plain
+
+    def test_translating_boxes_and_growing_images(self, benchmark_corpora, corpus):
+        annotations, records, filters, directory, plain = benchmark_corpora[corpus]
+        offset = 1037
+        annotations, records = json.loads(json.dumps([annotations, records]))
+        for image in annotations["images"]:
+            image["width"] += offset
+            image["height"] += offset
+        for item in annotations["annotations"] + records:
+            x, y, w, h = item["bbox"]
+            item["bbox"] = [x + offset, y + offset, w, h]
+        assert score_corpus(annotations, [records], filters, directory) == plain
