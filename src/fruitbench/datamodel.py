@@ -21,16 +21,19 @@ comes back as a finite float). Bad text or a missing field is a
 A dataset lays out its ground truth once, as read-only columns in
 instance (id) order (``gt_image`` / ``gt_category`` positions, ``gt_boxes``
 corners, ``gt_crowd`` flags) and per-image row ranges (``gt_rows``), which
-evaluation, the set loss, the splits and the statistics read.
+evaluation, the set loss, the splits and the statistics read. Its
+``instances`` are a read-only sequence; ``load_coco`` fills the columns
+straight from the parsed records (``DetectionDataset.from_columns``), and
+builds a row's ``GroundTruthInstance`` only when that row is read.
 
-A prediction file is read once, by ``load_predictions``, into a
-``PredictionTable`` of columns (image and category positions, corner
-boxes, scores, prompts) that evaluation scores from directly. The loader
-checks exact classes in one pass over the records and the values with
-numpy; when anything fails, the scalar record reader replays the file and
-raises for the first bad record, so there is one set of rules and one set
-of messages. The table is also a read-only ``Sequence[Detection]`` of
-views; ``list(table)`` is the list of them.
+Both loaders of scored files work alike: they check exact classes in one
+pass over the records and the values with numpy; when anything fails, the
+scalar record reader replays the records and raises for the first bad one,
+so there is one set of rules and one set of messages. A prediction file is
+read once, by ``load_predictions``, into a ``PredictionTable`` of columns
+(image and category positions, corner boxes, scores, prompts) that
+evaluation scores from directly. The table is also a read-only
+``Sequence[Detection]`` of views; ``list(table)`` is the list of them.
 
 Loaders return what they repaired or skipped (clamped boxes, unmapped
 labels) and print nothing; the CLI reports it.
@@ -46,6 +49,7 @@ import json
 import math
 import operator
 import re
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -55,8 +59,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError, ValidationError
-from .geometry import BoundingBox, area, box_from_xywh, corner_array
+from .errors import FruitBenchError, IntegrityError, ParseError, ValidationError
+from .geometry import BoundingBox, box_from_xywh, corner_array
 
 __all__ = [
     "Category",
@@ -139,16 +143,44 @@ class Detection:
             raise ValidationError(f"detection score must lie in [0, 1], got {self.score!r}")
 
 
+class _Instances(Sequence):
+    """A dataset's instances in id order, read-only; ``build(row)`` builds
+    a row's ``GroundTruthInstance`` the first time it is read. Equal to the
+    list of them."""
+
+    def __init__(self, built: list, build):
+        self._built, self._build = built, build
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
+        index = range(len(self))[index]
+        if self._built[index] is None:
+            self._built[index] = self._build(index)
+        return self._built[index]
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Instances)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class DetectionDataset:
     """Categories, images and ground-truth instances with referential
     integrity. Construction validates everything and normalizes list order
     to ascending ids, and lays out the ground-truth columns and ranges
-    (see the module docstring)."""
+    (see the module docstring); ``instances`` becomes a read-only sequence."""
 
     categories: list[Category]
     images: list[ImageRecord]
-    instances: list[GroundTruthInstance]
+    instances: Sequence[GroundTruthInstance]
 
     _category_pos: dict[int, int] = dataclasses.field(init=False, repr=False, compare=False)
     _image_pos: dict[int, int] = dataclasses.field(init=False, repr=False, compare=False)
@@ -160,10 +192,27 @@ class DetectionDataset:
     gt_offsets: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        built = list(self.instances)
+        self._lay_out(*_instance_columns(built)[:5], built)
+
+    @classmethod
+    def from_columns(cls, categories, images, ids, image_ids, category_ids, boxes, crowd, attrs):
+        """``(dataset, clamped_count)`` of instance rows given in any order
+        as lists of int ids (instance ids positive), (N, 4) float64 corners,
+        crowd flags and attribute maps (falsy for none). A box outside its
+        image is clamped to it (``BoundingBox.clamped``); instances are
+        built when first read."""
+        ds = cls.__new__(cls)
+        ds.categories, ds.images = categories, images
+        return ds, ds._lay_out(ids, image_ids, category_ids, boxes, crowd, None, attrs)
+
+    def _lay_out(self, ids, image_ids, category_ids, boxes, crowd, built, attrs=()) -> int:
+        """Sort and index categories, images and instance rows, check the
+        rows with numpy and set the columns; the first bad row in id order
+        raises. Without ``built`` instances, boxes outside their image are
+        clamped instead (the count is returned)."""
         self.categories = sorted(self.categories, key=lambda c: c.id)
         self.images = sorted(self.images, key=lambda m: m.id)
-        self.instances = sorted(self.instances, key=lambda a: a.id)
-
         self._category_pos = {}
         names_seen: dict[str, str] = {}
         for position, cat in enumerate(self.categories):
@@ -184,33 +233,65 @@ class DetectionDataset:
                 raise ValidationError(f"duplicate image id {img.id}")
             self._image_pos[img.id] = position
 
-        seen_instance_ids = set()
-        for inst in self.instances:
-            if inst.id in seen_instance_ids:
-                raise ValidationError(f"duplicate instance id {inst.id}")
-            seen_instance_ids.add(inst.id)
-            if inst.image_id not in self._image_pos:
-                raise IntegrityError(f"instance {inst.id} references unknown image {inst.image_id}")
-            img = self.images[self._image_pos[inst.image_id]]
-            if inst.category_id not in self._category_pos:
-                raise IntegrityError(
-                    f"instance {inst.id} references unknown category {inst.category_id}"
-                )
-            b = inst.box
-            if b.x_min < 0 or b.y_min < 0 or b.x_max > img.width or b.y_max > img.height:
-                raise ValidationError(
-                    f"instance {inst.id} box exceeds image {img.id} bounds "
-                    f"({img.width}x{img.height}); clamp it at load time"
-                )
-        image = [self._image_pos[a.image_id] for a in self.instances]
-        self.gt_image = _read_only(np.array(image, dtype=np.int64))
-        category = [self._category_pos[a.category_id] for a in self.instances]
-        self.gt_category = _read_only(np.array(category, dtype=np.int64))
-        self.gt_boxes = _read_only(corner_array(a.box for a in self.instances))
-        self.gt_crowd = _read_only(np.array([a.iscrowd for a in self.instances], dtype=bool))
+        rows = sorted(range(len(ids)), key=ids.__getitem__)
+        n, order, clamped = len(rows), np.array(rows, dtype=np.intp), {}
+        image = np.fromiter(map(self._image_pos.get, image_ids, repeat(-1)), np.int64, n)[order]
+        category = np.fromiter(map(self._category_pos.get, category_ids, repeat(-1)), np.int64, n)
+        category, boxes, crowd = category[order], boxes[order], np.asarray(crowd, bool)[order]
+        ids = np.array(ids, dtype=object)[order]
+        built = [None] * n if built is None else [built[k] for k in rows]
+        attrs = [attrs[k] for k in rows] if attrs else ()
+        # Image sizes as floats, plus an unbounded row for an unknown image
+        # (-1). A size past 2**53 rounds, so BoundingBox.clamped decides each
+        # row with a corner at or past its float bound, exactly.
+        top = sys.float_info.max
+        limits = [(min(m.width, top), min(m.height, top)) for m in self.images]
+        limits = np.array(limits + [(math.inf, math.inf)], np.float64)[image]
+        outside = (boxes[:, :2] < 0).any(axis=1) | (boxes[:, 2:] >= limits).any(axis=1)
+        for k in np.flatnonzero(outside).tolist():
+            img = self.images[image[k]]
+            box = built[k].box if built[k] else BoundingBox(*boxes[k].tolist())
+            inside = box.clamped(img.width, img.height)
+            outside[k] = inside is not box
+            if outside[k] and not built[k]:
+                clamped[k], outside[k] = inside, False
+        if clamped:
+            boxes[list(clamped)] = corner_array(clamped.values())
+        bad = outside | (image < 0) | (category < 0)
+        bad[1:] |= ids[1:] == ids[:-1]
+        if bad.any():
+            k = int(bad.argmax())
+            if k and ids[k] == ids[k - 1]:
+                raise ValidationError(f"duplicate instance id {ids[k]}")
+            unknown = f"instance {ids[k]} references unknown"
+            if image[k] < 0:
+                raise IntegrityError(f"{unknown} image {image_ids[rows[k]]}")
+            if category[k] < 0:
+                raise IntegrityError(f"{unknown} category {category_ids[rows[k]]}")
+            img = self.images[image[k]]
+            raise ValidationError(
+                f"instance {ids[k]} box exceeds image {img.id} bounds "
+                f"({img.width}x{img.height}); clamp it at load time"
+            )
+
+        # The builder holds no reference to the dataset, so that no cycle
+        # keeps a dataset alive after its last use.
+        images, categories = self.images, self.categories
+
+        def build(k: int) -> GroundTruthInstance:
+            box = clamped[k] if k in clamped else BoundingBox(*boxes[k].tolist())
+            image_id, category_id = images[image[k]].id, categories[category[k]].id
+            return GroundTruthInstance(
+                ids[k], image_id, category_id, box, attrs[k] or {}, bool(crowd[k])
+            )
+
+        self.instances = _Instances(built, build)
+        self.gt_image, self.gt_category = _read_only(image), _read_only(category)
+        self.gt_boxes, self.gt_crowd = _read_only(boxes), _read_only(crowd)
         self.gt_by_image = _read_only(np.argsort(self.gt_image, kind="stable"))
         starts = np.searchsorted(self.gt_image[self.gt_by_image], np.arange(len(self.images) + 1))
         self.gt_offsets = _read_only(starts)
+        return len(clamped)
 
     def category(self, category_id: int) -> Category:
         try:
@@ -240,6 +321,15 @@ class DetectionDataset:
     def gt_rows(self, position: int) -> np.ndarray:
         """The rows of the image at ``position`` in ``images``, in id order."""
         return self.gt_by_image[self.gt_offsets[position]:self.gt_offsets[position + 1]]
+
+
+def _instance_columns(instances: list) -> tuple:
+    """The ``DetectionDataset.from_columns`` columns of ``instances``."""
+    return (
+        [a.id for a in instances], [a.image_id for a in instances],
+        [a.category_id for a in instances], corner_array(a.box for a in instances),
+        [a.iscrowd for a in instances], [a.attributes for a in instances],
+    )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -327,6 +417,9 @@ def field(record, key: str, context, kind=None, default=_NO_DEFAULT):
     return value if kind is None else checked(value, kind, context, key)
 
 
+_ANNOTATION_FIELDS = tuple(map(operator.itemgetter, ("id", "image_id", "category_id", "bbox")))
+
+
 def load_coco(path) -> tuple[DetectionDataset, int]:
     """Load an annotation file.
 
@@ -334,6 +427,12 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
     stick out of their image are clamped to the image rectangle rather than
     rejected (field annotations routinely touch image borders); the number
     of clamped boxes is returned alongside the dataset.
+
+    One pass takes the annotation fields out by exact JSON class, then
+    numpy checks and lays out the columns (``DetectionDataset.from_columns``);
+    no instance is built until it is read. If any record fails, the scalar
+    reader replays the records in file order and raises for the first bad
+    one, so there is one set of rules and one set of messages.
 
     Returns:
         (dataset, clamped_count)
@@ -365,37 +464,58 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
         )
         for m in field(raw, "images", path, ARRAY)
     ]
-    image_by_id = {m.id: m for m in images}
+    records = field(raw, "annotations", path, ARRAY)
+    loaded = _annotation_columns(categories, images, records)
+    return loaded or _annotation_records(path, categories, images, records)
 
-    instances = []
-    clamped = 0
-    for a in field(raw, "annotations", path, ARRAY):
+
+def _annotation_columns(categories, images, records: list):
+    """``(dataset, clamped)`` of the annotation ``records``, or None if
+    some record is invalid."""
+    try:
+        ids, image, category, bbox = (list(map(get, records)) for get in _ANNOTATION_FIELDS)
+        crowd = list(map(dict.get, records, repeat("iscrowd"), repeat(0)))
+        # () stands for no attributes: JSON has no tuple, so a null fails the check.
+        attributes = list(map(dict.get, records, repeat("attributes"), repeat(())))
+        if not (
+            _classes(chain(ids, image, category)) <= {int}
+            and min(ids, default=1) > 0
+            and _classes(crowd) <= {int, bool}
+            and set(crowd) <= {0, 1}
+            and _classes(attributes) <= {dict, tuple}
+        ):
+            return None
+        for value in set(chain.from_iterable(a.values() for a in attributes if a)):
+            checked(value, STRING, "attribute")
+        boxes = _corners(bbox, len(records))
+        if boxes is None:
+            return None
+        return DetectionDataset.from_columns(
+            categories, images, ids, image, category, boxes, crowd, attributes
+        )
+    except (KeyError, TypeError, OverflowError, FruitBenchError):
+        return None
+
+
+def _annotation_records(path, categories, images, records: list):
+    """The scalar reader of the annotation records, in file order."""
+    image_ids, instances = {m.id for m in images}, []
+    for a in records:
         ann_id = field(a, "id", f"{path} annotations", INTEGER)
         context = f"annotation {ann_id}"
         image_id = field(a, "image_id", context, INTEGER)
         category_id = field(a, "category_id", context, INTEGER)
-        iscrowd = field(a, "iscrowd", context, FLAG, 0)
-        if image_id not in image_by_id:
+        iscrowd = bool(field(a, "iscrowd", context, FLAG, 0))
+        if image_id not in image_ids:
             raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
         box = box_from_xywh(field(a, "bbox", context))
-        img = image_by_id[image_id]
-        clipped = box.clamped(img.width, img.height)
-        if clipped is not box:
-            clamped += 1
         attributes = field(a, "attributes", context, OBJECT, {})
         for key, value in attributes.items():
             checked(value, STRING, context, key)
         instances.append(
-            GroundTruthInstance(
-                id=ann_id,
-                image_id=image_id,
-                category_id=category_id,
-                box=clipped,
-                attributes=attributes,
-                iscrowd=bool(iscrowd),
-            )
+            GroundTruthInstance(ann_id, image_id, category_id, box, attributes, iscrowd)
         )
-    return DetectionDataset(categories, images, instances), clamped
+    return DetectionDataset.from_columns(categories, images, *_instance_columns(instances))
 
 
 def _canonical_label(label: str) -> str:
@@ -605,29 +725,16 @@ def _columns(records: list, ds: DetectionDataset) -> PredictionTable | None:
         prompt = tuple(map(dict.get, records, repeat("prompt")))
         for value in set(prompt):
             checked(value, OPTIONAL_STRING, "prompt")
-        if not (
-            _classes(image) == _classes(category) == {int}
-            and _classes(bbox) == {list}
-            and set(map(len, bbox)) == {4}
-            and _classes(chain.from_iterable(bbox)) <= {int, float}
-            and _classes(score) <= {int, float}
-        ):
+        if not (_classes(chain(image, category)) <= {int} and _classes(score) <= {int, float}):
             return None
         # An unknown id maps to None, which np.fromiter rejects with a TypeError.
         image = np.fromiter(map(ds._image_pos.get, image), np.int64, n)
         category = np.fromiter(map(ds._category_pos.get, category), np.int64, n)
-        xywh = np.fromiter(chain.from_iterable(bbox), np.float64, 4 * n).reshape(n, 4)
+        boxes = _corners(bbox, n)
         score = np.fromiter(score, np.float64, n)
     except (KeyError, TypeError, OverflowError, ValidationError):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        boxes = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
-    # Finite corners imply finite sizes; NaN fails every comparison.
-    if not (
-        np.isfinite(boxes).all()
-        and (xywh[:, 2:] >= 0).all()
-        and ((score >= 0) & (score <= 1)).all()
-    ):
+    if boxes is None or not ((score >= 0) & (score <= 1)).all():
         return None
     return PredictionTable(
         ds, image, category, boxes, score, prompt, tuple(ds._image_pos), tuple(ds._category_pos)
@@ -636,6 +743,23 @@ def _columns(records: list, ds: DetectionDataset) -> PredictionTable | None:
 
 def _classes(values) -> set:
     return set(map(type, values))
+
+
+def _corners(bbox: list, n: int) -> np.ndarray | None:
+    """The (n, 4) float64 corners of ``n`` on-disk ``[x, y, w, h]`` lists,
+    or None if one is not a box ``box_from_xywh`` accepts. An integer past
+    the float range raises ``OverflowError``."""
+    if not (
+        _classes(bbox) <= {list}
+        and set(map(len, bbox)) <= {4}
+        and _classes(chain.from_iterable(bbox)) <= {int, float}
+    ):
+        return None
+    xywh = np.fromiter(chain.from_iterable(bbox), np.float64, 4 * n).reshape(n, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+    # Finite corners imply finite sizes; NaN fails every comparison.
+    return boxes if np.isfinite(boxes).all() and (xywh[:, 2:] >= 0).all() else None
 
 
 def _detection(index: int, record, ds: DetectionDataset) -> Detection:
@@ -675,9 +799,12 @@ class DatasetStats:
     total: CategoryStats
 
 
-def _stats_row(name: str, instances, images) -> CategoryStats:
-    n_box, n_img = len(instances), len(images)
-    mean = sum(area(a.box) for a in instances) / n_box if n_box else None
+def _stats_row(name: str, boxes: np.ndarray, images) -> CategoryStats:
+    n_box, n_img = len(boxes), len(images)
+    x0, y0, x1, y1 = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = ((x1 - x0) * (y1 - y0)).tolist()  # geometry.area, row by row
+    mean = sum(areas) / n_box if n_box else None
     if mean is not None and not math.isfinite(mean):
         raise ValidationError(f"stats row {name!r}: the mean box area overflows a float")
     region = " & ".join(sorted({m.region for m in images if m.region}))
@@ -696,6 +823,5 @@ def compute_stats(ds: DetectionDataset) -> DatasetStats:
     for position, cat in enumerate(ds.categories):
         members = np.flatnonzero(ds.gt_category == position)
         images = np.unique(ds.gt_image[members]).tolist()
-        instances = [ds.instances[k] for k in members.tolist()]
-        rows.append(_stats_row(cat.name, instances, [ds.images[p] for p in images]))
-    return DatasetStats(tuple(rows), _stats_row("Total", ds.instances, ds.images))
+        rows.append(_stats_row(cat.name, ds.gt_boxes[members], [ds.images[p] for p in images]))
+    return DatasetStats(tuple(rows), _stats_row("Total", ds.gt_boxes, ds.images))

@@ -14,7 +14,8 @@ import numpy as np
 
 from fruitbench.assignment import token_alignment_cost
 from fruitbench.datamodel import (
-    ARRAY, INTEGER, NUMBER, OPTIONAL_STRING, Detection, checked, field, read_json,
+    ARRAY, FLAG, INTEGER, NUMBER, OBJECT, OPTIONAL_STRING, STRING, Category, Detection,
+    DetectionDataset, GroundTruthInstance, ImageRecord, checked, field, read_json,
 )
 from fruitbench.errors import IntegrityError, ValidationError
 from fruitbench.geometry import BoundingBox, box_from_xywh, giou, iou, l1_box_distance
@@ -101,6 +102,74 @@ def scalar_load_predictions(path, ds) -> list[Detection]:
             )
         )
     return detections
+
+
+def scalar_load_coco(path):
+    """An annotation file read record by record through ``field``,
+    ``box_from_xywh``, ``BoundingBox.clamped`` and the
+    ``GroundTruthInstance`` and ``DetectionDataset`` constructors:
+    ``(dataset, clamped)``, the reader the columnar ``load_coco`` must
+    agree with, value for value and error for error."""
+    path = Path(path)
+    raw = read_json(path)
+    context = f"{path} categories"
+    categories = [
+        Category(id=field(c, "id", context, INTEGER), name=field(c, "name", context, STRING))
+        for c in field(raw, "categories", path, ARRAY)
+    ]
+    context = f"{path} images"
+    images = [
+        ImageRecord(
+            id=field(m, "id", context, INTEGER),
+            file_name=field(m, "file_name", context, STRING),
+            width=field(m, "width", context, INTEGER),
+            height=field(m, "height", context, INTEGER),
+            region=field(m, "region", context, OPTIONAL_STRING, None),
+        )
+        for m in field(raw, "images", path, ARRAY)
+    ]
+    image_by_id = {m.id: m for m in images}
+    instances = []
+    clamped = 0
+    for a in field(raw, "annotations", path, ARRAY):
+        ann_id = field(a, "id", f"{path} annotations", INTEGER)
+        context = f"annotation {ann_id}"
+        image_id = field(a, "image_id", context, INTEGER)
+        category_id = field(a, "category_id", context, INTEGER)
+        iscrowd = field(a, "iscrowd", context, FLAG, 0)
+        if image_id not in image_by_id:
+            raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
+        box = box_from_xywh(field(a, "bbox", context))
+        img = image_by_id[image_id]
+        clipped = box.clamped(img.width, img.height)
+        if clipped is not box:
+            clamped += 1
+        attributes = field(a, "attributes", context, OBJECT, {})
+        for key, value in attributes.items():
+            checked(value, STRING, context, key)
+        instances.append(
+            GroundTruthInstance(
+                id=ann_id,
+                image_id=image_id,
+                category_id=category_id,
+                box=clipped,
+                attributes=attributes,
+                iscrowd=bool(iscrowd),
+            )
+        )
+    # The dataset checks: categories and images first, then each instance in
+    # id order (the boxes are clamped and the images known by now).
+    DetectionDataset(categories, images, [])
+    category_ids, seen = {c.id for c in categories}, set()
+    for inst in sorted(instances, key=lambda a: a.id):
+        if inst.id in seen:
+            raise ValidationError(f"duplicate instance id {inst.id}")
+        seen.add(inst.id)
+        if inst.category_id not in category_ids:
+            raise IntegrityError(
+                f"instance {inst.id} references unknown category {inst.category_id}"
+            )
+    return DetectionDataset(categories, images, instances), clamped
 
 
 def brute_force_assignment_cost(matrix) -> float:

@@ -1435,6 +1435,74 @@ class TestPredictionLoadCalls:
             assert calls == expected[command], command
 
 
+class TestInstancesBuiltOnRead:
+    """``load_coco`` lays the ground truth out as columns and builds a
+    ``GroundTruthInstance`` only when a row is read: subcommands that score
+    from the columns build none, and ``loss`` builds the rows it scores."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from fruitbench import datamodel
+
+        counted = []
+        check = datamodel.GroundTruthInstance.__post_init__
+
+        def counting(instance):
+            counted.append(instance.id)
+            check(instance)
+
+        monkeypatch.setattr(datamodel.GroundTruthInstance, "__post_init__", counting)
+        return counted
+
+    def test_column_subcommands_build_none(self, capsys, tmp_path, split_manifest, built):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"rows": [
+            {
+                "label": name, "manifest": str(split_manifest),
+                "predictions": str(SYN30 / f"predictions_{name}.json"),
+            }
+            for name in ("perfect", "noisy")
+        ]}))
+        scored = ["--annotations", str(SYN30 / "annotations.json")]
+        commands = {
+            "split": [
+                "--kind", "k-shot", "--k", "2", "--seed", "5", "--out", str(tmp_path / "k.json"),
+            ],
+            "evaluate": [
+                "--predictions", str(SYN30 / "predictions_noisy.json"),
+                "--split", str(split_manifest),
+            ],
+            "report": ["--grid", str(grid)],
+            "stats": [],
+        }
+        for command, argv in commands.items():
+            code, _, err = run(capsys, command, *scored, *argv)
+            assert code == 0, err
+            assert built == [], command
+
+    def test_length_builds_none(self, built):
+        from fruitbench import datamodel
+
+        ds, _ = datamodel.load_coco(SYN30 / "annotations.json")
+        assert len(ds.instances) > 0 and built == []
+
+    def test_loss_builds_the_rows_it_scores(self, capsys, split_manifest, built):
+        from fruitbench import datamodel
+
+        test_ids = set(json.loads(split_manifest.read_text())["test_image_ids"])
+        ds, _ = datamodel.load_coco(SYN30 / "annotations.json")
+        expected = sorted(a.id for a in ds.instances if a.image_id in test_ids)
+        assert 0 < len(expected) < len(ds.instances)
+        built.clear()
+        code, _, err = run(
+            capsys, "loss", "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(SYN30 / "predictions_noisy.json"),
+            "--split", str(split_manifest),
+        )
+        assert code == 0, err
+        assert sorted(built) == expected
+
+
 class TestConfigPathNamedLikeASubcommand:
     @pytest.mark.parametrize("config", [
         ["--config", "split"], ["--conf", "split"], ["--c", "split"], ["--config=split"],

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -181,6 +183,24 @@ class TestDatasetValidation:
                     GroundTruthInstance(1, 1, 1, BoundingBox(0, 0, 11, 5)),
                 ],
             )
+
+    @pytest.mark.parametrize("width, x_max", [
+        (2**53 + 3, 2**53 + 3), (2**54 + 1, 2**54 + 1), (2**54 + 1, 2**54 + 2), (10**400, 2**60),
+    ])
+    def test_bounds_are_exact_past_2_53(self, width, x_max):
+        """Integer sizes and corners are compared exactly, not as the
+        floats they round to."""
+        def build():
+            return DetectionDataset(
+                [Category(1, "apple")], [ImageRecord(1, "a.jpg", width, 10)],
+                [GroundTruthInstance(1, 1, 1, BoundingBox(0, 0, x_max, 5))],
+            )
+
+        if x_max > width:
+            with pytest.raises(ValidationError, match="exceeds image 1 bounds"):
+                build()
+        else:
+            assert len(build().instances) == 1
 
 
 def labelme_file(tmp_path, name, shapes, width=100, height=80):
@@ -784,3 +804,154 @@ class TestComputeStats:
         )
         stats = compute_stats(ds)
         assert stats.per_category[0].region == "California & Michigan"
+
+
+ANNOTATION_CATEGORIES = [{"id": 1, "name": "apple"}, {"id": 3, "name": "lemon"}]
+# Sizes past 2**53, where a float bound is not the integer size, and past
+# the float range.
+ANNOTATION_IMAGES = [
+    {"id": 1, "file_name": "a.jpg", "width": 64, "height": 48},
+    {"id": 2, "file_name": "b.jpg", "width": 2**53 + 3, "height": 2**60 + 5, "region": "North"},
+    {"id": BIG_ID, "file_name": "c.jpg", "width": 10**400, "height": 7, "region": None},
+]
+# Corners inside, on and past every image side, -0.0 and ints past 2**53.
+CORNERS = st.floats(-80, 200) | st.sampled_from(
+    [0, -0.0, -1, 47.75, 64, 2**53, 2**53 + 3, 2**60 + 1, -(2**60), 1e300]
+)
+EXTENTS = st.floats(0, 120) | st.sampled_from([0, -0.0, 1, 8, 2**53 + 8, 2**61, 1e300])
+ANNOTATION_IDS = st.integers(1, 60) | st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, BIG_ID])
+ANNOTATION_BROKEN = {
+    "id": [True, 0, -1, 1.5, "1", None, [1]],
+    "image_id": [True, 99, BIG_ID + 1, 1.0, None],
+    "category_id": [2, False, "3", None, 2**64],
+    "bbox": BROKEN["bbox"],
+    "iscrowd": [None, 2, -1, "0", 1.0, [0]],
+    "attributes": [
+        None, [], "leaf", 5, {"occlusion": None}, {"occlusion": 5}, {"occlusion": "\ud800"},
+        {"occlusion": ["leaf"]}, {"occlusion": {}},
+    ],
+}
+ANNOTATION_FAULTS = (
+    [("missing", key, None) for key in ("id", "image_id", "category_id", "bbox")]
+    + [("value", key, value) for key, values in ANNOTATION_BROKEN.items() for value in values]
+    + [("record", None, value) for value in (5, "x", [1, 2, 3, 4], None, True)]
+    + [("duplicate", None, None)]
+)
+
+
+@st.composite
+def annotation_records(draw, ids):
+    record = {
+        "id": draw(ids),
+        "image_id": draw(st.sampled_from([1, 2, BIG_ID])),
+        "category_id": draw(st.sampled_from([1, 3])),
+        "bbox": [draw(CORNERS), draw(CORNERS), draw(EXTENTS), draw(EXTENTS)],
+    }
+    if draw(st.booleans()):
+        record["iscrowd"] = draw(st.sampled_from([0, 1, True, False]))
+    if draw(st.booleans()):
+        record["attributes"] = draw(st.dictionaries(st.text(max_size=3), st.text(max_size=3)))
+    return record
+
+
+def _broken_annotation(records, record, fault):
+    if fault[0] != "duplicate":
+        return _broken(record, fault)
+    ids = [r["id"] for r in records if isinstance(r, dict) and "id" in r]
+    return {**record, "id": ids[0]} if ids else record
+
+
+@st.composite
+def annotation_files(draw):
+    """Valid annotations with up to two broken ones among them, and now
+    and then a category that breaks the dataset checks."""
+    ids = draw(st.lists(ANNOTATION_IDS, unique=True, max_size=8))
+    records = [draw(annotation_records(st.just(k))) for k in ids]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        fault = draw(st.sampled_from(ANNOTATION_FAULTS))
+        record = _broken_annotation(records, draw(annotation_records(ANNOTATION_IDS)), fault)
+        records.insert(draw(st.integers(0, len(records))), record)
+    categories = ANNOTATION_CATEGORIES + draw(
+        st.sampled_from([[]] * 8 + [[{"id": 1, "name": "pear"}], [{"id": 4, "name": "APPLE"}]])
+    )
+    return {"images": ANNOTATION_IMAGES, "annotations": records, "categories": categories}
+
+
+def _coco_outcome(path, read):
+    """What ``read`` loads, down to its columns, the classes and signs of
+    its box coordinates and the bytes ``write_coco`` writes, or the error
+    it raises; and the dataset."""
+    try:
+        ds, clamped = read(path)
+    except FruitBenchError as exc:
+        return (type(exc), str(exc)), None
+    written = path.with_name("written.json")
+    write_coco(ds, written)
+    instances = [
+        (
+            a.id, a.image_id, a.category_id, a.attributes, a.iscrowd,
+            [repr(v) for v in (a.box.x_min, a.box.y_min, a.box.x_max, a.box.y_max)],
+        )
+        for a in ds.instances
+    ]
+    columns = [(c.dtype.str, c.shape, c.tobytes()) for c in (getattr(ds, n) for n in COLUMNS)]
+    return (clamped, columns, instances, written.read_bytes()), ds
+
+
+class TestLoadCocoColumns:
+    """``load_coco`` against ``oracles.scalar_load_coco``: equal datasets,
+    clamp counts, bit-equal columns and written bytes, or the same error
+    class with the same message."""
+
+    def assert_agrees(self, path):
+        expected, scalar = _coco_outcome(path, oracles.scalar_load_coco)
+        got, ds = _coco_outcome(path, load_coco)
+        assert got == expected
+        if ds is not None:
+            assert ds == scalar and ds.instances == list(scalar.instances)
+        return expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=annotation_files())
+    def test_agrees_with_the_scalar_reader(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "annotations.json"
+        path.write_text(json.dumps(payload))
+        self.assert_agrees(path)
+
+    @pytest.mark.parametrize("fault", ANNOTATION_FAULTS, ids=repr)
+    def test_each_fault_agrees(self, tmp_path, fault):
+        valid = {"id": 7, "image_id": 1, "category_id": 3, "bbox": [1, 2.5, 3, 4]}
+        records = [valid, _broken_annotation([valid], {**valid, "id": 8}, fault)]
+        path = minimal_coco(
+            tmp_path, images=ANNOTATION_IMAGES, categories=ANNOTATION_CATEGORIES,
+            annotations=records + [{**valid, "id": 9}],
+        )
+        expected = self.assert_agrees(path)
+        assert expected[0] in (ParseError, ValidationError, IntegrityError)
+
+    @pytest.mark.parametrize("annotations, clamped", [
+        ([], 0),
+        ([{"id": 2**63, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1]}], 0),
+        ([{"id": 1, "image_id": 1, "category_id": 1, "bbox": [-0.0, 5, 80, 1]}], 1),
+        ([{"id": 1, "image_id": 2, "category_id": 1, "bbox": [2**53, -0.0, 9, 2**61]}], 1),
+        ([{"id": 1, "image_id": 1, "category_id": 1, "bbox": [70, 50, 1, 1]}], 1),
+    ], ids=["empty", "id-past-int64", "negative-zero-clamped", "past-2**53", "outside"])
+    def test_valid_cases_agree(self, tmp_path, annotations, clamped):
+        path = minimal_coco(
+            tmp_path, images=ANNOTATION_IMAGES, categories=ANNOTATION_CATEGORIES,
+            annotations=annotations,
+        )
+        assert self.assert_agrees(path)[0] == clamped
+
+    def test_freed_without_the_cycle_collector(self, tmp_path):
+        """The instance builder holds no reference back to its dataset, so a
+        loaded dataset is freed as soon as its last reference goes."""
+        ds, _ = load_coco(minimal_coco(tmp_path))
+        assert ds.instances[0].id == 1
+        dataset = weakref.ref(ds)
+        gc.disable()
+        try:
+            del ds
+            assert dataset() is None
+        finally:
+            gc.enable()
