@@ -19,13 +19,17 @@ solvers do not promise. Optimality and the tie-break are cross-checked
 against brute-force enumeration, and optimality at scale against SciPy, in
 the test suite.
 
-The cost terms are built as exact (P, G) float64 arrays: intersection and
-union come from ``geometry.pairwise_areas``; the array twins of
+``set_loss`` and ``build_match_cost`` take an image's (P, 4) predicted
+corners, (P, V) token logits, (G, 4) ground-truth corners and (G, V)
+positive-token masks as arrays, as DETR's matcher takes its tensors. The
+cost terms are exact (P, G) float64 arrays: intersection and union come
+from ``geometry.pairwise_areas``; the array twins of
 ``geometry.l1_box_distance`` and ``geometry.giou`` are elementwise numpy
 in their operation order, in ``_cost_terms``; and the cross-entropy's
 ``math`` transcendentals are looked up in a table with one entry per
 distinct logit. Every entry equals the scalar reference functions' value
-bit for bit; the suite checks this against the pair-by-pair loop.
+bit for bit; the suite checks this against the pair-by-pair loop over
+``BoundingBox`` and ``TokenLogits``, whose errors bad input raises.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import GroundTruthInstance
 from .errors import ValidationError
-from .geometry import BoundingBox, corner_array, giou, l1_box_distance, pairwise_areas
+from .geometry import BoundingBox, giou, l1_box_distance, pairwise_areas
 
 __all__ = [
     "CostMatrix",
@@ -337,7 +340,41 @@ def token_alignment_cost(logits: TokenLogits, positive_mask: Sequence[bool]) -> 
     return total / len(logits)
 
 
-def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
+def _checked_inputs(predictions, logits, ground_truth, gt_token_masks):
+    """The inputs as (P, 4) float64 corners, (P, V) float64 logits, (G, 4)
+    float64 corners and (G, V) bool masks. The first box or logit row that
+    ``BoundingBox`` or ``TokenLogits`` would reject raises their error."""
+    expected = "(P, 4) predictions, (P, V) logits, (G, 4) ground_truth and (G, V) gt_token_masks"
+    try:
+        arrays = [np.asarray(a, dtype=np.float64) for a in (predictions, logits, ground_truth)]
+        arrays.append(np.asarray(gt_token_masks, dtype=bool))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"expected {expected} as arrays of numbers") from None
+    boxes, logits, gt_boxes, masks = arrays
+    if (
+        {a.ndim for a in arrays} != {2}
+        or boxes.shape[1] != 4
+        or gt_boxes.shape[1] != 4
+        or len(boxes) != len(logits)
+    ):
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise ValidationError(f"expected {expected}, got shapes {shapes}")
+    if len(gt_boxes) != len(masks):
+        raise ValidationError(
+            f"{len(gt_boxes)} ground-truth instances but {len(masks)} token masks"
+        )
+    for corners in (boxes, gt_boxes):
+        ok = np.isfinite(corners).all(axis=1)
+        ok &= (corners[:, 0] <= corners[:, 2]) & (corners[:, 1] <= corners[:, 3])
+        if not ok.all():
+            BoundingBox(*corners[np.argmin(ok)].tolist())
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        TokenLogits(logits[np.argmin(finite)].tolist())
+    return boxes, logits, gt_boxes, masks
+
+
+def _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h):
     """The matching-cost terms as (P, G) arrays ``l1``, ``giou`` and ``tac``
     (token alignment cost), plus the (P,) token alignment costs of the
     predictions against the all-negative mask.
@@ -349,36 +386,32 @@ def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
     made once per distinct logit. The first pair in row-major order that
     those functions reject raises their error.
     """
-    if len(ground_truth) != len(gt_token_masks):
-        raise ValidationError(
-            f"{len(ground_truth)} ground-truth instances but {len(gt_token_masks)} token masks"
-        )
-    n_pred, n_gt = len(predictions), len(ground_truth)
+    boxes, logits, gt_boxes, masks = _checked_inputs(
+        predictions, logits, ground_truth, gt_token_masks
+    )
+    (n_pred, width), n_gt = logits.shape, len(gt_boxes)
     if not n_pred:
         empty = np.zeros((0, n_gt))
         return empty, empty, empty, np.zeros(0)
-    pred_boxes = corner_array(box for box, _ in predictions)
-    gt_boxes = corner_array(g.box for g in ground_truth)
-    lengths = np.array([len(logits) for _, logits in predictions])
-    inter, union = pairwise_areas(pred_boxes, gt_boxes)
-    ax0, ay0, ax1, ay1 = pred_boxes.T[:, :, None]
+    inter, union = pairwise_areas(boxes, gt_boxes)
+    ax0, ay0, ax1, ay1 = boxes.T[:, :, None]
     bx0, by0, bx1, by1 = gt_boxes.T
     with np.errstate(all="ignore"):
         bad = (
             (not (0 < img_w <= sys.float_info.max and 0 < img_h <= sys.float_info.max))
             | (union <= 0.0)
-            | (lengths[:, None] != [len(m) for m in gt_token_masks])
-            | (lengths[:, None] == 0)
+            | (width != masks.shape[1])
+            | (width == 0)
         )
         if bad.any():
             # The scalar path on that pair raises the error it raises there.
             i, j = divmod(int(np.argmax(bad)), n_gt)
-            box, logits = predictions[i]
-            l1_box_distance(box, ground_truth[j].box, img_w, img_h)
-            giou(box, ground_truth[j].box)
-            token_alignment_cost(logits, gt_token_masks[j])
-        if not lengths.all():  # only without ground truth: no pair checked the tokens
-            token_alignment_cost(predictions[int(np.argmin(lengths))][1], [])
+            box, gt_box = BoundingBox(*boxes[i].tolist()), BoundingBox(*gt_boxes[j].tolist())
+            l1_box_distance(box, gt_box, img_w, img_h)
+            giou(box, gt_box)
+            token_alignment_cost(TokenLogits(logits[i].tolist()), masks[j].tolist())
+        if not width:  # only without ground truth: no pair checked the tokens
+            token_alignment_cost(TokenLogits(()), ())
         enclose = (np.maximum(ax1, bx1) - np.minimum(ax0, bx0)) * (
             np.maximum(ay1, by1) - np.minimum(ay0, by0)
         )
@@ -391,27 +424,23 @@ def _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
             + np.abs((ax1 - ax0) / w - (bx1 - bx0) / w)
             + np.abs((ay1 - ay0) / h - (by1 - by0) / h)
         )
-    # One cross-entropy per distinct logit and target; ``codes`` maps each
-    # token to its logit's entry. 0.0 and -0.0 share an entry: they give
-    # equal cross-entropies.
-    distinct: dict[float, int] = {}
-    codes = [
-        distinct.setdefault(s, len(distinct)) for _, logits in predictions for s in logits.scores
-    ]
-    # Rows are zero-padded to the longest (token counts may differ when there
-    # is no ground truth); adding 0.0 leaves these sums of non-negative
-    # terms unchanged.
-    width = int(lengths.max())
-    valid = np.arange(width) < lengths[:, None]
-    b0, b1 = np.zeros((n_pred, width)), np.zeros((n_pred, width))
-    for target, bce in ((0.0, b0), (1.0, b1)):
-        bce[valid] = np.array([_bce_with_logit(v, target) for v in distinct])[codes]
-    positive = np.array(gt_token_masks, dtype=bool).reshape(n_gt, width)
+    # ``_bce_with_logit`` for both targets, its ``math`` term made once per
+    # distinct logit and the rest elementwise in its order; ``codes`` maps
+    # each token to its logit's entry. 0.0 and -0.0 share an entry: they
+    # give equal cross-entropies. numpy 1.x returns the inverse flat and
+    # some 2.x releases in the input's shape, so it is reshaped either way.
+    distinct, codes = np.unique(logits, return_inverse=True)
+    codes = codes.reshape(logits.shape)
+    soft = np.array([math.log1p(math.exp(-abs(v))) for v in distinct.tolist()])
+    b0 = (np.maximum(distinct, 0.0) - distinct * 0.0 + soft)[codes]
+    b1 = (np.maximum(distinct, 0.0) - distinct * 1.0 + soft)[codes]
+    # Without ground truth the masks may be of any width: no rows reshape to V.
+    positive = masks.reshape(n_gt, width)
     tac, negative = np.zeros((n_pred, n_gt)), np.zeros(n_pred)
     for t in range(width):
         tac = tac + np.where(positive[:, t], b1[:, t, None], b0[:, t, None])
         negative = negative + b0[:, t]
-    return l1, g, tac / lengths[:, None], negative / lengths
+    return l1, g, tac / width, negative / width
 
 
 def _combined_cost(terms, weights: LossWeights) -> CostMatrix:
@@ -420,33 +449,39 @@ def _combined_cost(terms, weights: LossWeights) -> CostMatrix:
 
 
 def build_match_cost(
-    predictions: Sequence[tuple[BoundingBox, TokenLogits]],
-    ground_truth: Sequence[GroundTruthInstance],
-    gt_token_masks: Sequence[Sequence[bool]],
+    predictions: np.ndarray,
+    logits: np.ndarray,
+    ground_truth: np.ndarray,
+    gt_token_masks: np.ndarray,
     img_w: float,
     img_h: float,
     weights: LossWeights = LossWeights(),
 ) -> CostMatrix:
-    """Pairwise matching costs.
+    """Pairwise matching costs of the (P, 4) predicted corners with their
+    (P, V) token logits against the (G, 4) ground-truth corners with their
+    (G, V) boolean positive-token masks.
 
     ``entry(i, j) = w_l1 * l1_box_distance + w_giou * (1 - giou)
-    + w_cons * token_alignment_cost``. Every logit vector and mask must
-    share one token dimension and be non-empty.
+    + w_cons * token_alignment_cost``. Corners must make valid boxes and
+    logits be finite (the first bad row raises the ``BoundingBox`` or
+    ``TokenLogits`` error); the token dimension V must be non-empty.
     """
-    terms = _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h)
+    terms = _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
     return _combined_cost(terms, weights)
 
 
 def set_loss(
-    predictions: Sequence[tuple[BoundingBox, TokenLogits]],
-    ground_truth: Sequence[GroundTruthInstance],
-    gt_token_masks: Sequence[Sequence[bool]],
+    predictions: np.ndarray,
+    logits: np.ndarray,
+    ground_truth: np.ndarray,
+    gt_token_masks: np.ndarray,
     img_w: float,
     img_h: float,
     weights: LossWeights = LossWeights(),
     count_unmatched_contrastive: bool = True,
 ) -> LossBreakdown:
-    """Composite loss of a prediction set against a ground-truth set.
+    """Composite loss of a prediction set against a ground-truth set, given
+    as the arrays ``build_match_cost`` takes.
 
     The optimal assignment is computed over the ``build_match_cost`` costs,
     whose terms are computed once and reused: each term is summed over
@@ -454,7 +489,7 @@ def set_loss(
     Unmatched predictions add their contrastive penalty against the
     all-negative mask when ``count_unmatched_contrastive`` is on.
     """
-    terms = _cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h)
+    terms = _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
     l1, g, tac, negative = terms
     assignment = hungarian(_combined_cost(terms, weights))
     l1_sum = 0.0
@@ -467,7 +502,7 @@ def set_loss(
     if count_unmatched_contrastive:
         for i in assignment.unmatched_predictions:
             cons_sum += float(negative[i])
-    denom = max(len(ground_truth), 1)
+    denom = max(l1.shape[1], 1)
     l1_term = l1_sum / denom
     giou_term = giou_sum / denom
     cons_term = cons_sum / denom

@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import datamodel, evaluation, reporting, splits
-from .assignment import LossBreakdown, LossWeights, TokenLogits, set_loss
+from .assignment import LossBreakdown, LossWeights, set_loss
 from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json
 from .errors import FruitBenchError, IntegrityError, ValidationError
-from .geometry import BoundingBox
 
 __all__ = ["main", "build_parser"]
 
@@ -184,17 +183,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _loss_predictions(table, rows, one_hot):
-    """Category-token reduction of the table's ``rows``: the token
-    vocabulary is the dataset's categories in id order (``one_hot`` holds
-    their masks); a detection's logit for its own category token is the
-    log-odds of its score, every other token gets a saturated negative
-    logit."""
+def _loss_logits(table, rows, one_hot) -> np.ndarray:
+    """Category-token reduction of the table's ``rows``, as a (rows, V)
+    array: the token vocabulary is the dataset's categories in id order
+    (``one_hot`` holds their masks); a detection's logit for its own
+    category token is the log-odds of its score, every other token gets a
+    saturated negative logit."""
     p = np.clip(table.score[rows], _SCORE_EPS, 1.0 - _SCORE_EPS).tolist()
     own = np.array([math.log(v / (1.0 - v)) for v in p]).reshape(-1, 1)
-    logits = np.where(one_hot[table.category[rows]], own, _NEGATIVE_LOGIT).tolist()
-    boxes = table.boxes[rows].tolist()
-    return [(BoundingBox(*c), TokenLogits(tuple(row))) for c, row in zip(boxes, logits)]
+    return np.where(one_hot[table.category[rows]], own, _NEGATIVE_LOGIT)
 
 
 def cmd_loss(args) -> int:
@@ -214,11 +211,11 @@ def cmd_loss(args) -> int:
         k = ds.image_index(image_id)
         img = ds.images[k]
         gt_rows = ds.gt_rows(k)
-        gts = [ds.instances[r] for r in gt_rows.tolist()]
-        preds = _loss_predictions(table, by_image[bounds[k]:bounds[k + 1]], one_hot)
+        pred_rows = by_image[bounds[k]:bounds[k + 1]]
         breakdown = set_loss(
-            preds, gts, one_hot[ds.gt_category[gt_rows]], img.width, img.height, weights,
-            count_unmatched_contrastive=not args.no_unmatched_contrastive,
+            table.boxes[pred_rows], _loss_logits(table, pred_rows, one_hot),
+            ds.gt_boxes[gt_rows], one_hot[ds.gt_category[gt_rows]], img.width, img.height,
+            weights, count_unmatched_contrastive=not args.no_unmatched_contrastive,
         )
         breakdowns.append(breakdown)
         rows.append(

@@ -77,6 +77,29 @@ def scalar_cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):
     return l1, g, tac, np.array(negative, dtype=np.float64)
 
 
+def loss_arrays(predictions, ground_truth, gt_token_masks):
+    """The set-loss engine's four arrays from the scalar reference's inputs:
+    the (P, 4) corners and (P, V) logits of the ``(BoundingBox,
+    TokenLogits)`` pairs, the (G, 4) corners of the ground-truth instances
+    and their (G, V') boolean masks. V is the logits' width (the masks'
+    without predictions), V' the masks' (V without masks); every logit
+    vector, and every mask, must have the same length."""
+    width = len(predictions[0][1]) if predictions else len(gt_token_masks[0]) if gt_token_masks else 0
+    mask_width = len(gt_token_masks[0]) if gt_token_masks else width
+    boxes = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b, _ in predictions], dtype=float)
+    logits = np.array([t.scores for _, t in predictions], dtype=float)
+    gt_boxes = np.array(
+        [[g.box.x_min, g.box.y_min, g.box.x_max, g.box.y_max] for g in ground_truth], dtype=float
+    )
+    masks = np.array(gt_token_masks, dtype=bool)
+    return (
+        boxes.reshape(len(predictions), 4),
+        logits.reshape(len(predictions), width),
+        gt_boxes.reshape(len(ground_truth), 4),
+        masks.reshape(len(gt_token_masks), mask_width),
+    )
+
+
 def scalar_load_predictions(path, ds) -> list[Detection]:
     """A prediction file read record by record through ``field``,
     ``box_from_xywh`` and the ``Detection`` constructor: the reader the

@@ -43,6 +43,7 @@ from fruitbench.splits import (
 from .generators import random_eval_instance
 from .oracles import (
     brute_force_assignment_cost,
+    loss_arrays,
     naive_evaluate,
     raster_giou,
     raster_iou,
@@ -264,7 +265,7 @@ class TestCriterion6LossComposition:
         ]
         gts = [GroundTruthInstance(i + 1, 1, 1, b) for i, b in enumerate(boxes)]
         masks = [[t == i for t in range(3)] for i in range(3)]
-        out = set_loss(preds, gts, masks, 100, 100)
+        out = set_loss(*loss_arrays(preds, gts, masks), 100, 100)
         assert out.total < 1e-6
         _pass("criterion 6 (saturated-logit fixture)")
 
@@ -274,7 +275,7 @@ class TestCriterion6LossComposition:
             preds = [(b, TokenLogits((0.0,) * n_tokens))]
             gts = [GroundTruthInstance(1, 1, 1, b)]
             masks = [[True] + [False] * (n_tokens - 1)]
-            out = set_loss(preds, gts, masks, 100, 100)
+            out = set_loss(*loss_arrays(preds, gts, masks), 100, 100)
             assert abs(out.contrastive - math.log(2.0)) <= 1e-9
         _pass("criterion 6 (ln 2 uninformative-logit fixture)")
 

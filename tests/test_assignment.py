@@ -26,6 +26,7 @@ from .oracles import (
     brute_force_assignment_cost,
     brute_force_lexicographic_assignment,
     forced_lexicographic_assignment,
+    loss_arrays,
     scalar_cost_terms,
 )
 
@@ -203,18 +204,18 @@ class TestTokenAlignmentCost:
 
 
 def assert_terms_match_scalar(predictions, ground_truth, masks, img_w=640, img_h=480):
-    """``_cost_terms`` gives the scalar oracle's four arrays bit for bit
-    (signed zeros included), or raises its error class with its message,
-    which is returned."""
-    case = (predictions, ground_truth, masks, img_w, img_h)
+    """``_cost_terms`` on the ``loss_arrays`` of the inputs gives the scalar
+    oracle's four arrays bit for bit (signed zeros included), or raises its
+    error class with its message, which is returned."""
+    arrays = loss_arrays(predictions, ground_truth, masks)
     try:
-        expected = scalar_cost_terms(*case)
+        expected = scalar_cost_terms(predictions, ground_truth, masks, img_w, img_h)
     except ValidationError as exc:
-        with pytest.raises(type(exc)) as raised:
-            _cost_terms(*case)
-        assert str(raised.value) == str(exc)
+        with pytest.raises(ValidationError) as raised:
+            _cost_terms(*arrays, img_w, img_h)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return str(exc)
-    for got, want in zip(_cost_terms(*case), expected, strict=True):
+    for got, want in zip(_cost_terms(*arrays, img_w, img_h), expected, strict=True):
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
     return None
@@ -238,19 +239,18 @@ LOGITS = st.sampled_from(
 
 @st.composite
 def cost_cases(draw):
-    """Up to 6 predictions against up to 4 ground truths; token counts
-    and image sizes are now and then ones the scalar functions reject."""
+    """Up to 6 predictions against up to 4 ground truths; the logit and
+    mask widths (one each, no token vector can be ragged in an array) and
+    image sizes are now and then ones the scalar functions reject."""
     n_tokens = draw(st.integers(1, 3))
-
-    def tokens() -> int:
-        return draw(st.sampled_from([n_tokens] * 6 + [0, n_tokens + 1]))
-
+    widths = st.sampled_from([n_tokens] * 6 + [0, n_tokens + 1])
+    width, mask_width = draw(widths), draw(widths)
     predictions = [
-        (draw(BOXES), TokenLogits(tuple(draw(LOGITS) for _ in range(tokens()))))
+        (draw(BOXES), TokenLogits(tuple(draw(LOGITS) for _ in range(width))))
         for _ in range(draw(st.integers(0, 6)))
     ]
     ground_truth = [gt(k + 1, draw(BOXES)) for k in range(draw(st.integers(0, 4)))]
-    masks = [[draw(st.booleans()) for _ in range(tokens())] for _ in ground_truth]
+    masks = [[draw(st.booleans()) for _ in range(mask_width)] for _ in ground_truth]
     sizes = [(3, 7), (0.7, 1.0), (0, 480), (640, -2), (10**400, 480)]
     size = draw(st.sampled_from([(640, 480)] * 4 + sizes))
     return (predictions, ground_truth, masks, *size)
@@ -308,15 +308,34 @@ class TestCostTerms:
 
     def test_empty_sides(self):
         box = BoundingBox(0, 0, 4, 4)
-        # No predictions: masks need not agree in length with anything.
-        masks = [[True], [True, False]]
-        assert assert_terms_match_scalar([], [gt(1, box), gt(2, box)], masks) is None
-        # No ground truth: token counts may differ between predictions.
-        ragged = [(box, TokenLogits((1.0,))), (box, TokenLogits((0.0, -3.0, 2.0)))]
-        assert assert_terms_match_scalar(ragged, [], []) is None
+        assert assert_terms_match_scalar([], [gt(1, box), gt(2, box)], [[True, False]] * 2) is None
+        predictions = [(box, TokenLogits((1.0, 0.0, 5.0))), (box, TokenLogits((0.0, -3.0, 2.0)))]
+        assert assert_terms_match_scalar(predictions, [], []) is None
         # No pair checks the image size, so even one past the float range passes.
-        assert assert_terms_match_scalar(ragged, [], [], 10**400, 480) is None
+        assert assert_terms_match_scalar(predictions, [], [], 10**400, 480) is None
         assert assert_terms_match_scalar([], [], []) is None
+
+    @pytest.mark.parametrize("n_pred, width, n_gt, mask_width", [
+        (0, 2, 3, 5),  # no predictions: the mask width need not match
+        (0, 0, 2, 1),
+        (0, 3, 0, 3),
+        (2, 3, 0, 5),  # no ground truth: neither need the logit width
+        (2, 1, 0, 0),
+    ])
+    def test_empty_side_widths_are_free(self, n_pred, width, n_gt, mask_width):
+        """With no pair to score, the two token widths need not agree; the
+        empty side's arrays have the shapes a caller slicing an image's
+        rows out of larger arrays passes."""
+        box = [0.0, 0.0, 4.0, 4.0]
+        l1, g, tac, negative = _cost_terms(
+            np.array([box] * n_pred).reshape(n_pred, 4), np.zeros((n_pred, width)),
+            np.array([box] * n_gt).reshape(n_gt, 4), np.ones((n_gt, mask_width), dtype=bool),
+            640, 480,
+        )
+        assert l1.shape == g.shape == tac.shape == (n_pred, n_gt)
+        assert negative.shape == (n_pred,)
+        for value in negative.tolist():
+            assert value == token_alignment_cost(TokenLogits((0.0,) * width), [False] * width)
 
     def test_grounding_dino_scale(self):
         rng = np.random.default_rng(900)
@@ -331,61 +350,122 @@ class TestCostTerms:
 
     @pytest.mark.parametrize(
         "boxes, tokens, size, message", [
-            # (0, 1) mismatches tokens before (1, 0) is degenerate.
-            ([(0, 0, 4, 4), (5, 5, 5, 5)], [2, 2], (64, 64), "token dimension mismatch: 2 logits"),
+            # (0, 0) mismatches tokens before (1, 0) is degenerate.
+            ([(0, 0, 4, 4), (5, 5, 5, 5)], (2, 3), (64, 64), "token dimension mismatch: 2 logits"),
             # Within a pair GIoU fails before the token check.
-            ([(5, 5, 5, 5), (0, 0, 4, 4)], [3, 2], (64, 64), "giou is undefined"),
+            ([(5, 5, 5, 5), (0, 0, 4, 4)], (3, 2), (64, 64), "giou is undefined"),
             # A bad image size fails the first pair, before anything else.
-            ([(5, 5, 5, 5), (5, 5, 5, 5)], [1, 3], (0, 64), "image dimensions must be positive"),
+            ([(5, 5, 5, 5), (5, 5, 5, 5)], (1, 3), (0, 64), "image dimensions must be positive"),
             # So does a size no float can hold.
-            ([(5, 5, 5, 5), (5, 5, 5, 5)], [1, 3], (10**400, 64), "positive and fit a float"),
+            ([(5, 5, 5, 5), (5, 5, 5, 5)], (1, 3), (10**400, 64), "positive and fit a float"),
+            # An empty token dimension fails the first pair's token check.
+            ([(0, 0, 4, 4), (5, 5, 5, 5)], (0, 0), (64, 64), "token vectors must be non-empty"),
         ],
     )
     def test_first_failing_pair_raises_scalar_error(self, boxes, tokens, size, message):
-        predictions = [
-            (BoundingBox(*box), TokenLogits((0.0,) * n)) for box, n in zip(boxes, tokens)
-        ]
+        """``tokens`` is the (logit, mask) width: one each, since an array
+        cannot hold token vectors of different lengths."""
+        width, mask_width = tokens
+        predictions = [(BoundingBox(*box), TokenLogits((0.0,) * width)) for box in boxes]
         ground_truth = [gt(1, BoundingBox(1, 1, 1, 1)), gt(2, BoundingBox(2, 2, 6, 6))]
-        masks = [[True, False], [True, False, False]]
+        masks = [[k == 0 for k in range(mask_width)]] * 2
         assert message in assert_terms_match_scalar(predictions, ground_truth, masks, *size)
 
     def test_empty_token_vector_rejected_without_ground_truth(self):
         box = BoundingBox(0, 0, 4, 4)
-        predictions = [(box, TokenLogits((1.0,))), (box, TokenLogits(()))]
+        predictions = [(box, TokenLogits(())), (box, TokenLogits(()))]
         message = assert_terms_match_scalar(predictions, [], [])
         assert message == "token vectors must be non-empty"
+
+    def test_mask_count_must_match_ground_truth(self):
+        box = BoundingBox(0, 0, 4, 4)
+        for predictions in ([], [(box, TokenLogits((1.0,)))]):
+            message = assert_terms_match_scalar(predictions, [gt(1, box), gt(2, box)], [[True]])
+            assert message == "2 ground-truth instances but 1 token masks"
+
+
+def corners(*rows):
+    return np.array(rows, dtype=float)
+
+
+NAN, INF = math.nan, math.inf
+SHAPES = "expected (P, 4) predictions, (P, V) logits, (G, 4) ground_truth and (G, V) gt_token_masks"
+# One image as arrays: two predictions over three tokens, one ground truth.
+VALID_INPUTS = (
+    corners([0, 0, 4, 4], [1, 1, 5, 5]), np.zeros((2, 3)),
+    corners([1, 1, 5, 5]), np.array([[True, False, False]]),
+)
+
+
+class TestEntryChecks:
+    """``set_loss`` and ``build_match_cost`` check their arrays up front:
+    a bad box or logit row raises the ``BoundingBox`` or ``TokenLogits``
+    error for the first such row, and a wrong shape a ``ValidationError``,
+    never a numpy error."""
+
+    @pytest.mark.parametrize("position, value, message", [
+        (0, corners([0, 0, 4, 4], [NAN, 1, 5, 5]), "box coordinate x_min must be finite, got nan"),
+        (0, corners([0, 0, 4, INF], [1, 1, 5, 5]), "box coordinate y_max must be finite, got inf"),
+        (2, corners([1, -INF, 5, 5]), "box coordinate y_min must be finite, got -inf"),
+        (0, corners([4, 0, 0, 4], [1, 1, 5, 5]), "inverted box: (4.0, 0.0, 0.0, 4.0)"),
+        (2, corners([1, 5, 5, 1]), "inverted box: (1.0, 5.0, 5.0, 1.0)"),
+        # The first bad row decides, whatever is wrong with the next.
+        (0, corners([4, 0, 0, 4], [NAN, 1, 5, 5]), "inverted box: (4.0, 0.0, 0.0, 4.0)"),
+        (0, corners([NAN, 1, 5, 5], [4, 0, 0, 4]), "box coordinate x_min must be finite, got nan"),
+        (1, np.array([[0.0, 1.0, 2.0], [0.0, NAN, 0.0]]), "token logits must be finite"),
+        (1, np.array([[0.0, -INF, 2.0], [0.0, 0.0, 0.0]]), "token logits must be finite"),
+        (0, np.zeros((2, 3)), f"{SHAPES}, got shapes (2, 3), (2, 3), (1, 4), (1, 3)"),
+        (0, np.zeros(8), f"{SHAPES}, got shapes (8,), (2, 3), (1, 4), (1, 3)"),
+        (0, [], f"{SHAPES}, got shapes (0,), (2, 3), (1, 4), (1, 3)"),
+        (2, np.zeros((1, 4, 1)), f"{SHAPES}, got shapes (2, 4), (2, 3), (1, 4, 1), (1, 3)"),
+        (1, np.zeros(6), f"{SHAPES}, got shapes (2, 4), (6,), (1, 4), (1, 3)"),
+        (1, np.zeros((3, 3)), f"{SHAPES}, got shapes (2, 4), (3, 3), (1, 4), (1, 3)"),
+        (3, np.ones(3, dtype=bool), f"{SHAPES}, got shapes (2, 4), (2, 3), (1, 4), (3,)"),
+        (3, np.ones((2, 3), dtype=bool), "1 ground-truth instances but 2 token masks"),
+        (0, [[0, 0, 4, 4], [1, 1, 5]], f"{SHAPES} as arrays of numbers"),
+        (0, [[0, 0, 4, 4], [10**400, 1, 5, 5]], f"{SHAPES} as arrays of numbers"),
+        (1, [["a", "b", "c"]] * 2, f"{SHAPES} as arrays of numbers"),
+    ])
+    @pytest.mark.parametrize("entry", [set_loss, build_match_cost], ids=lambda f: f.__name__)
+    def test_bad_input_raises_validation_error(self, entry, position, value, message):
+        arrays = list(VALID_INPUTS)
+        arrays[position] = value
+        with pytest.raises(ValidationError) as raised:
+            entry(*arrays, 64, 48)
+        assert (type(raised.value), str(raised.value)) == (ValidationError, message)
 
 
 class TestBuildMatchCost:
     def test_perfect_prediction_costs_nothing(self):
         b = BoundingBox(10, 10, 30, 30)
-        costs = build_match_cost(
-            [(b, saturated_logits(3, 0))], [gt(1, b)], [[True, False, False]], 100, 100
-        )
-        assert costs.entries[0, 0] < 1e-6
+        arrays = loss_arrays([(b, saturated_logits(3, 0))], [gt(1, b)], [[True, False, False]])
+        assert build_match_cost(*arrays, 100, 100).entries[0, 0] < 1e-6
 
     def test_uninformative_logits_cost(self):
         b = BoundingBox(10, 10, 30, 30)
         weights = LossWeights(l1=1.0, giou=1.0, contrastive=2.5)
-        costs = build_match_cost(
-            [(b, TokenLogits((0.0, 0.0)))], [gt(1, b)], [[True, False]], 100, 100, weights
-        )
+        arrays = loss_arrays([(b, TokenLogits((0.0, 0.0)))], [gt(1, b)], [[True, False]])
+        costs = build_match_cost(*arrays, 100, 100, weights)
         assert costs.entries[0, 0] == pytest.approx(2.5 * LN2, abs=1e-9)
 
     def test_disjoint_boxes_giou_term(self):
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(2, 0, 3, 1)
         weights = LossWeights(l1=0.0, giou=3.0, contrastive=0.0)
-        costs = build_match_cost(
-            [(a, saturated_logits(1, 0))], [gt(1, b)], [[True]], 100, 100, weights
-        )
+        arrays = loss_arrays([(a, saturated_logits(1, 0))], [gt(1, b)], [[True]])
+        costs = build_match_cost(*arrays, 100, 100, weights)
         # giou = -1/3, so the term is w_giou * (1 - (-1/3)) = (4/3) w_giou
         assert costs.entries[0, 0] == pytest.approx(3.0 * 4 / 3, abs=1e-9)
 
     def test_mask_count_mismatch(self):
         b = BoundingBox(0, 0, 1, 1)
         with pytest.raises(ValidationError):
-            build_match_cost([(b, TokenLogits((0.0,)))], [gt(1, b)], [], 10, 10)
+            build_match_cost(*loss_arrays([(b, TokenLogits((0.0,)))], [gt(1, b)], []), 10, 10)
+
+
+def loss(predictions, ground_truth, masks, *args, **kwargs):
+    """``set_loss`` on the ``loss_arrays`` of the scalar inputs."""
+    return set_loss(*loss_arrays(predictions, ground_truth, masks), *args, **kwargs)
 
 
 class TestSetLoss:
@@ -394,25 +474,31 @@ class TestSetLoss:
         preds = [(b, saturated_logits(2, i)) for i, b in enumerate(boxes)]
         gts = [gt(1, boxes[0]), gt(2, boxes[1])]
         masks = [[True, False], [False, True]]
-        out = set_loss(preds, gts, masks, 100, 100)
+        out = loss(preds, gts, masks, 100, 100)
         assert out.total < 1e-6
         assert not out.no_matches
 
     def test_no_predictions_flags_no_matches(self):
         gts = [gt(1, BoundingBox(0, 0, 10, 10))]
-        out = set_loss([], gts, [[True]], 100, 100)
+        out = loss([], gts, [[True]], 100, 100)
         assert out.l1 == 0.0
         assert out.giou_loss == 0.0
         assert out.contrastive == 0.0
         assert out.total == 0.0
         assert out.no_matches
 
+    def test_no_ground_truth_counts_unmatched_contrastive(self):
+        preds = [(BoundingBox(0, 0, 10, 10), TokenLogits((0.0, 0.0)))] * 2
+        out = loss(preds, [], [], 100, 100)
+        assert (out.l1, out.giou_loss, out.no_matches) == (0.0, 0.0, True)
+        assert out.contrastive == 2 * token_alignment_cost(TokenLogits((0.0, 0.0)), [False] * 2)
+
     def test_composed_from_geometry_examples(self):
         a = BoundingBox(0, 0, 10, 10)
         b = BoundingBox(0, 0, 20, 10)
         preds = [(a, saturated_logits(2, 0))]
         gts = [gt(1, b)]
-        out = set_loss(preds, gts, [[True, False]], 100, 100)
+        out = loss(preds, gts, [[True, False]], 100, 100)
         assert out.l1 == pytest.approx(0.15, abs=1e-9)
         assert out.giou_loss == pytest.approx(0.5, abs=1e-9)  # giou of the pair is 0.5
         assert out.contrastive < 1e-9
@@ -424,10 +510,8 @@ class TestSetLoss:
             (BoundingBox(50, 50, 60, 60), TokenLogits((0.0,))),
         ]
         gts = [gt(1, b)]
-        with_pen = set_loss(preds, gts, [[True]], 100, 100)
-        without = set_loss(
-            preds, gts, [[True]], 100, 100, count_unmatched_contrastive=False
-        )
+        with_pen = loss(preds, gts, [[True]], 100, 100)
+        without = loss(preds, gts, [[True]], 100, 100, count_unmatched_contrastive=False)
         assert with_pen.contrastive == pytest.approx(LN2, abs=1e-9)
         assert without.contrastive < 1e-9
 
@@ -436,7 +520,7 @@ class TestSetLoss:
         b2 = BoundingBox(20, 20, 30, 30)
         preds = [(b1, TokenLogits((0.0,)))]
         gts = [gt(1, b1), gt(2, b2)]
-        out = set_loss(preds, gts, [[True], [True]], 100, 100)
+        out = loss(preds, gts, [[True], [True]], 100, 100)
         # One matched pair with ln 2 contrastive cost over two ground truths.
         assert out.contrastive == pytest.approx(LN2 / 2, abs=1e-9)
 
@@ -453,8 +537,8 @@ class TestSetLoss:
             )
             gts.append(gt(k + 1, BoundingBox(x + 2, y + 1, x + 12, y + 11)))
             masks.append([i == k for i in range(3)])
-        base = set_loss(preds, gts, masks, 100, 100, LossWeights(1.0, 1.0, 1.0))
-        doubled = set_loss(preds, gts, masks, 100, 100, LossWeights(2.0, 1.0, 1.0))
+        base = loss(preds, gts, masks, 100, 100, LossWeights(1.0, 1.0, 1.0))
+        doubled = loss(preds, gts, masks, 100, 100, LossWeights(2.0, 1.0, 1.0))
         # The assignment is unchanged here (unique optimum), so the l1
         # component is identical and its weighted contribution doubles.
         assert doubled.l1 == pytest.approx(base.l1, rel=1e-12)
@@ -465,7 +549,7 @@ class TestSetLoss:
     def test_total_is_exact_weighted_sum(self):
         b = BoundingBox(0, 0, 10, 10)
         weights = LossWeights(0.7, 1.3, 2.1)
-        out = set_loss(
+        out = loss(
             [(b, TokenLogits((1.0, -1.0)))],
             [gt(1, BoundingBox(1, 1, 11, 11))],
             [[True, False]],
@@ -498,5 +582,5 @@ class TestSetLoss:
                     gt(k + 1, BoundingBox(x0, y0, x0 + rng.uniform(1, 20), y0 + rng.uniform(1, 20)))
                 )
                 masks.append([rng.random() < 0.5 for _ in range(3)])
-            out = set_loss(preds, gts, masks, 100, 100)
+            out = loss(preds, gts, masks, 100, 100)
             assert out.total >= 0.0

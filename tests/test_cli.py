@@ -361,18 +361,19 @@ class TestLoss:
     def test_inputs_are_the_per_image_rows_and_one_hot_masks(
         self, capsys, monkeypatch, golden_inputs
     ):
-        """Each image's ground truth, masks and logits are what the
-        per-instance construction gave: instances in id order, a one-hot
-        category mask each, and per detection the log-odds of its clamped
-        score on its own category token over a saturated negative logit."""
+        """Each image's arrays are the old per-instance inputs: its
+        ground-truth rows of ``ds.gt_boxes`` (instances in id order), a
+        one-hot category mask each, its detections' corners in input order
+        and per detection the log-odds of its clamped score on its own
+        category token over a saturated negative logit."""
         from fruitbench import cli, datamodel
 
         calls = []
         set_loss = cli.set_loss
 
-        def recording(predictions, ground_truth, masks, *args, **kwargs):
-            calls.append((predictions, ground_truth, masks))
-            return set_loss(predictions, ground_truth, masks, *args, **kwargs)
+        def recording(predictions, logits, ground_truth, masks, *args, **kwargs):
+            calls.append((predictions, logits, ground_truth, masks))
+            return set_loss(predictions, logits, ground_truth, masks, *args, **kwargs)
 
         monkeypatch.setattr(cli, "set_loss", recording)
         paths = golden_inputs["golden"]
@@ -384,19 +385,60 @@ class TestLoss:
         ds, _ = datamodel.load_coco(paths["annotations"])
         records = json.loads(paths["predictions"].read_text())
         assert len(calls) == len(ds.images)
-        for image, (predictions, ground_truth, masks) in zip(ds.images, calls):
+        for k, (image, call) in enumerate(zip(ds.images, calls)):
+            predictions, logits, ground_truth, masks = call
+            assert ground_truth.tobytes() == ds.gt_boxes[ds.gt_rows(k)].tobytes()
             expected = [a for a in ds.instances if a.image_id == image.id]
-            assert list(ground_truth) == expected
-            assert np.asarray(masks).tolist() == [
+            assert ground_truth.tolist() == [
+                [a.box.x_min, a.box.y_min, a.box.x_max, a.box.y_max] for a in expected
+            ]
+            assert masks.tolist() == [
                 [c.id == a.category_id for c in ds.categories] for a in expected
             ]
-            logits = []
+            boxes, rows = [], []
             for r in (r for r in records if r["image_id"] == image.id):
+                x, y, w, h = r["bbox"]
+                boxes.append([x, y, x + w, y + h])
                 row = [cli._NEGATIVE_LOGIT] * len(ds.categories)
                 p = min(max(r["score"], cli._SCORE_EPS), 1.0 - cli._SCORE_EPS)
                 row[[c.id for c in ds.categories].index(r["category_id"])] = math.log(p / (1 - p))
-                logits.append(tuple(row))
-            assert [t.scores for _, t in predictions] == logits
+                rows.append(row)
+            assert predictions.tolist() == boxes
+            assert logits.tolist() == rows
+            assert logits.shape == (len(rows), len(ds.categories))
+
+    @pytest.mark.parametrize("case, digest", [
+        ("image-without-ground-truth",
+         "143e3b54e4775a2df5f9fa94a7144c1b8bedf306e11d3f32a20b9fe4e041c8b8"),
+        ("no-categories", "9aa35e255384135dde4b963f1c8edc2bffb3c5a2591e5a71ac9210bc1022ed5e"),
+    ])
+    def test_empty_sides_keep_their_output(self, capsys, tmp_path, case, digest):
+        """An image without ground truth (scored against its detections'
+        all-negative masks), an image with neither, and a file without
+        categories (no token at all) score as before, byte for byte."""
+        image = {"file_name": "a.jpg", "width": 64, "height": 48}
+        if case == "no-categories":
+            coco = {"images": [{"id": 1, **image}], "annotations": [], "categories": []}
+            records = []
+        else:
+            coco = {
+                "images": [{"id": k, **image} for k in (1, 2, 3)],
+                "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [4, 4, 10, 10]}],
+                "categories": [{"id": 1, "name": "apple"}, {"id": 2, "name": "pear"}],
+            }
+            records = [
+                {"image_id": 1, "category_id": 1, "bbox": [5, 5, 10, 10], "score": 0.9},
+                {"image_id": 2, "category_id": 2, "bbox": [1, 2, 3, 4], "score": 0.25},
+                {"image_id": 2, "category_id": 1, "bbox": [1, 2, 0, 4], "score": 1.0},
+            ]
+        (tmp_path / "annotations.json").write_text(json.dumps(coco))
+        (tmp_path / "predictions.json").write_text(json.dumps(records))
+        code, out, err = run(
+            capsys, "loss", "--annotations", str(tmp_path / "annotations.json"),
+            "--predictions", str(tmp_path / "predictions.json"),
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_image_size_past_the_float_range_exits_1(self, capsys, tmp_path):
         """``loss`` rejects an image size no float holds; ``stats`` and
@@ -1438,7 +1480,7 @@ class TestPredictionLoadCalls:
 class TestInstancesBuiltOnRead:
     """``load_coco`` lays the ground truth out as columns and builds a
     ``GroundTruthInstance`` only when a row is read: subcommands that score
-    from the columns build none, and ``loss`` builds the rows it scores."""
+    from the columns build none."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -1486,21 +1528,28 @@ class TestInstancesBuiltOnRead:
         ds, _ = datamodel.load_coco(SYN30 / "annotations.json")
         assert len(ds.instances) > 0 and built == []
 
-    def test_loss_builds_the_rows_it_scores(self, capsys, split_manifest, built):
-        from fruitbench import datamodel
+    def test_loss_builds_no_row_objects(self, capsys, monkeypatch, split_manifest, built):
+        """``loss`` scores from the prediction table and the ground-truth
+        columns: it builds no ``GroundTruthInstance``, ``BoundingBox`` or
+        ``TokenLogits``."""
+        from fruitbench import assignment, geometry
 
-        test_ids = set(json.loads(split_manifest.read_text())["test_image_ids"])
-        ds, _ = datamodel.load_coco(SYN30 / "annotations.json")
-        expected = sorted(a.id for a in ds.instances if a.image_id in test_ids)
-        assert 0 < len(expected) < len(ds.instances)
-        built.clear()
-        code, _, err = run(
-            capsys, "loss", "--annotations", str(SYN30 / "annotations.json"),
-            "--predictions", str(SYN30 / "predictions_noisy.json"),
-            "--split", str(split_manifest),
-        )
-        assert code == 0, err
-        assert sorted(built) == expected
+        for cls in (geometry.BoundingBox, assignment.TokenLogits):
+            check = cls.__post_init__
+
+            def counting(obj, check=check):
+                built.append(type(obj).__name__)
+                check(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        for split in (["--split", str(split_manifest)], []):
+            code, out, err = run(
+                capsys, "loss", "--annotations", str(SYN30 / "annotations.json"),
+                "--predictions", str(SYN30 / "predictions_noisy.json"), *split,
+            )
+            assert code == 0, err
+            assert json.loads(out)["per_image"]
+            assert built == []
 
 
 class TestConfigPathNamedLikeASubcommand:
@@ -1618,7 +1667,9 @@ def golden_inputs(tmp_path_factory):
 
 
 # sha256 of stdout per case: subcommand, corpus, output format and scoring
-# settings ("custom" is --max-dets 7 --thresholds 0.3,0.5,0.7).
+# settings ("custom" is --max-dets 7 --thresholds 0.3,0.5,0.7, and for
+# ``loss`` --weights 2,0.5,3 --no-unmatched-contrastive; "-all-images"
+# scores every image instead of the split's test images).
 GOLDEN_OUTPUT_DIGESTS = {
     "evaluate golden json custom":
         "8e5c86e51b47f3c186e3765b367a94526994c5f1c105ed90895f8b807d9bbce9",
@@ -1636,6 +1687,22 @@ GOLDEN_OUTPUT_DIGESTS = {
         "f8796d08250c7ee4dcebb3ba8fc23ab775743de9d1fa2b737b50f8b3a0757782",
     "evaluate synthetic30 markdown default":
         "3922056f2bd524fc148fe21e3ed91ee980b5048cd64583c72ac0eed68fb0b04f",
+    "loss golden json custom":
+        "4c6eb8374edd47ad45a40260d0ff8028cf135a6189195ca3ff62a304c2499708",
+    "loss golden json custom-all-images":
+        "962664e005aba0ec180026f2989b594c002227bda446854167bd05e1f1d04b9a",
+    "loss golden json default":
+        "8621870668b771386614d5daa0000ab78c4710f5ade3fd4b6f0e76707d6cf66e",
+    "loss golden json default-all-images":
+        "356e13e7a123a4d21e5103b621105a3921d9b89951970052a994eb2e42ec003a",
+    "loss synthetic30 json custom":
+        "adaa245112d079253ce41736d5af067ca1bf62aa237e3f6200ef1943c3b51549",
+    "loss synthetic30 json custom-all-images":
+        "dc3e5601719558bdc43f1e8d94b2e32f92ceac6e358489f1fbf4043b2929846b",
+    "loss synthetic30 json default":
+        "474e07a39417e030702d110354ea28faee75ace1fbefa881af45d2f31d84b20e",
+    "loss synthetic30 json default-all-images":
+        "685baceee1d95a06f8fb016db2b8b531494ca4761388639a5c379fd4005a143e",
     "rec-eval golden json custom":
         "a15c412bc92904f8609a390ac05b29dc5eac5fcccb6250809fcdf49ef0532ff6",
     "rec-eval golden json default":
@@ -1668,16 +1735,25 @@ class TestGoldenOutputs:
     def test_stdout_digest(self, capsys, golden_inputs, case):
         """Scoring output stays byte for byte what it was."""
         command, corpus, output_format, settings = case.split()
+        settings, _, scope = settings.partition("-")
         paths = golden_inputs[corpus]
-        argv = [command, "--annotations", str(paths["annotations"]), "--format", output_format]
+        argv = [command, "--annotations", str(paths["annotations"])]
         if command == "report":
             argv += ["--grid", str(paths["grid"])]
         else:
-            argv += ["--predictions", str(paths["predictions"]), "--split", str(paths["split"])]
+            argv += ["--predictions", str(paths["predictions"])]
+            if scope != "all-images":
+                argv += ["--split", str(paths["split"])]
         if command == "rec-eval":
             argv += ["--filters", str(paths["filters"])]
-        if settings == "custom":
-            argv += ["--max-dets", "7", "--thresholds", "0.3,0.5,0.7"]
+        if command == "loss":
+            assert output_format == "json"  # ``loss`` writes JSON only
+            if settings == "custom":
+                argv += ["--weights", "2,0.5,3", "--no-unmatched-contrastive"]
+        else:
+            argv += ["--format", output_format]
+            if settings == "custom":
+                argv += ["--max-dets", "7", "--thresholds", "0.3,0.5,0.7"]
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUT_DIGESTS[case]
