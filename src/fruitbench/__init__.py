@@ -10,7 +10,6 @@ from .assignment import (
     CostMatrix,
     LossBreakdown,
     LossWeights,
-    TokenLogits,
     build_match_cost,
     hungarian,
     set_loss,

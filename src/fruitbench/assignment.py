@@ -27,9 +27,11 @@ from ``geometry.pairwise_areas``; the array twins of
 ``geometry.l1_box_distance`` and ``geometry.giou`` are elementwise numpy
 in their operation order, in ``_cost_terms``; and the cross-entropy's
 ``math`` transcendentals are looked up in a table with one entry per
-distinct logit. Every entry equals the scalar reference functions' value
-bit for bit; the suite checks this against the pair-by-pair loop over
-``BoundingBox`` and ``TokenLogits``, whose errors bad input raises.
+distinct logit. Every entry equals the scalar reference's value bit for
+bit, and bad input raises the reference's first error: the box and size
+errors come from ``BoundingBox`` and ``geometry``, the token errors are
+raised here with the same text. The suite checks both against the
+pair-by-pair scalar loop in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,11 +48,9 @@ from .geometry import BoundingBox, giou, l1_box_distance, pairwise_areas
 __all__ = [
     "CostMatrix",
     "Assignment",
-    "TokenLogits",
     "LossWeights",
     "LossBreakdown",
     "hungarian",
-    "token_alignment_cost",
     "build_match_cost",
     "set_loss",
 ]
@@ -81,21 +80,6 @@ class Assignment:
     unmatched_predictions: tuple[int, ...]
     unmatched_ground_truth: tuple[int, ...]
     total_cost: float
-
-
-@dataclass(frozen=True)
-class TokenLogits:
-    """Alignment scores of one prediction over the text tokens."""
-
-    scores: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        if not all(math.isfinite(s) for s in self.scores):
-            raise ValidationError("token logits must be finite")
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -320,30 +304,11 @@ def hungarian(costs: CostMatrix) -> Assignment:
     )
 
 
-def _bce_with_logit(logit: float, target: float) -> float:
-    # Numerically stable sigmoid cross-entropy.
-    return max(logit, 0.0) - logit * target + math.log1p(math.exp(-abs(logit)))
-
-
-def token_alignment_cost(logits: TokenLogits, positive_mask: Sequence[bool]) -> float:
-    """Mean per-token sigmoid binary cross-entropy of the logits against a
-    boolean positive-token mask."""
-    if len(logits) != len(positive_mask):
-        raise ValidationError(
-            f"token dimension mismatch: {len(logits)} logits vs {len(positive_mask)} mask bits"
-        )
-    if len(logits) == 0:
-        raise ValidationError("token vectors must be non-empty")
-    total = 0.0
-    for score, positive in zip(logits.scores, positive_mask):
-        total += _bce_with_logit(score, 1.0 if positive else 0.0)
-    return total / len(logits)
-
-
 def _checked_inputs(predictions, logits, ground_truth, gt_token_masks):
     """The inputs as (P, 4) float64 corners, (P, V) float64 logits, (G, 4)
-    float64 corners and (G, V) bool masks. The first box or logit row that
-    ``BoundingBox`` or ``TokenLogits`` would reject raises their error."""
+    float64 corners and (G, V) bool masks. The first box row that
+    ``BoundingBox`` rejects raises its error, a non-finite logit row
+    "token logits must be finite"."""
     expected = "(P, 4) predictions, (P, V) logits, (G, 4) ground_truth and (G, V) gt_token_masks"
     try:
         arrays = [np.asarray(a, dtype=np.float64) for a in (predictions, logits, ground_truth)]
@@ -368,9 +333,8 @@ def _checked_inputs(predictions, logits, ground_truth, gt_token_masks):
         ok &= (corners[:, 0] <= corners[:, 2]) & (corners[:, 1] <= corners[:, 3])
         if not ok.all():
             BoundingBox(*corners[np.argmin(ok)].tolist())
-    finite = np.isfinite(logits).all(axis=1)
-    if not finite.all():
-        TokenLogits(logits[np.argmin(finite)].tolist())
+    if not np.isfinite(logits).all():
+        raise ValidationError("token logits must be finite")
     return boxes, logits, gt_boxes, masks
 
 
@@ -379,12 +343,13 @@ def _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
     (token alignment cost), plus the (P,) token alignment costs of the
     predictions against the all-negative mask.
 
-    Each entry equals the value ``l1_box_distance``, ``giou`` or
-    ``token_alignment_cost`` gives its pair, bit for bit: the array code
-    performs their IEEE operations in their order, summing tokens left to
-    right, and the cross-entropy's transcendentals stay ``math`` calls,
-    made once per distinct logit. The first pair in row-major order that
-    those functions reject raises their error.
+    Each entry equals the value ``l1_box_distance``, ``giou`` or the
+    mean per-token sigmoid cross-entropy gives its pair, bit for bit: the
+    array code performs their IEEE operations in their order, summing
+    tokens left to right, and the cross-entropy's transcendentals stay
+    ``math`` calls, made once per distinct logit. The first pair in
+    row-major order that fails raises the error of its first failing term:
+    the size, the GIoU, then the token widths.
     """
     boxes, logits, gt_boxes, masks = _checked_inputs(
         predictions, logits, ground_truth, gt_token_masks
@@ -404,14 +369,17 @@ def _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
             | (width == 0)
         )
         if bad.any():
-            # The scalar path on that pair raises the error it raises there.
+            # The scalar geometry on that pair raises the error it raises there.
             i, j = divmod(int(np.argmax(bad)), n_gt)
             box, gt_box = BoundingBox(*boxes[i].tolist()), BoundingBox(*gt_boxes[j].tolist())
             l1_box_distance(box, gt_box, img_w, img_h)
             giou(box, gt_box)
-            token_alignment_cost(TokenLogits(logits[i].tolist()), masks[j].tolist())
-        if not width:  # only without ground truth: no pair checked the tokens
-            token_alignment_cost(TokenLogits(()), ())
+            if width != masks.shape[1]:
+                raise ValidationError(
+                    f"token dimension mismatch: {width} logits vs {masks.shape[1]} mask bits"
+                )
+        if not width:  # also without ground truth, where no pair checked the tokens
+            raise ValidationError("token vectors must be non-empty")
         enclose = (np.maximum(ax1, bx1) - np.minimum(ax0, bx0)) * (
             np.maximum(ay1, by1) - np.minimum(ay0, by0)
         )
@@ -424,7 +392,8 @@ def _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
             + np.abs((ax1 - ax0) / w - (bx1 - bx0) / w)
             + np.abs((ay1 - ay0) / h - (by1 - by0) / h)
         )
-    # ``_bce_with_logit`` for both targets, its ``math`` term made once per
+    # The stable sigmoid cross-entropy ``max(x, 0) - x * target +
+    # log1p(exp(-|x|))`` for both targets, its ``math`` term made once per
     # distinct logit and the rest elementwise in its order; ``codes`` maps
     # each token to its logit's entry. 0.0 and -0.0 share an entry: they
     # give equal cross-entropies. numpy 1.x returns the inverse flat and
@@ -462,9 +431,10 @@ def build_match_cost(
     (G, V) boolean positive-token masks.
 
     ``entry(i, j) = w_l1 * l1_box_distance + w_giou * (1 - giou)
-    + w_cons * token_alignment_cost``. Corners must make valid boxes and
-    logits be finite (the first bad row raises the ``BoundingBox`` or
-    ``TokenLogits`` error); the token dimension V must be non-empty.
+    + w_cons * tac``, ``tac`` the mean per-token sigmoid cross-entropy of
+    the logits against the mask. Corners must make valid boxes (the first
+    bad row raises the ``BoundingBox`` error) and logits be finite; the
+    token dimension V must be non-empty.
     """
     terms = _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
     return _combined_cost(terms, weights)

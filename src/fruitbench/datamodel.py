@@ -20,11 +20,12 @@ comes back as a finite float). Bad text or a missing field is a
 
 A dataset lays out its ground truth once, as read-only columns in
 instance (id) order (``gt_image`` / ``gt_category`` positions, ``gt_boxes``
-corners, ``gt_crowd`` flags) and per-image row ranges (``gt_rows``), which
-evaluation, the set loss, the splits and the statistics read. Its
-``instances`` are a read-only sequence; ``load_coco`` fills the columns
-straight from the parsed records (``DetectionDataset.from_columns``), and
-builds a row's ``GroundTruthInstance`` only when that row is read.
+corners, ``gt_crowd`` flags, ``gt_attributes`` maps) and per-image row
+ranges (``gt_rows``), which evaluation, the set loss, the splits and the
+statistics read. Its ``instances`` are a read-only sequence; ``load_coco``
+fills the columns straight from the parsed records
+(``DetectionDataset.from_columns``), and builds a row's
+``GroundTruthInstance`` only when that row is read.
 
 Both loaders of scored files work alike: they check exact classes in one
 pass over the records and the values with numpy; when anything fails, the
@@ -32,8 +33,9 @@ scalar record reader replays the records and raises for the first bad one,
 so there is one set of rules and one set of messages. A prediction file is
 read once, by ``load_predictions``, into a ``PredictionTable`` of columns
 (image and category positions, corner boxes, scores, prompts) that
-evaluation scores from directly. The table is also a read-only
-``Sequence[Detection]`` of views; ``list(table)`` is the list of them.
+evaluation and the set loss score from; it is the only form they take.
+The table is also a read-only ``Sequence[Detection]`` of views;
+``list(table)`` is the list of them.
 
 Loaders return what they repaired or skipped (clamped boxes, unmapped
 labels) and print nothing; the CLI reports it.
@@ -55,6 +57,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -188,12 +191,13 @@ class DetectionDataset:
     gt_category: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     gt_boxes: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     gt_crowd: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    gt_attributes: tuple = dataclasses.field(init=False, repr=False, compare=False)
     gt_by_image: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     gt_offsets: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         built = list(self.instances)
-        self._lay_out(*_instance_columns(built)[:5], built)
+        self._lay_out(*_instance_columns(built), built)
 
     @classmethod
     def from_columns(cls, categories, images, ids, image_ids, category_ids, boxes, crowd, attrs):
@@ -204,9 +208,9 @@ class DetectionDataset:
         built when first read."""
         ds = cls.__new__(cls)
         ds.categories, ds.images = categories, images
-        return ds, ds._lay_out(ids, image_ids, category_ids, boxes, crowd, None, attrs)
+        return ds, ds._lay_out(ids, image_ids, category_ids, boxes, crowd, attrs)
 
-    def _lay_out(self, ids, image_ids, category_ids, boxes, crowd, built, attrs=()) -> int:
+    def _lay_out(self, ids, image_ids, category_ids, boxes, crowd, attrs, built=None) -> int:
         """Sort and index categories, images and instance rows, check the
         rows with numpy and set the columns; the first bad row in id order
         raises. Without ``built`` instances, boxes outside their image are
@@ -240,7 +244,7 @@ class DetectionDataset:
         category, boxes, crowd = category[order], boxes[order], np.asarray(crowd, bool)[order]
         ids = np.array(ids, dtype=object)[order]
         built = [None] * n if built is None else [built[k] for k in rows]
-        attrs = [attrs[k] for k in rows] if attrs else ()
+        attrs = tuple(MappingProxyType(attrs[k]) if attrs[k] else _NO_ATTRIBUTES for k in rows)
         # Image sizes as floats, plus an unbounded row for an unknown image
         # (-1). A size past 2**53 rounds, so BoundingBox.clamped decides each
         # row with a corner at or past its float bound, exactly.
@@ -282,12 +286,13 @@ class DetectionDataset:
             box = clamped[k] if k in clamped else BoundingBox(*boxes[k].tolist())
             image_id, category_id = images[image[k]].id, categories[category[k]].id
             return GroundTruthInstance(
-                ids[k], image_id, category_id, box, attrs[k] or {}, bool(crowd[k])
+                ids[k], image_id, category_id, box, dict(attrs[k]), bool(crowd[k])
             )
 
         self.instances = _Instances(built, build)
         self.gt_image, self.gt_category = _read_only(image), _read_only(category)
         self.gt_boxes, self.gt_crowd = _read_only(boxes), _read_only(crowd)
+        self.gt_attributes = attrs
         self.gt_by_image = _read_only(np.argsort(self.gt_image, kind="stable"))
         starts = np.searchsorted(self.gt_image[self.gt_by_image], np.arange(len(self.images) + 1))
         self.gt_offsets = _read_only(starts)
@@ -330,6 +335,10 @@ def _instance_columns(instances: list) -> tuple:
         [a.category_id for a in instances], corner_array(a.box for a in instances),
         [a.iscrowd for a in instances], [a.attributes for a in instances],
     )
+
+
+# The attribute map of every row without attributes.
+_NO_ATTRIBUTES = MappingProxyType({})
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -624,43 +633,23 @@ def write_coco(ds: DetectionDataset, path) -> None:
 
 
 class PredictionTable(Sequence):
-    """Detections as columns, against one dataset: ``image`` and
-    ``category`` are int64 positions in ``image_ids`` / ``category_ids``,
-    which list the dataset's ids in ascending order (so position order is
-    id order, for ids of any size) and after them any id the dataset lacks;
-    ``boxes`` holds (N, 4) float64 corners, ``score`` float64 scores and
-    ``prompt`` a string or None per row. The arrays are read-only.
+    """Detections as columns, against one dataset ``ds``: ``image`` and
+    ``category`` are int64 positions in ``ds.images`` / ``ds.categories``
+    (ascending-id order, so position order is id order, for ids of any
+    size); ``boxes`` holds (N, 4) float64 corners, ``score`` float64 scores
+    and ``prompt`` a string or None per row. The arrays are read-only.
 
     As a ``Sequence[Detection]`` the table yields one ``Detection`` view
     per row, equal to the one the scalar reader builds. Indexing with an
     int gives that view; a slice or an int64 array of row numbers gives
     the table of those rows, in that order."""
 
-    def __init__(self, ds, image, category, boxes, score, prompt, image_ids, category_ids):
+    def __init__(self, ds, image, category, boxes, score, prompt):
         self.ds = ds
         self.image, self.category, self.boxes, self.score = image, category, boxes, score
         for column in (image, category, boxes, score):
             column.flags.writeable = False
         self.prompt = tuple(prompt)
-        self.image_ids, self.category_ids = image_ids, category_ids
-
-    @classmethod
-    def from_detections(cls, ds: DetectionDataset, dets) -> "PredictionTable":
-        """The table of any sequence of ``Detection``; an id that ``ds``
-        lacks gets a position past the dataset's own."""
-        image_pos, category_pos = dict(ds._image_pos), dict(ds._category_pos)
-        return cls(
-            ds,
-            np.array([image_pos.setdefault(d.image_id, len(image_pos)) for d in dets], np.int64),
-            np.array(
-                [category_pos.setdefault(d.category_id, len(category_pos)) for d in dets], np.int64
-            ),
-            corner_array(d.box for d in dets),
-            np.array([d.score for d in dets], dtype=np.float64),
-            [d.prompt for d in dets],
-            tuple(image_pos),
-            tuple(category_pos),
-        )
 
     def __len__(self) -> int:
         return len(self.score)
@@ -670,7 +659,7 @@ class PredictionTable(Sequence):
             rows = np.arange(len(self))[index]
             return PredictionTable(
                 self.ds, self.image[rows], self.category[rows], self.boxes[rows], self.score[rows],
-                [self.prompt[k] for k in rows.tolist()], self.image_ids, self.category_ids,
+                [self.prompt[k] for k in rows.tolist()],
             )
         index = range(len(self))[index]
         return self._view(
@@ -684,7 +673,8 @@ class PredictionTable(Sequence):
 
     def _view(self, image, category, corners, score, prompt) -> Detection:
         return Detection(
-            self.image_ids[image], self.category_ids[category], BoundingBox(*corners), score, prompt
+            self.ds.images[image].id, self.ds.categories[category].id, BoundingBox(*corners),
+            score, prompt,
         )
 
 
@@ -697,7 +687,8 @@ def load_predictions(path, ds: DetectionDataset) -> PredictionTable:
     One pass takes the fields out of every record by exact JSON class,
     then numpy checks the values. If any record fails, the scalar reader
     replays the records in file order and raises for the first bad one, so
-    the error class and message name its ``detection #index``.
+    the error class and message name its ``detection #index``; the table
+    is built from the columns only.
 
     Raises:
         ParseError: malformed or non-UTF-8 text, a missing field.
@@ -710,15 +701,14 @@ def load_predictions(path, ds: DetectionDataset) -> PredictionTable:
     records = checked(read_json(path), ARRAY, path)
     table = _columns(records, ds)
     if table is None:
-        dets = [_detection(index, record, ds) for index, record in enumerate(records)]
-        table = PredictionTable.from_detections(ds, dets)
+        for index, record in enumerate(records):
+            _detection(index, record, ds)
     return table
 
 
 def _columns(records: list, ds: DetectionDataset) -> PredictionTable | None:
-    """The table of ``records``, or None if some record is invalid."""
-    if not records:
-        return PredictionTable.from_detections(ds, ())
+    """The table of ``records``, or None if some record is invalid, which
+    the scalar reader ``_detection`` then rejects too."""
     n = len(records)
     try:
         image, category, bbox, score = (list(map(get, records)) for get in _RECORD_FIELDS)
@@ -736,9 +726,7 @@ def _columns(records: list, ds: DetectionDataset) -> PredictionTable | None:
         return None
     if boxes is None or not ((score >= 0) & (score <= 1)).all():
         return None
-    return PredictionTable(
-        ds, image, category, boxes, score, prompt, tuple(ds._image_pos), tuple(ds._category_pos)
-    )
+    return PredictionTable(ds, image, category, boxes, score, prompt)
 
 
 def _classes(values) -> set:
@@ -763,7 +751,8 @@ def _corners(bbox: list, n: int) -> np.ndarray | None:
 
 
 def _detection(index: int, record, ds: DetectionDataset) -> Detection:
-    """The scalar reader of one prediction record."""
+    """The scalar reader of one prediction record; it raises for every
+    record ``_columns`` rejects."""
     context = f"detection #{index}"
     image_id = field(record, "image_id", context, INTEGER)
     category_id = field(record, "category_id", context, INTEGER)

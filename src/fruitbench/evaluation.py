@@ -24,13 +24,14 @@ A category with no ground truth in the split reports absent metrics when
 it also has no detections and zeros otherwise; either way it is excluded
 from the aggregate means.
 
-One array path computes it all. Detections arrive as a
-``PredictionTable`` (any other ``Sequence[Detection]`` is converted once)
-and ground truth as the dataset's columns; on both sides a cell is keyed by
-``category * len(ds.images) + image``. ``np.isin`` picks the test images'
-rows (``gt_filter`` is one mask over the ground-truth ones); a stable
-lexsort by (key, descending score) and its segment offsets form the capped
-detection cells, and ``searchsorted`` finds each one's ground-truth run.
+One array path computes it all. Detections arrive only as the
+``PredictionTable`` that ``load_predictions`` read against the dataset,
+and ground truth as the dataset's columns; on both sides a cell is keyed
+by ``category * len(ds.images) + image``. ``np.isin`` picks the test
+images' rows (``gt_filter``, called on each row's ``gt_attributes`` map,
+is one mask over the ground-truth ones); a stable lexsort by (key,
+descending score) and its segment offsets form the capped detection
+cells, and ``searchsorted`` finds each one's ground-truth run.
 Each cell gets its IoU array from ``geometry.pairwise_iou``, the exact
 array twin of ``geometry.iou``, greedy matching over short per-detection
 candidate lists, and each category a cumsum / envelope / searchsorted sweep.
@@ -47,7 +48,7 @@ from .datamodel import (
     ARRAY, BOOLEAN, STRING, Detection, DetectionDataset, GroundTruthInstance, PredictionTable,
     checked, field,
 )
-from .errors import IntegrityError, ValidationError
+from .errors import ValidationError
 from .geometry import corner_array, pairwise_iou
 from .splits import SplitResult
 
@@ -263,16 +264,13 @@ def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[
     n_images = len(ds.images)
     gt = np.flatnonzero(np.isin(ds.gt_image, test_positions))
     if gt_filter is not None:
-        gt = gt[np.array([bool(gt_filter(ds.instances[k])) for k in gt.tolist()], dtype=bool)]
+        attrs = ds.gt_attributes
+        gt = gt[np.array([bool(gt_filter(attrs[k])) for k in gt.tolist()], dtype=bool)]
     gt_key = ds.gt_category[gt] * n_images + ds.gt_image[gt]
     by_key = np.argsort(gt_key, kind="stable")  # id order within a cell
     gt, gt_key = gt[by_key], gt_key[by_key]
     gt_boxes, gt_crowd = ds.gt_boxes[gt], ds.gt_crowd[gt]
     num_gt = np.bincount(ds.gt_category[gt[~gt_crowd]], minlength=len(ds.categories)).tolist()
-    unknown = table.category[used] >= len(ds.categories)
-    if unknown.any():
-        cat_id = min(table.category_ids[k] for k in table.category[used][unknown].tolist())
-        raise IntegrityError(f"detection references unknown category {cat_id}")
     # Cells in key order, each by descending score with input order breaking
     # ties, capped at max_dets; a category's cells are one run.
     key = table.category[used] * n_images + table.image[used]
@@ -304,34 +302,34 @@ def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[
     return pools
 
 
-def _table(ds: DetectionDataset, dets: Sequence[Detection]) -> PredictionTable:
-    if isinstance(dets, PredictionTable) and dets.ds is ds:
-        return dets
-    return PredictionTable.from_detections(ds, dets)
+def _check_table(ds: DetectionDataset, dets) -> None:
+    if not (isinstance(dets, PredictionTable) and dets.ds is ds):
+        raise ValidationError("detections must be a PredictionTable read against the dataset")
 
 
 def evaluate(
     ds: DetectionDataset,
     split: SplitResult,
-    dets: Sequence[Detection],
+    dets: PredictionTable,
     config: EvalConfig = EvalConfig(),
     *,
-    gt_filter: Callable[[GroundTruthInstance], bool] | None = None,
+    gt_filter: Callable[[Mapping[str, str]], bool] | None = None,
 ) -> EvaluationReport:
     """Score detections against the test portion of a split.
 
-    ``dets`` is a ``PredictionTable`` read against ``ds`` or any sequence
-    of ``Detection``. Detections referencing images outside the test split
-    are ignored and counted. With ``gt_filter``, only the ground truth it accepts is
-    scored. Raises on an empty test split.
+    ``dets`` is a ``PredictionTable`` read against ``ds``; anything else is
+    a ``ValidationError``. Detections referencing images outside the test
+    split are ignored and counted. With ``gt_filter``, only the ground
+    truth whose attribute map it accepts is scored. Raises on an empty test
+    split.
     """
+    _check_table(ds, dets)
     test_ids = sorted(split.test_image_ids)
     if not test_ids:
         raise ValidationError("empty test split")
     test_positions = [ds.image_index(image_id) for image_id in test_ids]
-    table = _table(ds, dets)
-    used = np.flatnonzero(np.isin(table.image, test_positions))
-    pools = _category_pools(ds, test_positions, table, used, config, gt_filter)
+    used = np.flatnonzero(np.isin(dets.image, test_positions))
+    pools = _category_pools(ds, test_positions, dets, used, config, gt_filter)
 
     rows = []
     for cat, pool in zip(ds.categories, pools):
@@ -375,14 +373,15 @@ def evaluate(
         iou_thresholds=config.iou_thresholds,
         max_dets=config.max_dets,
         num_detections_used=len(used),
-        num_detections_ignored=len(table) - len(used),
+        num_detections_ignored=len(dets) - len(used),
         num_gt=sum(pool.num_gt for pool in pools),
         split_digest=split.manifest_digest,
     )
 
 
-def attribute_predicate(spec: Mapping) -> Callable[[GroundTruthInstance], bool]:
-    """Build a ground-truth filter from a small JSON-friendly description.
+def attribute_predicate(spec: Mapping) -> Callable[[Mapping[str, str]], bool]:
+    """Build a ground-truth filter, a test of a row's attribute map, from a
+    small JSON-friendly description.
 
     Forms: ``{"any": true}`` with no other key, or
     ``{"attribute": name, <op>: value}`` with one of the ops
@@ -394,7 +393,7 @@ def attribute_predicate(spec: Mapping) -> Callable[[GroundTruthInstance], bool]:
     if field(spec, "any", context, BOOLEAN, False):
         if len(spec) > 1:
             raise ValidationError(f"{context}: 'any': true takes no other key")
-        return lambda inst: True
+        return lambda attrs: True
     attribute = field(spec, "attribute", context, STRING)
     if not attribute:
         raise ValidationError(f"{context}: 'attribute' must be a non-empty name")
@@ -407,35 +406,34 @@ def attribute_predicate(spec: Mapping) -> Callable[[GroundTruthInstance], bool]:
     else:
         operand = field(spec, op, context, STRING)
 
-    def value_of(inst: GroundTruthInstance) -> str:
-        return inst.attributes.get(attribute, "")
-
     if op == "equals":
-        return lambda inst: value_of(inst) == operand
+        return lambda attrs: attrs.get(attribute, "") == operand
     if op == "not_equals":
-        return lambda inst: value_of(inst) != operand
+        return lambda attrs: attrs.get(attribute, "") != operand
     if op == "in":
-        return lambda inst: value_of(inst) in operand
-    return lambda inst: value_of(inst) not in operand
+        return lambda attrs: attrs.get(attribute, "") in operand
+    return lambda attrs: attrs.get(attribute, "") not in operand
 
 
 def evaluate_rec(
     ds: DetectionDataset,
     split: SplitResult,
-    dets: Sequence[Detection],
-    prompt_filters: Mapping[str, Callable[[GroundTruthInstance], bool]],
+    dets: PredictionTable,
+    prompt_filters: Mapping[str, Callable[[Mapping[str, str]], bool]],
     config: EvalConfig = EvalConfig(),
 ) -> list[EvaluationReport]:
-    """Prompt-conditioned evaluation.
+    """Prompt-conditioned evaluation of a ``PredictionTable`` read against
+    ``ds``.
 
-    For each prompt, the ground truth is restricted to instances satisfying
-    the prompt's predicate and only detections carrying that prompt are
-    scored; the result is one report per prompt (sorted by prompt). Every
-    prompt appearing on a detection must have a filter.
+    For each prompt, the ground truth is restricted to the rows whose
+    attribute map satisfies the prompt's predicate and only detections
+    carrying that prompt are scored; the result is one report per prompt
+    (sorted by prompt). Every prompt appearing on a detection must have a
+    filter.
     """
-    table = _table(ds, dets)
+    _check_table(ds, dets)
     rows: dict[str, list[int]] = {prompt: [] for prompt in prompt_filters}
-    for row, prompt in enumerate(table.prompt):
+    for row, prompt in enumerate(dets.prompt):
         if prompt is None:
             raise ValidationError("REC evaluation requires a prompt on every detection")
         if prompt not in rows:
@@ -443,7 +441,7 @@ def evaluate_rec(
         rows[prompt].append(row)
     reports = []
     for prompt in sorted(prompt_filters):
-        part = table[np.array(rows[prompt], dtype=np.int64)]
+        part = dets[np.array(rows[prompt], dtype=np.int64)]
         report = evaluate(ds, split, part, config, gt_filter=prompt_filters[prompt])
         reports.append(replace(report, prompt=prompt))
     return reports

@@ -2,14 +2,17 @@
 
 import random
 
+import numpy as np
+
 from fruitbench.datamodel import (
     Category,
     Detection,
     DetectionDataset,
     GroundTruthInstance,
     ImageRecord,
+    PredictionTable,
 )
-from fruitbench.geometry import BoundingBox
+from fruitbench.geometry import BoundingBox, corner_array
 
 IMG_SIZE = 32
 
@@ -69,3 +72,18 @@ def random_eval_instance(rng: random.Random, max_images=5, max_gts=8, max_dets=8
             )
         )
     return ds, detections
+
+
+def table_of(ds: DetectionDataset, dets) -> PredictionTable:
+    """The ``PredictionTable`` of ``Detection``s whose image and category
+    ids ``ds`` holds, one row per detection in order: what
+    ``load_predictions`` reads from a file of them."""
+    category = {c.id: k for k, c in enumerate(ds.categories)}
+    return PredictionTable(
+        ds,
+        np.array([ds.image_index(d.image_id) for d in dets], dtype=np.int64),
+        np.array([category[d.category_id] for d in dets], dtype=np.int64),
+        corner_array(d.box for d in dets),
+        np.array([d.score for d in dets], dtype=np.float64),
+        [d.prompt for d in dets],
+    )

@@ -8,11 +8,11 @@ is meaningful.
 
 import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from fruitbench.assignment import token_alignment_cost
 from fruitbench.datamodel import (
     ARRAY, FLAG, INTEGER, NUMBER, OBJECT, OPTIONAL_STRING, STRING, Category, Detection,
     DetectionDataset, GroundTruthInstance, ImageRecord, checked, field, read_json,
@@ -53,6 +53,41 @@ def raster_iou(a: BoundingBox, b: BoundingBox) -> float:
 def raster_giou(a: BoundingBox, b: BoundingBox) -> float:
     inter, union, enclosure = raster_intersection_union_enclosure(a, b)
     return inter / union - (enclosure - union) / enclosure
+
+
+@dataclass(frozen=True)
+class TokenLogits:
+    """Alignment scores of one prediction over the text tokens."""
+
+    scores: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        if not all(math.isfinite(s) for s in self.scores):
+            raise ValidationError("token logits must be finite")
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+
+def _bce_with_logit(logit: float, target: float) -> float:
+    # Numerically stable sigmoid cross-entropy.
+    return max(logit, 0.0) - logit * target + math.log1p(math.exp(-abs(logit)))
+
+
+def token_alignment_cost(logits: TokenLogits, positive_mask) -> float:
+    """Mean per-token sigmoid binary cross-entropy of the logits against a
+    boolean positive-token mask."""
+    if len(logits) != len(positive_mask):
+        raise ValidationError(
+            f"token dimension mismatch: {len(logits)} logits vs {len(positive_mask)} mask bits"
+        )
+    if len(logits) == 0:
+        raise ValidationError("token vectors must be non-empty")
+    total = 0.0
+    for score, positive in zip(logits.scores, positive_mask):
+        total += _bce_with_logit(score, 1.0 if positive else 0.0)
+    return total / len(logits)
 
 
 def scalar_cost_terms(predictions, ground_truth, gt_token_masks, img_w, img_h):

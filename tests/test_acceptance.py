@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fruitbench.assignment import CostMatrix, TokenLogits, hungarian, set_loss
+from fruitbench.assignment import CostMatrix, hungarian, set_loss
 from fruitbench.cli import main
 from fruitbench.datamodel import (
     Category,
@@ -40,8 +40,9 @@ from fruitbench.splits import (
     split_train_test,
 )
 
-from .generators import random_eval_instance
+from .generators import random_eval_instance, table_of
 from .oracles import (
+    TokenLogits,
     brute_force_assignment_cost,
     loss_arrays,
     naive_evaluate,
@@ -151,7 +152,7 @@ class TestCriterion2OracleEquivalence:
         for trial in range(1000):
             ds, dets = random_eval_instance(rng, max_images=5, max_gts=8, max_dets=8)
             split = split_train_test(ds, 0.5, seed=trial)
-            report = evaluate(ds, split, dets)
+            report = evaluate(ds, split, table_of(ds, dets))
             oracle = naive_evaluate(ds, split, dets, DEFAULT_IOU_THRESHOLDS, 100)
             for row in report.per_category:
                 want = oracle["per_category"][row.category_id]

@@ -10,12 +10,10 @@ from fruitbench.assignment import (
     Assignment,
     CostMatrix,
     LossWeights,
-    TokenLogits,
     _cost_terms,
     build_match_cost,
     hungarian,
     set_loss,
-    token_alignment_cost,
 )
 from fruitbench.cli import _NEGATIVE_LOGIT
 from fruitbench.datamodel import GroundTruthInstance
@@ -23,14 +21,17 @@ from fruitbench.errors import ValidationError
 from fruitbench.geometry import BoundingBox
 
 from .oracles import (
+    TokenLogits,
     brute_force_assignment_cost,
     brute_force_lexicographic_assignment,
     forced_lexicographic_assignment,
     loss_arrays,
     scalar_cost_terms,
+    token_alignment_cost,
 )
 
 LN2 = math.log(2.0)
+NAN, INF = math.nan, math.inf
 
 
 def gt(instance_id, box):
@@ -377,6 +378,23 @@ class TestCostTerms:
         message = assert_terms_match_scalar(predictions, [], [])
         assert message == "token vectors must be non-empty"
 
+    @pytest.mark.parametrize("row", [(0.0, NAN), (-INF, 1.0), (INF, NAN)])
+    @pytest.mark.parametrize("n_gt", [0, 2])
+    def test_non_finite_logits_raise_the_reference_error(self, row, n_gt):
+        """A non-finite logit row is rejected as the reference's
+        ``TokenLogits`` rejects it, with or without ground truth."""
+        with pytest.raises(ValidationError) as expected:
+            TokenLogits(row)
+        box = [0.0, 0.0, 4.0, 4.0]
+        with pytest.raises(ValidationError) as raised:
+            _cost_terms(
+                np.array([box, box]), np.array([(0.0, 0.0), row]),
+                np.array([box] * n_gt).reshape(n_gt, 4), np.ones((n_gt, 2), dtype=bool), 640, 480,
+            )
+        assert (type(raised.value), str(raised.value)) == (
+            type(expected.value), str(expected.value)
+        )
+
     def test_mask_count_must_match_ground_truth(self):
         box = BoundingBox(0, 0, 4, 4)
         for predictions in ([], [(box, TokenLogits((1.0,)))]):
@@ -388,7 +406,6 @@ def corners(*rows):
     return np.array(rows, dtype=float)
 
 
-NAN, INF = math.nan, math.inf
 SHAPES = "expected (P, 4) predictions, (P, V) logits, (G, 4) ground_truth and (G, V) gt_token_masks"
 # One image as arrays: two predictions over three tokens, one ground truth.
 VALID_INPUTS = (
@@ -399,9 +416,9 @@ VALID_INPUTS = (
 
 class TestEntryChecks:
     """``set_loss`` and ``build_match_cost`` check their arrays up front:
-    a bad box or logit row raises the ``BoundingBox`` or ``TokenLogits``
-    error for the first such row, and a wrong shape a ``ValidationError``,
-    never a numpy error."""
+    a bad box row raises the ``BoundingBox`` error for the first such row,
+    a non-finite logit "token logits must be finite", and a wrong shape a
+    ``ValidationError``, never a numpy error."""
 
     @pytest.mark.parametrize("position, value, message", [
         (0, corners([0, 0, 4, 4], [NAN, 1, 5, 5]), "box coordinate x_min must be finite, got nan"),

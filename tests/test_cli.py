@@ -1497,6 +1497,14 @@ class TestInstancesBuiltOnRead:
         return counted
 
     def test_column_subcommands_build_none(self, capsys, tmp_path, split_manifest, built):
+        rec = tmp_path / "rec.json"
+        records = json.loads((SYN30 / "predictions_noisy.json").read_text())
+        prompts = ("apple", "unoccluded")
+        rec.write_text(json.dumps([{**r, "prompt": prompts[k % 2]} for k, r in enumerate(records)]))
+        filters = tmp_path / "filters.json"
+        filters.write_text(json.dumps({
+            "apple": {"any": True}, "unoccluded": {"attribute": "occlusion", "equals": "none"},
+        }))
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"rows": [
             {
@@ -1514,6 +1522,10 @@ class TestInstancesBuiltOnRead:
                 "--predictions", str(SYN30 / "predictions_noisy.json"),
                 "--split", str(split_manifest),
             ],
+            "rec-eval": [
+                "--predictions", str(rec), "--split", str(split_manifest),
+                "--filters", str(filters),
+            ],
             "report": ["--grid", str(grid)],
             "stats": [],
         }
@@ -1530,18 +1542,16 @@ class TestInstancesBuiltOnRead:
 
     def test_loss_builds_no_row_objects(self, capsys, monkeypatch, split_manifest, built):
         """``loss`` scores from the prediction table and the ground-truth
-        columns: it builds no ``GroundTruthInstance``, ``BoundingBox`` or
-        ``TokenLogits``."""
-        from fruitbench import assignment, geometry
+        columns: it builds no ``GroundTruthInstance`` or ``BoundingBox``."""
+        from fruitbench import geometry
 
-        for cls in (geometry.BoundingBox, assignment.TokenLogits):
-            check = cls.__post_init__
+        check = geometry.BoundingBox.__post_init__
 
-            def counting(obj, check=check):
-                built.append(type(obj).__name__)
-                check(obj)
+        def counting(box):
+            built.append("BoundingBox")
+            check(box)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(geometry.BoundingBox, "__post_init__", counting)
         for split in (["--split", str(split_manifest)], []):
             code, out, err = run(
                 capsys, "loss", "--annotations", str(SYN30 / "annotations.json"),

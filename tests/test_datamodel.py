@@ -26,7 +26,7 @@ from fruitbench.errors import FruitBenchError, IntegrityError, ParseError, Valid
 from fruitbench.geometry import BoundingBox
 
 from . import oracles
-from .generators import random_eval_instance
+from .generators import random_eval_instance, table_of
 
 
 def minimal_coco(tmp_path, **overrides):
@@ -569,8 +569,8 @@ def _outcomes(path):
         if read is load_predictions:
             outcomes.append(
                 _fields(
-                    [dets.image_ids[k] for k in dets.image.tolist()],
-                    [dets.category_ids[k] for k in dets.category.tolist()],
+                    [PREDICTION_DS.images[k].id for k in dets.image.tolist()],
+                    [PREDICTION_DS.categories[k].id for k in dets.category.tolist()],
                     dets.boxes.tolist(), dets.score.tolist(), dets.prompt,
                 )
             )
@@ -631,9 +631,7 @@ class TestReadPredictions:
             table[2]
         with pytest.raises(ValueError):
             table.score[0] = 0.5  # read-only columns
-        assert PredictionTable.from_detections(PREDICTION_DS, table).boxes.tobytes() == (
-            table.boxes.tobytes()
-        )
+        assert table_of(PREDICTION_DS, table).boxes.tobytes() == table.boxes.tobytes()
 
 
 ROWS = 7
@@ -735,6 +733,19 @@ class TestGroundTruthColumns:
         assert ds.gt_offsets.tolist()[-1] == len(ds.instances)
         assert ds.instances_for_image(0) == ()
         assert ds.instances_for_image(1000) == ()
+
+    def test_attribute_maps_are_read_only_and_shared_when_empty(self):
+        box = BoundingBox(0, 0, 1, 1)
+        ds = DetectionDataset([Category(1, "apple")], [ImageRecord(1, "a.jpg", 9, 9)], [
+            GroundTruthInstance(2, 1, 1, box, {"occlusion": "leaf"}),
+            GroundTruthInstance(3, 1, 1, box),
+            GroundTruthInstance(1, 1, 1, box),
+        ])
+        assert [dict(m) for m in ds.gt_attributes] == [{}, {"occlusion": "leaf"}, {}]
+        assert ds.gt_attributes[0] is ds.gt_attributes[2]
+        with pytest.raises(TypeError):
+            ds.gt_attributes[1]["occlusion"] = "none"
+        assert ds.instances[1].attributes == {"occlusion": "leaf"}
 
     def test_columns_are_read_only(self):
         ds, _ = random_eval_instance(random.Random(5))
@@ -895,6 +906,7 @@ def _coco_outcome(path, read):
         for a in ds.instances
     ]
     columns = [(c.dtype.str, c.shape, c.tobytes()) for c in (getattr(ds, n) for n in COLUMNS)]
+    columns.append([dict(m) for m in ds.gt_attributes])
     return (clamped, columns, instances, written.read_bytes()), ds
 
 

@@ -11,7 +11,6 @@ from fruitbench.datamodel import (
     DetectionDataset,
     GroundTruthInstance,
     ImageRecord,
-    PredictionTable,
     load_coco,
     load_predictions,
 )
@@ -29,7 +28,7 @@ from fruitbench.evaluation import (
 from fruitbench.geometry import BoundingBox, iou, pairwise_iou
 from fruitbench.splits import split_train_test
 
-from .generators import random_eval_instance
+from .generators import random_eval_instance, table_of
 from .oracles import naive_evaluate
 
 
@@ -227,7 +226,7 @@ class TestEvaluate:
     def test_perfect_detector(self):
         ds = self.make_corpus()
         split = split_train_test(ds, 0.5, seed=1)
-        report = evaluate(ds, split, perfect_detections(ds))
+        report = evaluate(ds, split, table_of(ds, perfect_detections(ds)))
         assert report.mean_ap == pytest.approx(1.0, abs=1e-12)
         assert report.mean_ap50 == pytest.approx(1.0, abs=1e-12)
         assert report.mean_ar == pytest.approx(1.0, abs=1e-12)
@@ -235,7 +234,7 @@ class TestEvaluate:
     def test_no_detections(self):
         ds = self.make_corpus()
         split = split_train_test(ds, 0.5, seed=1)
-        report = evaluate(ds, split, [])
+        report = evaluate(ds, split, table_of(ds, []))
         for row in report.per_category:
             assert row.map == 0.0 and row.ap50 == 0.0 and row.mar == 0.0
 
@@ -249,12 +248,12 @@ class TestEvaluate:
             manifest_digest="x",
         )
         with pytest.raises(ValidationError, match="empty test split"):
-            evaluate(ds, broken, [])
+            evaluate(ds, broken, table_of(ds, []))
 
     def test_out_of_split_detections_counted(self):
         ds = self.make_corpus()
         split = split_train_test(ds, 0.5, seed=1)
-        dets = perfect_detections(ds)  # includes train images
+        dets = table_of(ds, perfect_detections(ds))  # includes train images
         report = evaluate(ds, split, dets)
         assert report.num_detections_ignored == len(dets) - report.num_detections_used
         assert report.num_detections_ignored > 0
@@ -265,7 +264,7 @@ class TestEvaluate:
             ds, dets = random_eval_instance(rng)
             split = split_train_test(ds, 0.5, seed=7)
             config = EvalConfig()
-            report = evaluate(ds, split, dets, config)
+            report = evaluate(ds, split, table_of(ds, dets), config)
             oracle = naive_evaluate(
                 ds, split, dets, DEFAULT_IOU_THRESHOLDS, config.max_dets
             )
@@ -353,7 +352,7 @@ class TestEvaluate:
         assert tied >= 10
         assert any(r.ignored for r in match_detections(cell_dets, cell_gts, 0.5))
 
-        report = evaluate(ds, split, detections)
+        report = evaluate(ds, split, table_of(ds, detections))
         oracle = naive_evaluate(ds, split, detections, DEFAULT_IOU_THRESHOLDS, 100)
         for row in report.per_category:
             expected = oracle["per_category"][row.category_id]
@@ -374,7 +373,7 @@ class TestEvaluate:
             ds, dets = random_eval_instance(rng)
             split = split_train_test(ds, 0.5, seed=2)
             config = EvalConfig(max_dets=1)
-            report = evaluate(ds, split, dets, config)
+            report = evaluate(ds, split, table_of(ds, dets), config)
             oracle = naive_evaluate(ds, split, dets, DEFAULT_IOU_THRESHOLDS, 1)
             for row in report.per_category:
                 expected = oracle["per_category"][row.category_id]
@@ -386,7 +385,7 @@ class TestEvaluate:
         for _ in range(40):
             ds, dets = random_eval_instance(rng, max_images=3, max_gts=6, max_dets=6)
             split = split_train_test(ds, 0.5, seed=5)
-            report = evaluate(ds, split, dets)
+            report = evaluate(ds, split, table_of(ds, dets))
             for row in report.per_category:
                 aps = [v for v in row.per_threshold_ap if v is not None]
                 for k in range(len(aps) - 1):
@@ -396,11 +395,11 @@ class TestEvaluate:
         rng = random.Random(23)
         ds, dets = random_eval_instance(rng, max_dets=8)
         split = split_train_test(ds, 0.5, seed=5)
-        base = evaluate(ds, split, dets)
+        base = evaluate(ds, split, table_of(ds, dets))
         squashed = [
             Detection(d.image_id, d.category_id, d.box, d.score**3, d.prompt) for d in dets
         ]
-        transformed = evaluate(ds, split, squashed)
+        transformed = evaluate(ds, split, table_of(ds, squashed))
         for a, b in zip(base.per_category, transformed.per_category):
             assert a.per_threshold_ap == b.per_threshold_ap
             assert a.per_threshold_ar == b.per_threshold_ar
@@ -411,9 +410,9 @@ class TestEvaluate:
             ds, dets = random_eval_instance(rng, max_dets=6)
             split = split_train_test(ds, 0.5, seed=5)
             test_ids = list(split.test_image_ids)
-            base = evaluate(ds, split, dets)
+            base = evaluate(ds, split, table_of(ds, dets))
             junk = Detection(test_ids[0], 1, B(0.25, 0.25, 0.75, 0.75), 0.05)
-            spiked = evaluate(ds, split, dets + [junk])
+            spiked = evaluate(ds, split, table_of(ds, dets + [junk]))
             for a, b in zip(base.per_category, spiked.per_category):
                 if a.map is not None and b.map is not None:
                     assert b.map <= a.map + 1e-12
@@ -423,7 +422,7 @@ class TestEvaluate:
         for _ in range(20):
             ds, dets = random_eval_instance(rng)
             split = split_train_test(ds, 0.5, seed=5)
-            report = evaluate(ds, split, dets)
+            report = evaluate(ds, split, table_of(ds, dets))
             for row in report.per_category:
                 if row.map is not None and row.ap50 is not None:
                     assert row.ap50 >= row.map - 1e-12
@@ -431,7 +430,7 @@ class TestEvaluate:
     def test_report_dict_shape(self):
         ds = self.make_corpus()
         split = split_train_test(ds, 0.5, seed=1)
-        payload = report_to_dict(evaluate(ds, split, perfect_detections(ds)))
+        payload = report_to_dict(evaluate(ds, split, table_of(ds, perfect_detections(ds))))
         assert set(payload["aggregate"]) == {"mAP", "AP50", "mAR"}
         assert payload["split_digest"] == split.manifest_digest
         assert "apple" in payload["per_category"]
@@ -464,10 +463,10 @@ class TestEvaluateRec:
         dets = [
             det(a.image_id, a.category_id, a.box, 1.0, prompt="apple") for a in ds.instances
         ]
-        reports = evaluate_rec(ds, split, dets, {"apple": lambda inst: True})
-        plain = evaluate(ds, split, [
+        reports = evaluate_rec(ds, split, table_of(ds, dets), {"apple": lambda attrs: True})
+        plain = evaluate(ds, split, table_of(ds, [
             det(a.image_id, a.category_id, a.box, 1.0) for a in ds.instances
-        ])
+        ]))
         assert reports[0].prompt == "apple"
         assert reports[0].per_category == plain.per_category
 
@@ -479,7 +478,7 @@ class TestEvaluateRec:
         dets = [
             det(a.image_id, a.category_id, a.box, 0.9, prompt=prompt) for a in ds.instances
         ]  # includes a box on the branch-occluded instance
-        (report,) = evaluate_rec(ds, split, dets, {prompt: predicate})
+        (report,) = evaluate_rec(ds, split, table_of(ds, dets), {prompt: predicate})
         row = report.per_category[0]
         assert row.num_gt == 3  # branch instance filtered out
         assert row.ap50 < 1.0  # the branch-box detection scores as FP
@@ -489,13 +488,13 @@ class TestEvaluateRec:
         split = self.split_all_test(ds)
         dets = [det(1, 1, B(0, 0, 10, 10), 0.9, prompt="mystery")]
         with pytest.raises(ValidationError, match="mystery"):
-            evaluate_rec(ds, split, dets, {"apple": lambda inst: True})
+            evaluate_rec(ds, split, table_of(ds, dets), {"apple": lambda attrs: True})
 
     def test_empty_filtered_gt_absent_metrics(self):
         ds = self.make_rec_corpus()
         split = self.split_all_test(ds)
         predicate = attribute_predicate({"attribute": "occlusion", "equals": "wire"})
-        (report,) = evaluate_rec(ds, split, [], {"apple on a wire": predicate})
+        (report,) = evaluate_rec(ds, split, table_of(ds, []), {"apple on a wire": predicate})
         assert report.per_category[0].map is None
         assert report.mean_ap is None
 
@@ -534,8 +533,9 @@ def oracle_fields(report):
 
 
 class TestPredictionTable:
-    """Scoring a ``PredictionTable`` read from a file against scoring its
-    ``Detection`` views, the naive oracle, and metamorphic variants."""
+    """Scoring a ``PredictionTable`` read from a file against scoring the
+    table of its ``Detection`` views, the naive oracle, and metamorphic
+    variants."""
 
     def instances(self, seed, count):
         rng = random.Random(seed)
@@ -549,7 +549,7 @@ class TestPredictionTable:
             for max_dets in (100, 2):
                 config = EvalConfig(max_dets=max_dets)
                 report = evaluate(ds, split, table, config)
-                assert report == evaluate(ds, split, list(table), config)
+                assert report == evaluate(ds, split, table_of(ds, list(table)), config)
                 assert oracle_fields(report) == naive_evaluate(
                     ds, split, list(table), DEFAULT_IOU_THRESHOLDS, max_dets
                 )
@@ -557,18 +557,28 @@ class TestPredictionTable:
     def test_rec_table_and_list_agree_with_the_oracle(self, tmp_path):
         filters = {
             "any": attribute_predicate({"any": True}),
-            "even": lambda inst: inst.id % 2 == 0,
-            "first category": lambda inst: inst.category_id == 1,
+            "even": lambda attrs: attrs.get("parity") == "even",
+            "occluded": attribute_predicate({"attribute": "occlusion", "in": ["leaf", "branch"]}),
         }
         for rng, ds, dets, split in self.instances(32, 40):
+            ds = DetectionDataset(ds.categories, ds.images, [
+                replace(g, attributes={
+                    "parity": ("even", "odd")[g.id % 2],
+                    **({} if rng.random() < 0.3 else {
+                        "occlusion": rng.choice(["leaf", "branch", "none"])
+                    }),
+                })
+                for g in ds.instances
+            ])
             dets = [replace(d, prompt=rng.choice(sorted(filters))) for d in dets]
             table = load_predictions(write_predictions(tmp_path / "p.json", dets), ds)
             reports = evaluate_rec(ds, split, table, filters)
-            assert reports == evaluate_rec(ds, split, list(table), filters)
+            assert reports == evaluate_rec(ds, split, table_of(ds, list(table)), filters)
             for report in reports:
                 keep = filters[report.prompt]
                 filtered = DetectionDataset(
-                    list(ds.categories), list(ds.images), [g for g in ds.instances if keep(g)]
+                    list(ds.categories), list(ds.images),
+                    [g for g in ds.instances if keep(g.attributes)],
                 )
                 prompt_dets = [d for d in table if d.prompt == report.prompt]
                 assert oracle_fields(report) == naive_evaluate(
@@ -581,24 +591,46 @@ class TestPredictionTable:
         dets = [det(1, 1, B(0, 0, 5, 5), 0.5, prompt) for prompt in ("a", "zz", None, "yy")]
         table = load_predictions(write_predictions(tmp_path / "p.json", dets), ds)
         with pytest.raises(ValidationError, match="^unknown prompt 'zz': no filter provided$"):
-            evaluate_rec(ds, split, table, {"a": lambda inst: True})
+            evaluate_rec(ds, split, table, {"a": lambda attrs: True})
         with pytest.raises(ValidationError, match="requires a prompt on every detection"):
-            evaluate_rec(ds, split, table, {"a": lambda inst: True, "zz": lambda inst: True})
+            evaluate_rec(ds, split, table, {"a": lambda attrs: True, "zz": lambda attrs: True})
 
-    def test_sequences_may_hold_ids_the_dataset_lacks(self):
-        """A detection of an unknown image lies outside every split; one of
-        an unknown category is an error only inside the split."""
+    def test_ids_the_dataset_lacks_are_load_errors(self, tmp_path):
+        """A detection of an unknown image or category is an error at load,
+        outside the split as well as inside it; the first one in the file
+        is named."""
         ds = TestEvaluate().make_corpus()
         split = split_train_test(ds, 0.5, seed=1)
         inside, outside = split.test_image_ids[0], split.train_image_ids[0]
         dets = perfect_detections(ds)
-        stray = [det(2**70, 1, B(0, 0, 5, 5), 0.5), det(outside, 2**70, B(0, 0, 5, 5), 0.5)]
-        report = evaluate(ds, split, dets + stray)
-        assert report.num_detections_ignored == evaluate(ds, split, dets).num_detections_ignored + 2
-        assert [d.image_id for d in PredictionTable.from_detections(ds, stray)] == [2**70, outside]
-        unknown = [det(inside, 9, B(0, 0, 5, 5), 0.5), det(inside, 7, B(0, 0, 5, 5), 0.5)]
-        with pytest.raises(IntegrityError, match="^detection references unknown category 7$"):
-            evaluate(ds, split, dets + unknown)
+        for stray, message in (
+            ([det(2**70, 1, B(0, 0, 5, 5), 0.5)], f"unknown image {2**70}"),
+            ([det(outside, 2**70, B(0, 0, 5, 5), 0.5)], f"unknown category {2**70}"),
+            ([det(inside, 9, B(0, 0, 5, 5), 0.5), det(inside, 7, B(0, 0, 5, 5), 0.5)],
+             "unknown category 9"),
+        ):
+            path = write_predictions(tmp_path / "p.json", dets + stray)
+            with pytest.raises(IntegrityError) as raised:
+                load_predictions(path, ds)
+            assert str(raised.value) == f"detection #{len(dets)} references {message}"
+
+    def test_only_a_table_of_the_dataset_is_scored(self, tmp_path):
+        """``evaluate`` and ``evaluate_rec`` take the ``PredictionTable``
+        read against the dataset they score, and nothing else."""
+        ds = TestEvaluate().make_corpus()
+        twin = TestEvaluate().make_corpus()
+        split = split_train_test(ds, 0.5, seed=1)
+        dets = [replace(d, prompt="apple") for d in perfect_detections(ds)]
+        path = write_predictions(tmp_path / "p.json", dets)
+        filters = {"apple": attribute_predicate({"any": True})}
+        for other in (dets, list(load_predictions(path, ds)), load_predictions(path, twin), ()):
+            with pytest.raises(ValidationError, match="^detections must be a PredictionTable"):
+                evaluate(ds, split, other)
+            with pytest.raises(ValidationError, match="^detections must be a PredictionTable"):
+                evaluate_rec(ds, split, other, filters)
+        table = load_predictions(path, ds)
+        assert evaluate(ds, split, table) == evaluate(twin, split, load_predictions(path, twin))
+        assert len(evaluate_rec(ds, split, table, filters)) == 1
 
     def test_permuting_records_leaves_the_report(self, tmp_path):
         """Records whose scores are distinct within each image/category
@@ -645,8 +677,9 @@ class TestPredictionTable:
 
 class TestAttributePredicate:
     def test_forms(self):
-        inst = gt(1, 1, 1, B(0, 0, 5, 5), attributes={"occlusion": "leaf"})
-        bare = gt(2, 1, 1, B(0, 0, 5, 5))
+        inst, bare = single_image_dataset([
+            gt(1, 1, 1, B(0, 0, 5, 5), attributes={"occlusion": "leaf"}), gt(2, 1, 1, B(0, 0, 5, 5)),
+        ]).gt_attributes
         assert attribute_predicate({"any": True})(inst)
         assert attribute_predicate({"attribute": "occlusion", "equals": "leaf"})(inst)
         assert not attribute_predicate({"attribute": "occlusion", "equals": "leaf"})(bare)
@@ -711,6 +744,7 @@ def score_corpus(annotations, prediction_files, filters, directory):
     for k, records in enumerate(prediction_files):
         (directory / f"predictions{k}.json").write_text(json.dumps(records))
         dets += list(load_predictions(directory / f"predictions{k}.json", ds))
+    dets = table_of(ds, dets)
     split = split_train_test(ds, 0.5, seed=3)
     if filters is None:
         return [report_to_dict(evaluate(ds, split, dets))]
