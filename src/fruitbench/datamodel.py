@@ -47,6 +47,8 @@ categories, images and instances are normalized to ascending-id order.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import json
 import math
 import operator
@@ -426,9 +428,28 @@ def field(record, key: str, context, kind=None, default=_NO_DEFAULT):
     return value if kind is None else checked(value, kind, context, key)
 
 
+def _collector_paused(load):
+    """``load`` with the cyclic collector paused: a parsed JSON tree holds
+    no cycle, and it is freed as ``load`` returns, before the collector
+    resumes. A collector the caller disabled stays disabled."""
+
+    @functools.wraps(load)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 _ANNOTATION_FIELDS = tuple(map(operator.itemgetter, ("id", "image_id", "category_id", "bbox")))
 
 
+@_collector_paused
 def load_coco(path) -> tuple[DetectionDataset, int]:
     """Load an annotation file.
 
@@ -681,6 +702,7 @@ class PredictionTable(Sequence):
 _RECORD_FIELDS = tuple(map(operator.itemgetter, ("image_id", "category_id", "bbox", "score")))
 
 
+@_collector_paused
 def load_predictions(path, ds: DetectionDataset) -> PredictionTable:
     """Load a prediction file and validate it against a dataset.
 

@@ -31,10 +31,17 @@ by ``category * len(ds.images) + image``. ``np.isin`` picks the test
 images' rows (``gt_filter``, called on each row's ``gt_attributes`` map,
 is one mask over the ground-truth ones); a stable lexsort by (key,
 descending score) and its segment offsets form the capped detection
-cells, and ``searchsorted`` finds each one's ground-truth run.
-Each cell gets its IoU array from ``geometry.pairwise_iou``, the exact
-array twin of ``geometry.iou``, greedy matching over short per-detection
-candidate lists, and each category a cumsum / envelope / searchsorted sweep.
+cells, and ``searchsorted`` finds each one's ground-truth run. ``_match``
+then matches every cell at every threshold at once. A detection is paired
+only with its cell's boxes that can overlap it along x; their IoU
+(``geometry.paired_iou``, the exact array twin of ``geometry.iou``) is
+built in blocks of about ``_BLOCK`` pairs, and the detection of rank r in
+its cell keeps at most r + 1 non-crowd candidates plus the first crowd
+region to reach each threshold, so memory grows with D * min(D, G), not
+D * G. Detections holding no contested box are matched in one pass, the
+others one rank per pass. Each category gets a (T, N) int8 state (1 true
+positive, -1 crowd-ignored, 0 otherwise) and one sweep over all its
+thresholds.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .datamodel import (
     checked, field,
 )
 from .errors import ValidationError
-from .geometry import corner_array, pairwise_iou
+from .geometry import corner_array, paired_iou
 from .splits import SplitResult
 
 __all__ = [
@@ -142,65 +149,178 @@ class EvaluationReport:
     prompt: str | None = None
 
 
-def _greedy(a, b, crowd, thresholds) -> list[list[tuple[int, int]]]:
-    """Per threshold, the ``(row, column)`` hits of one cell's detection
-    corners ``a`` (D, 4), sorted by descending score, on its ground-truth
-    corners ``b`` (G, 4); a hit on a ``crowd`` column is ignored.
-
-    A row's candidates are its columns with IoU >= the lowest threshold:
-    non-crowd ones by descending IoU, earliest first on ties, then crowd
-    ones in column order. The best untaken non-crowd column reaches a
-    threshold exactly when some untaken candidate does, and is the first
-    one that does; a crowd candidate is only the fallback.
-    """
-    if not (len(a) and len(b)):
-        return [[] for _ in thresholds]
-    ious = pairwise_iou(a, b)
-    rows, cols = np.nonzero(ious >= min(thresholds))
-    values = ious[rows, cols]
-    is_crowd = crowd[cols]
-    order = np.lexsort((np.where(is_crowd, 0.0, -values), is_crowd, rows))
-    candidates: dict[int, list[tuple[int, float, bool]]] = {}
-    for r, c, v, k in zip(*(x[order].tolist() for x in (rows, cols, values, is_crowd))):
-        candidates.setdefault(r, []).append((c, v, k))
-    out = []
-    for t in thresholds:
-        taken = set()
-        hits = []
-        for r, entries in candidates.items():
-            for c, v, k in entries:
-                if v >= t and (k or c not in taken):
-                    if not k:
-                        taken.add(c)
-                    hits.append((r, c))
-                    break
-        out.append(hits)
-    return out
+# IoU pairs built at a time: a bound on the matcher's working memory that
+# leaves its result unchanged.
+_BLOCK = 1 << 12
 
 
-def _sweep(order, tps, ignored, total_gt: int, curve: bool):
-    """``(ap, curve)`` of one category at one threshold. ``order`` is the
-    sweep order of the pooled rows (stable by descending score), ``tps`` and
-    ``ignored`` list the true positives and crowd matches among them."""
+def _ranges(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's run and its offset in it, for runs of ``lengths``
+    laid end to end."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
+
+
+def _prior(run, level, n_levels: int) -> np.ndarray:
+    """Per entry, the highest ``level`` (0 to ``n_levels``) of the earlier
+    entries of its ``run``; 0 for the first."""
+    base = run * (n_levels + 1)
+    return np.maximum(np.append(0, np.maximum.accumulate(base + level)[:-1]) - base, 0)
+
+
+def _prune(rank, row, col, value, crowd, thresholds):
+    """The candidates a row tries, in order: non-crowd ones by descending
+    IoU (earliest column on ties), then crowd ones by column. A row of rank
+    r in its cell needs at most its first r + 1 non-crowd ones, since each
+    earlier row takes one column, and of the crowd ones the first to reach
+    each threshold."""
+    order = np.lexsort((col, np.where(crowd, 0.0, -value), crowd, row))
+    rank, row, col, value, crowd = (x[order] for x in (rank, row, col, value, crowd))
+    run, offset = _ranges(np.diff(_segments(2 * row + crowd)))
+    level = np.searchsorted(thresholds, value, side="right")
+    keep = np.where(crowd, level > _prior(run, level, len(thresholds)), offset <= rank)
+    return [x[keep] for x in (rank, row, col, value, crowd)]
+
+
+def _match(a, b, crowd, cells, thresholds) -> np.ndarray:
+    """The (T, D) column each row takes per threshold, or -1: greedy
+    matching of the corner stacks ``a`` (4, D) on ``b`` (4, G) in every
+    cell at every threshold at once. ``cells`` holds four int arrays: per cell
+    in row order, its rows ``start:end`` (by descending score) and columns
+    ``gt_start:gt_end``. A row takes its first ``_prune`` candidate that
+    reaches the threshold and is ``crowd`` or not taken by an earlier row
+    of its cell. A non-crowd column two rows of a cell may take is
+    contested: rows holding none are matched in pass 0, and the k-th row of
+    a cell holding one in pass k."""
+    thresholds, n = np.array(thresholds), len(thresholds)
+    row, col, value, is_crowd = _candidates(a, b, crowd, cells, thresholds)
+    free = ~is_crowd
+    hot = np.zeros(a.shape[1], dtype=bool)
+    hot[row[free & (np.bincount(col[free], minlength=b.shape[1]) > 1)[col]]] = True
+    hot = np.flatnonzero(hot)
+    step = np.zeros(a.shape[1], dtype=np.int64)
+    step[hot] = _ranges(np.diff(_segments(np.searchsorted(cells[0], hot, side="right"))))[1]
+    order = np.argsort(step[row], kind="stable")
+    row, col, is_crowd = row[order], col[order], is_crowd[order]
+    level = np.searchsorted(thresholds, value[order], side="right")  # thresholds reached
+    # The smallest signed type that holds -1 and every column.
+    hit = np.full((n, a.shape[1]), -1, dtype=np.min_scalar_type(-1 - b.shape[1]))
+    taken = np.zeros((n, b.shape[1]), dtype=bool)
+    # Nothing is taken in pass 0: a row's candidate serves the thresholds
+    # above the highest level of the ones before it, up to its own level.
+    end = np.searchsorted(step[row], 1)
+    prior = _prior(_ranges(np.diff(_segments(row[:end])))[0], level[:end], n)
+    owner, t = _ranges(np.maximum(level[:end] - prior, 0))
+    t += prior[owner]
+    hit[t, row[owner]] = col[owner]
+    taken[t, col[owner]] |= ~is_crowd[owner]
+    # Later passes test their candidates against the columns taken so far.
+    bounds = (end + _segments(step[row[end:]])).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        c, k = col[lo:hi], is_crowd[lo:hi]
+        ok = (level[lo:hi] > np.arange(n)[:, None]) & (k | ~taken[:, c])
+        runs = _segments(row[lo:hi])[:-1]
+        first = np.minimum.reduceat(np.where(ok, np.arange(hi - lo), hi - lo), runs, axis=1)
+        t, run = np.nonzero(first < hi - lo)
+        pick = first[t, run]
+        hit[t, row[lo:hi][runs[run]]] = c[pick]
+        taken[t, c[pick]] |= ~k[pick]
+    return hit
+
+
+def _candidates(a, b, crowd, cells, thresholds):
+    """``(row, column, IoU, crowd)`` of the ``_prune`` candidates of every
+    row of the ``_match`` cells. The IoU is built for at most ``_BLOCK``
+    columns of a row, and about ``_BLOCK`` pairs, at a time; a row whose
+    columns go on into the next block is cut again with them."""
+    seg_row, seg_rank, seg_first, seg_len, col = _windows(a, b, cells)
+    seg_start = np.cumsum(seg_len) - seg_len
+    blocks = np.searchsorted(seg_start, np.arange(0, max(seg_len.sum(), 1), _BLOCK)).tolist()
+    found, pending, count = [], [], 0
+    for lo, hi in zip(blocks, blocks[1:] + [len(seg_len)]):
+        owner, offset = _ranges(seg_len[lo:hi])
+        owner += lo
+        c = col.take(seg_first[owner] + offset)
+        pairs = np.repeat(a[:, seg_row[lo:hi]], seg_len[lo:hi], axis=1)
+        value = paired_iou(pairs, np.take(b, c, axis=1))
+        keep = np.flatnonzero(value >= thresholds[0])
+        owner = owner[keep]
+        pending.append((seg_rank[owner], seg_row[owner], c[keep], value[keep]))
+        count += len(owner)
+        last = hi == len(seg_len)
+        if count >= _BLOCK or last:
+            rank, row, c, value = map(np.concatenate, zip(*pending))
+            cut = _prune(rank, row, c, value, crowd[c], thresholds)
+            going_on = not last and seg_row[hi] == seg_row[hi - 1]
+            done = np.searchsorted(cut[1], seg_row[hi]) if going_on else len(cut[1])
+            found.append([x[:done] for x in cut])
+            pending, count = [tuple(x[done:] for x in cut[:4])], len(cut[1]) - done
+    return [np.concatenate(x) for x in zip(*found)][1:]
+
+
+def _windows(a, b, cells):
+    """Per segment of at most ``_BLOCK`` of a row's columns: the row, its
+    rank in its cell, the start and length of its run in the columns by
+    cell and x_min; then those columns. A row gets the columns that can
+    overlap it along x: after the last whose running x_max is left of its
+    x_min, before the first that starts at or right of its x_max. Ranks
+    among the columns' values compare x exactly and, offset by cell, one
+    sorted array serves the searches of every cell."""
+    starts, ends, gt_starts, gt_ends = cells
+    cell, rank = _ranges(ends - starts)
+    col_cell, offset = _ranges(gt_ends - gt_starts)
+    row, col = starts[cell] + rank, gt_starts[col_cell] + offset
+    x_min, x_min_rank = np.unique(b[0, col], return_inverse=True)
+    x_max, x_max_rank = np.unique(b[2, col], return_inverse=True)
+    first_key = col_cell * (len(x_min) + 1) + x_min_rank
+    by_x = np.argsort(first_key, kind="stable")
+    reach = np.maximum.accumulate((col_cell * (len(x_max) + 1) + x_max_rank)[by_x])
+    left = cell * (len(x_max) + 1) + np.searchsorted(x_max, a[0, row], side="right")
+    right = cell * (len(x_min) + 1) + np.searchsorted(x_min, a[2, row])
+    lo = np.searchsorted(reach, left)
+    width = np.maximum(np.searchsorted(first_key[by_x], right) - lo, 0)
+    seg, chunk = _ranges(-(-width // _BLOCK))
+    length = np.minimum(width[seg] - chunk * _BLOCK, _BLOCK)
+    return row[seg], rank[seg], lo[seg] + chunk * _BLOCK, length, col[by_x]
+
+
+def _sweep(state: np.ndarray, total_gt: int, curve: bool):
+    """``(aps, curves)`` per threshold of one category from its (T, N)
+    ``state`` in sweep order (stable by descending score): 1 for a true
+    positive, -1 for a crowd-ignored row, 0 otherwise; ``curves`` only
+    with ``curve``."""
+    n_thresholds, n = state.shape
     if total_gt == 0:
         # Absent only with no detections at all; crowd-ignored detections
         # still count as "having detections" and pin the metric to 0.
-        if not len(order):
-            return None, None
-        return 0.0, PRCurve(points=(), interpolated=(0.0,) * len(RECALL_LEVELS))
-    state = np.zeros(len(order), dtype=np.int8)
-    state[tps] = 1
-    state[ignored] = -1
-    swept = state[order]
-    tp = np.cumsum(swept[swept >= 0])
-    precision = tp / np.arange(1, len(tp) + 1)
-    recall = tp / total_gt
-    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
-    interpolated = envelope[np.searchsorted(recall, _LEVELS, side="left")].tolist()
-    ap = sum(interpolated) / len(RECALL_LEVELS)
+        flat = PRCurve(points=(), interpolated=(0.0,) * len(RECALL_LEVELS))
+        ap, empty = (None, None) if not n else (0.0, flat)
+        return [ap] * n_thresholds, [empty] * n_thresholds if curve else None
+    # At the k-th true positive of a threshold, precision is k over the rows
+    # counted so far, and it falls until the next one: the envelope needs
+    # only true positives. Recall k / total_gt first reaches a level at the
+    # least k that does.
+    t, pos = np.nonzero(state == 1)
+    crowd_t, crowd_pos = np.nonzero(state < 0)
+    tps, crowds = (np.bincount(x, minlength=n_thresholds) for x in (t, crowd_t))
+    k = np.arange(1, len(t) + 1) - (np.cumsum(tps) - tps)[t]
+    ignored = np.searchsorted(crowd_t * n + crowd_pos, t * n + pos)
+    ignored -= (np.cumsum(crowds) - crowds)[t]
+    width = min(n, total_gt) + 1
+    envelope = np.zeros((n_thresholds, width))
+    envelope[t, k - 1] = k / (pos + 1 - ignored)
+    envelope = np.maximum.accumulate(envelope[:, ::-1], axis=1)[:, ::-1]
+    need = np.searchsorted(np.arange(total_gt + 1) / total_gt, _LEVELS)
+    interpolated = envelope[:, np.clip(need - 1, 0, width - 1)].tolist()
+    aps = [sum(levels) / len(RECALL_LEVELS) for levels in interpolated]
     if not curve:
-        return ap, None
-    return ap, PRCurve(tuple(zip(recall.tolist(), precision.tolist())), tuple(interpolated))
+        return aps, None
+    curves = []
+    for row, levels in zip(state, interpolated):
+        tp = np.cumsum(row[row >= 0] == 1)
+        points = zip((tp / total_gt).tolist(), (tp / np.arange(1, len(tp) + 1)).tolist())
+        curves.append(PRCurve(tuple(points), tuple(levels)))
+    return aps, curves
 
 
 def match_detections(
@@ -211,13 +331,14 @@ def match_detections(
         raise ValidationError(f"IoU threshold must lie in (0, 1], got {threshold!r}")
     ordered = sorted(dets, key=lambda d: -d.score)  # stable: input order breaks ties
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
-    a, b = corner_array(d.box for d in ordered), corner_array(g.box for g in gts)
-    hit = {r: gts[c] for r, c in _greedy(a, b, crowd, (threshold,))[0]}
+    a, b = corner_array(d.box for d in ordered).T, corner_array(g.box for g in gts).T
+    cells = np.array([[0], [len(dets)], [0], [len(gts)]])
+    hit = _match(a, b, crowd, cells, (threshold,))[0].tolist()
     return [
-        DetMatch(det, hit[r].id, not hit[r].iscrowd, bool(hit[r].iscrowd))
-        if r in hit
+        DetMatch(det, gts[c].id, not gts[c].iscrowd, bool(gts[c].iscrowd))
+        if c >= 0
         else DetMatch(det, None, False, False)
-        for r, det in enumerate(ordered)
+        for det, c in zip(ordered, hit)
     ]
 
 
@@ -234,19 +355,9 @@ def average_precision(
     if total_gt < 0:
         raise ValidationError("total_gt must be non-negative")
     order = np.argsort([-m.detection.score for m in matches], kind="stable")
-    tps = [k for k, m in enumerate(matches) if m.is_tp]
-    ignored = [k for k, m in enumerate(matches) if m.ignored]
-    return _sweep(order, tps, ignored, total_gt, curve=True)
-
-
-@dataclass
-class _Pool:
-    """One category's capped detections: scores, and per threshold the
-    true-positive and crowd-matched rows; plus its non-crowd GT count."""
-
-    scores: np.ndarray
-    hits: list[tuple[list[int], list[int]]]
-    num_gt: int
+    state = np.array([-1 if m.ignored else int(m.is_tp) for m in matches], dtype=np.int8)
+    aps, curves = _sweep(state[order][None], total_gt, curve=True)
+    return aps[0], curves[0]
 
 
 def _segments(key: np.ndarray) -> np.ndarray:
@@ -257,9 +368,10 @@ def _segments(key: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(change), len(change))
 
 
-def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[_Pool]:
-    """One pool per category of ``ds``, in position order, from the
-    ``used`` rows of ``table``. A cell of either side is keyed by
+def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[tuple]:
+    """Per category of ``ds``, in position order: the scores of its capped
+    ``used`` rows of ``table``, their (T, N) ``_sweep`` state and its
+    non-crowd GT count. A cell of either side is keyed by
     ``category * len(ds.images) + image``."""
     n_images = len(ds.images)
     gt = np.flatnonzero(np.isin(ds.gt_image, test_positions))
@@ -269,7 +381,7 @@ def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[
     gt_key = ds.gt_category[gt] * n_images + ds.gt_image[gt]
     by_key = np.argsort(gt_key, kind="stable")  # id order within a cell
     gt, gt_key = gt[by_key], gt_key[by_key]
-    gt_boxes, gt_crowd = ds.gt_boxes[gt], ds.gt_crowd[gt]
+    gt_corners, gt_crowd = np.ascontiguousarray(ds.gt_boxes[gt].T), ds.gt_crowd[gt]
     num_gt = np.bincount(ds.gt_category[gt[~gt_crowd]], minlength=len(ds.categories)).tolist()
     # Cells in key order, each by descending score with input order breaking
     # ties, capped at max_dets; a category's cells are one run.
@@ -279,27 +391,17 @@ def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[
     bounds = _segments(key)
     capped = np.arange(len(order)) - np.repeat(bounds[:-1], np.diff(bounds)) < config.max_dets
     kept, key = order[capped], key[capped]
-    runs = np.searchsorted(key, np.arange(len(ds.categories) + 1) * n_images).tolist()
-    pools = [
-        _Pool(table.score[kept[runs[k]:runs[k + 1]]], [([], []) for _ in config.iou_thresholds], n)
-        for k, n in enumerate(num_gt)
-    ]
     bounds = _segments(key)
-    cell_key = key[bounds[:-1]]
-    gt_bounds = (np.searchsorted(gt_key, cell_key, side) for side in ("left", "right"))
-    cells = (x.tolist() for x in (cell_key // n_images, bounds[:-1], bounds[1:], *gt_bounds))
-    for k, start, end, gt_start, gt_end in zip(*cells):
-        if gt_start == gt_end:
-            continue
-        crowd = gt_crowd[gt_start:gt_end]
-        hits = _greedy(
-            table.boxes[kept[start:end]], gt_boxes[gt_start:gt_end], crowd, config.iou_thresholds
-        )
-        base = start - runs[k]
-        for (tps, ignored), cell_hits in zip(pools[k].hits, hits):
-            for r, c in cell_hits:
-                (ignored if crowd[c] else tps).append(base + r)
-    return pools
+    gt_bounds = (np.searchsorted(gt_key, key[bounds[:-1]], side) for side in ("left", "right"))
+    cells = (bounds[:-1], bounds[1:], *gt_bounds)
+    corners = np.ascontiguousarray(table.boxes[kept].T)
+    hit = _match(corners, gt_corners, gt_crowd, cells, config.iou_thresholds)
+    state = np.append(np.where(gt_crowd, -1, 1), 0).astype(np.int8)[hit]  # -1 takes the 0
+    runs = np.searchsorted(key, np.arange(len(ds.categories) + 1) * n_images).tolist()
+    return [
+        (table.score[kept[lo:hi]], state[:, lo:hi], n)
+        for lo, hi, n in zip(runs[:-1], runs[1:], num_gt)
+    ]
 
 
 def _check_table(ds: DetectionDataset, dets) -> None:
@@ -332,33 +434,19 @@ def evaluate(
     pools = _category_pools(ds, test_positions, dets, used, config, gt_filter)
 
     rows = []
-    for cat, pool in zip(ds.categories, pools):
-        order = np.argsort(-pool.scores, kind="stable")
-        aps = []
-        ars = []
-        for tps, crowd_rows in pool.hits:
-            ap, _ = _sweep(order, tps, crowd_rows, pool.num_gt, curve=False)
-            aps.append(ap)
-            ars.append(len(tps) / pool.num_gt if pool.num_gt else (None if ap is None else 0.0))
-        if pool.num_gt == 0 and not len(pool.scores):
+    for cat, (scores, state, num_gt) in zip(ds.categories, pools):
+        aps, _ = _sweep(state[:, np.argsort(-scores, kind="stable")], num_gt, curve=False)
+        tps = np.count_nonzero(state == 1, axis=1).tolist()
+        ars = [n / num_gt if num_gt else (None if ap is None else 0.0) for n, ap in zip(tps, aps)]
+        if num_gt == 0 and not len(scores):
             map_value = ap50 = mar = None
         else:
             map_value = sum(aps) / len(aps)
             ap50 = aps[config.iou_thresholds.index(0.5)] if 0.5 in config.iou_thresholds else None
             mar = sum(ars) / len(ars)
-        rows.append(
-            CategoryReport(
-                category_id=cat.id,
-                name=cat.name,
-                num_gt=pool.num_gt,
-                num_detections=len(pool.scores),
-                per_threshold_ap=tuple(aps),
-                per_threshold_ar=tuple(ars),
-                map=map_value,
-                ap50=ap50,
-                mar=mar,
-            )
-        )
+        rows.append(CategoryReport(
+            cat.id, cat.name, num_gt, len(scores), tuple(aps), tuple(ars), map_value, ap50, mar
+        ))
 
     scored = [r for r in rows if r.num_gt > 0]
     mean_ap = sum(r.map for r in scored) / len(scored) if scored else None
@@ -366,16 +454,9 @@ def evaluate(
     mean_ap50 = sum(r.ap50 for r in scored) / len(scored) if with_ap50 else None
     mean_ar = sum(r.mar for r in scored) / len(scored) if scored else None
     return EvaluationReport(
-        per_category=tuple(rows),
-        mean_ap=mean_ap,
-        mean_ap50=mean_ap50,
-        mean_ar=mean_ar,
-        iou_thresholds=config.iou_thresholds,
-        max_dets=config.max_dets,
-        num_detections_used=len(used),
-        num_detections_ignored=len(dets) - len(used),
-        num_gt=sum(pool.num_gt for pool in pools),
-        split_digest=split.manifest_digest,
+        tuple(rows), mean_ap, mean_ap50, mean_ar, config.iou_thresholds, config.max_dets,
+        len(used), len(dets) - len(used), sum(num_gt for _, _, num_gt in pools),
+        split.manifest_digest,
     )
 
 

@@ -34,7 +34,7 @@ __all__ = [
     "union_area",
     "pairwise_areas",
     "iou",
-    "pairwise_iou",
+    "paired_iou",
     "giou",
     "l1_box_distance",
 ]
@@ -138,13 +138,23 @@ def pairwise_areas(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """``(inter, union)``: the (D, G) arrays of ``intersection_area`` and
     ``union_area`` of every row of the corners ``a`` (D, 4) against every
     row of ``b`` (G, 4), each entry equal to the scalar value bit for bit."""
-    ax0, ay0, ax1, ay1 = a.T[:, :, None]
-    bx0, by0, bx1, by1 = b.T
+    return _areas(a.T[:, :, None], b.T)
+
+
+def _areas(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``(inter, union)`` of corner stacks ``a`` and ``b``, each four
+    ``x_min, y_min, x_max, y_max`` arrays that broadcast together."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
     with np.errstate(all="ignore"):
-        iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
-        ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+        iw = np.minimum(ax1, bx1)
+        iw -= np.maximum(ax0, bx0)
+        ih = np.minimum(ay1, by1)
+        ih -= np.maximum(ay0, by0)
         inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
-        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+        del iw, ih  # freed before the union's temporaries: the matcher calls this per block
+        union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0)
+        union -= inter
     return inter, union
 
 
@@ -160,11 +170,12 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return intersection_area(a, b) / union
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (D, G) array of ``iou`` of every row of the corners ``a`` (D, 4)
-    against every row of ``b`` (G, 4), each entry equal to the scalar value
-    bit for bit."""
-    inter, union = pairwise_areas(a, b)
+def paired_iou(a, b) -> np.ndarray:
+    """``iou`` of the corner stacks ``a`` and ``b`` (see ``_areas``) entry
+    by entry, each equal to the scalar value bit for bit: of the (P,)
+    pairs of two (4, P) stacks, or of every row of (D, 4) corners against
+    every row of (G, 4) ones as ``paired_iou(a.T[:, :, None], b.T)``."""
+    inter, union = _areas(a, b)
     with np.errstate(all="ignore"):
         return np.where(union <= 0.0, 0.0, inter / union)
 

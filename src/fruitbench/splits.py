@@ -178,12 +178,14 @@ def _floor_fraction(fraction: float, n: int) -> int:
 def majority_category(ds: DetectionDataset) -> dict[int, int]:
     """Assign each annotated image to one category for stratification:
     most instances wins, ties go to the lowest category id."""
-    assignment = {}
-    for position, image in enumerate(ds.images):
-        counts = np.bincount(ds.gt_category[ds.gt_rows(position)])
-        if len(counts):  # the first largest count is the lowest category id's
-            assignment[image.id] = ds.categories[int(np.argmax(counts))].id
-    return assignment
+    n = len(ds.categories)
+    keys, counts = np.unique(ds.gt_image * n + ds.gt_category, return_counts=True)
+    # By image, then largest count; the stable sort keeps ascending ids on ties.
+    keys = keys[np.lexsort((-counts, keys // n))]
+    first = np.diff(keys // n, prepend=-1) != 0
+    return {
+        ds.images[key // n].id: ds.categories[key % n].id for key in keys[first].tolist()
+    }
 
 
 def _images_by_category(ds: DetectionDataset) -> dict[int, list[int]]:

@@ -490,3 +490,20 @@ def _naive_ap(sweep, total_gt):
                 break
         total += value
     return total / 101
+
+
+def loop_majority_category(ds):
+    """``splits.majority_category`` as a loop over images: per annotated
+    image, the category with the most instances, the lowest id on ties."""
+    assignment = {}
+    for image in ds.images:
+        counts = {}
+        for inst in ds.instances_for_image(image.id):
+            counts[inst.category_id] = counts.get(inst.category_id, 0) + 1
+        best = None
+        for category_id in sorted(counts):
+            if best is None or counts[category_id] > counts[best]:
+                best = category_id
+        if best is not None:
+            assignment[image.id] = best
+    return assignment

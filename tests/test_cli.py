@@ -1767,3 +1767,18 @@ class TestGoldenOutputs:
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUT_DIGESTS[case]
+
+    @pytest.mark.parametrize("max_dets", ["100", str(2**64)])
+    def test_a_cap_past_int64_scores_as_the_default(self, capsys, golden_inputs, max_dets):
+        """No cell of the corpus holds 100 detections, so a cap of 2**64
+        keeps the same rows as the default cap; the markdown table carries
+        no cap, so its digest is the default one."""
+        paths = golden_inputs["synthetic30"]
+        code, out, err = run(
+            capsys, "evaluate", "--annotations", str(paths["annotations"]),
+            "--predictions", str(paths["predictions"]), "--split", str(paths["split"]),
+            "--format", "markdown", "--max-dets", max_dets,
+        )
+        assert code == 0, err
+        digest = GOLDEN_OUTPUT_DIGESTS["evaluate synthetic30 markdown default"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -967,3 +967,57 @@ class TestLoadCocoColumns:
             assert dataset() is None
         finally:
             gc.enable()
+
+
+class TestCollectorPause:
+    """The loaders run with the cyclic collector paused, then restore the
+    state they found, on errors too."""
+
+    @staticmethod
+    def collections_during(load, *args) -> int:
+        seen = []
+
+        def count(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            load(*args)
+            return len(seen)
+        finally:
+            gc.callbacks.remove(count)
+
+    def test_no_collection_inside_a_large_load(self, tmp_path):
+        boxes = [[k % 90, k % 70, 4, 4] for k in range(20_000)]
+        annotations = [
+            {"id": k + 1, "image_id": 1, "category_id": 1, "bbox": box}
+            for k, box in enumerate(boxes)
+        ]
+        path = minimal_coco(tmp_path, annotations=annotations)
+        assert self.collections_during(load_coco, path) == 0
+        ds, _ = load_coco(path)
+        records = [{"image_id": 1, "category_id": 1, "bbox": box, "score": 0.5} for box in boxes]
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text(json.dumps(records))
+        assert self.collections_during(load_predictions, predictions, ds) == 0
+        assert gc.isenabled()
+
+    def test_state_restored_after_a_bad_record(self, tmp_path):
+        ds, _ = load_coco(minimal_coco(tmp_path))
+        bad = {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, -1, 1]}
+        path = minimal_coco(tmp_path, annotations=[bad])
+        predictions = tmp_path / "predictions.json"
+        record = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 2}
+        predictions.write_text(json.dumps([record]))
+        for load, args in ((load_coco, (path,)), (load_predictions, (predictions, ds))):
+            with pytest.raises(ValidationError):
+                load(*args)
+            assert gc.isenabled()
+            gc.disable()
+            try:
+                with pytest.raises(ValidationError):
+                    load(*args)
+                assert not gc.isenabled()  # a caller's disabled collector stays so
+            finally:
+                gc.enable()

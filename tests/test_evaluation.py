@@ -1,9 +1,11 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fruitbench.datamodel import (
     Category,
@@ -11,12 +13,15 @@ from fruitbench.datamodel import (
     DetectionDataset,
     GroundTruthInstance,
     ImageRecord,
+    PredictionTable,
     load_coco,
     load_predictions,
 )
 from fruitbench.errors import IntegrityError, ValidationError
 from fruitbench.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
+    _BLOCK,
+    _match,
     EvalConfig,
     average_precision,
     attribute_predicate,
@@ -25,8 +30,8 @@ from fruitbench.evaluation import (
     match_detections,
     report_to_dict,
 )
-from fruitbench.geometry import BoundingBox, iou, pairwise_iou
-from fruitbench.splits import split_train_test
+from fruitbench.geometry import BoundingBox, iou, paired_iou
+from fruitbench.splits import SplitResult, SplitSpec, split_train_test
 
 from .generators import random_eval_instance, table_of
 from .oracles import naive_evaluate
@@ -72,7 +77,7 @@ class TestIouMatrix:
     ]
 
     def assert_bitwise_equal(self, a, b):
-        got = pairwise_iou(corners(a), corners(b))
+        got = paired_iou(corners(a).T[:, :, None], corners(b).T)
         assert got.shape == (len(a), len(b))
         for i, box_a in enumerate(a):
             for j, box_b in enumerate(b):
@@ -137,6 +142,132 @@ class TestMatchDetections:
         d = [det(1, 1, B(2, 2, 28, 28), 0.9)]
         rows = match_detections(d, g, 0.5)
         assert rows[0].is_tp and rows[0].gt_instance_id == 2
+
+
+@st.composite
+def jittered_cells(draw):
+    """A dataset whose cells hold several detections jittered around few
+    ground-truth boxes on an integer grid, so IoUs and scores tie often,
+    plus crowd regions overlapping them; and its detections."""
+    n_images, n_cats = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    small = st.integers(-2, 2)
+    instances, dets = [], []
+    for image in range(1, n_images + 1):
+        anchors = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20),
+                                          st.integers(2, 8), st.integers(2, 8)),
+                                min_size=1, max_size=3))
+        for x, y, w, h in anchors:
+            category = draw(st.integers(1, n_cats))
+            for _ in range(draw(st.integers(0, 3))):
+                dx, dy = draw(small), draw(small)
+                box = B(x + dx + 2, y + dy + 2, x + dx + w + 2, y + dy + h + 2)
+                instances.append(gt(len(instances) + 1, image, category, box))
+            for grow in draw(st.lists(st.integers(0, 2), max_size=2)):  # crowd regions
+                box = B(x + 2 - grow, y + 2 - grow, x + w + 2 + grow, y + h + 2 + grow)
+                instances.append(gt(len(instances) + 1, image, category, box, iscrowd=True))
+            for _ in range(draw(st.integers(0, 5))):
+                dx, dy, dw = draw(small), draw(small), draw(st.integers(0, 1))
+                box = B(x + dx + 2, y + dy + 2, x + dx + w + dw + 2, y + dy + h + 2)
+                dets.append(det(image, category, box, draw(st.sampled_from([0.3, 0.5, 0.9]))))
+    categories = [Category(c, f"cat{c}") for c in range(1, n_cats + 1)]
+    images = [ImageRecord(i, f"{i}.jpg", 40, 40) for i in range(1, n_images + 1)]
+    return DetectionDataset(categories, images, instances), dets
+
+
+class TestArrayMatcher:
+    """The matcher of every cell at every threshold at once: rows without
+    a contested column in one pass, contested ones stepped, columns built
+    in bounded blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=jittered_cells())
+    def test_agrees_with_the_naive_oracle(self, case):
+        ds, dets = case
+        test_ids = tuple(m.id for m in ds.images)
+        split = SplitResult((), test_ids, SplitSpec("train-test", 1, 0.5), "")
+        thresholds = (0.1, 0.5, 0.95)
+        report = evaluate(ds, split, table_of(ds, dets), EvalConfig(thresholds, max_dets=3))
+        expected = naive_evaluate(ds, split, dets, thresholds, 3)
+        assert oracle_fields(report) == expected
+
+    def test_contested_column_goes_to_the_higher_score(self):
+        a = corners([B(0, 0, 10, 10), B(1, 0, 11, 10), B(20, 0, 30, 10)]).T
+        b = corners([B(0, 0, 10, 10), B(2, 0, 12, 10), B(20, 0, 30, 10)]).T
+        cells = np.array([[0], [3], [0], [3]])
+        hit = _match(a, b, np.zeros(3, dtype=bool), cells, (0.5, 0.7, 0.9))
+        # Row 1 ties on IoU 9/11 between columns 0 and 1; row 0 took column 0.
+        assert hit.tolist() == [[0, 1, 2], [0, 1, 2], [0, -1, 2]]
+
+    def test_rows_spanning_blocks_agree_with_the_oracle(self):
+        """A cell of boxes stacked along y, in shuffled id order: every one
+        overlaps every detection along x, so a row's columns fill several
+        blocks, and the boxes near a detection lie in different ones."""
+        rng = random.Random(5)
+        n_gt = 2 * _BLOCK + 50
+        place = rng.sample(range(n_gt), n_gt)
+        instances = [
+            gt(k + 1, 1, 1, B(0, 2 * place[k], 10, 2 * place[k] + 10), iscrowd=k % 7 == 3)
+            for k in range(n_gt)
+        ]
+        dets = []
+        for _ in range(12):
+            y = 2 * rng.randrange(n_gt) + rng.randint(-2, 2)
+            dets.append(det(1, 1, B(rng.randint(0, 1), y, 10, y + 10), rng.randint(1, 4) / 4))
+        image = ImageRecord(1, "a.jpg", 20, 2 * n_gt + 20)
+        ds = DetectionDataset([Category(1, "pear")], [image], instances)
+        split = SplitResult((), (1,), SplitSpec("train-test", 1, 0.5), "")
+        thresholds = (0.3, 0.5, 0.7)
+        report = evaluate(ds, split, table_of(ds, dets), EvalConfig(thresholds))
+        assert oracle_fields(report) == naive_evaluate(ds, split, dets, thresholds, 100)
+
+    def test_a_row_cut_block_by_block_tries_non_crowd_columns_first(self):
+        """Every pair of this cell is a candidate, and each row's candidates
+        are cut block by block: crowd copies of the box fill a row's first
+        block, non-crowd ones the next two."""
+        n_gt = 2 * _BLOCK + 50
+        instances = [gt(k + 1, 1, 1, B(0, 0, 10, 10), iscrowd=k < _BLOCK) for k in range(n_gt)]
+        ds = DetectionDataset([Category(1, "pear")], [ImageRecord(1, "a.jpg", 20, 20)], instances)
+        dets = [det(1, 1, B(0, 0, 10, 10), 0.5) for _ in range(5)]
+        split = SplitResult((), (1,), SplitSpec("train-test", 1, 0.5), "")
+        report = evaluate(ds, split, table_of(ds, dets))
+        assert report.per_category[0].per_threshold_ar == (5 / (n_gt - _BLOCK),) * 10
+
+    @staticmethod
+    def identical_cell(n_gt: int):
+        """One image, one category: 100 identical detections on ``n_gt``
+        identical ground-truth boxes."""
+        categories, images = [Category(1, "apple")], [ImageRecord(1, "a.jpg", 100, 100)]
+        boxes = np.tile([10.0, 10.0, 30.0, 30.0], (n_gt, 1))
+        ds, _ = DetectionDataset.from_columns(
+            categories, images, list(range(1, n_gt + 1)), [1] * n_gt, [1] * n_gt, boxes,
+            [False] * n_gt, [None] * n_gt,
+        )
+        rows = np.zeros(100, dtype=np.int64)
+        scores = np.full(100, 0.5)
+        table = PredictionTable(ds, rows, rows, boxes[:100].copy(), scores, [None] * 100)
+        return ds, table
+
+    def test_memory_is_bounded_on_a_degenerate_cell(self):
+        """Every pair of a 100 x 100k cell reaches every threshold; the
+        matcher keeps at most a row's rank + 1 columns and builds the IoU in
+        blocks, so its peak stays far below the 8 MB of one (D, G) array."""
+        results = []
+        for n_gt in (1_000, 100_000):
+            ds, table = self.identical_cell(n_gt)
+            split = SplitResult((), (1,), SplitSpec("train-test", 1, 0.5), "")
+            tracemalloc.start()
+            try:
+                report = evaluate(ds, split, table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2**20
+            assert report.per_category[0].per_threshold_ar == (100 / n_gt,) * 10
+            a, b = ds.gt_boxes[:100].T, np.ascontiguousarray(ds.gt_boxes.T)
+            cells = np.array([[0], [100], [0], [n_gt]])
+            results.append(_match(a, b, ds.gt_crowd, cells, DEFAULT_IOU_THRESHOLDS))
+        assert (results[0] == results[1]).all()
+        assert (results[0] == np.arange(100)).all()
 
 
 class TestAveragePrecision:

@@ -19,6 +19,8 @@ from fruitbench.splits import (
     write_manifest,
 )
 
+from . import oracles
+
 
 def make_dataset(images_per_category: dict[str, int]) -> DetectionDataset:
     """Single-category images: ``n`` images per category name."""
@@ -81,6 +83,29 @@ class TestMajorityCategory:
             ],
         )
         assert majority_category(ds) == {1: 2, 2: 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        category_ids=st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True),
+        n_images=st.integers(1, 6),
+        rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=30),
+    )
+    def test_agrees_with_the_loop_oracle(self, category_ids, n_images, rows):
+        """Small category and image counts make ties and images without
+        ground truth common; category ids in any order and size."""
+        categories = [Category(c, f"c{c}") for c in category_ids]
+        images = [ImageRecord(10 * i + 3, f"{i}.jpg", 64, 64) for i in range(n_images)]
+        instances = [
+            GroundTruthInstance(
+                k + 1, images[i % n_images].id, category_ids[c % len(category_ids)],
+                BoundingBox(0, 0, 5, 5),
+            )
+            for k, (i, c) in enumerate(rows)
+        ]
+        ds = DetectionDataset(categories, images, instances)
+        got = majority_category(ds)
+        assert got == oracles.loop_majority_category(ds)
+        assert list(got) == sorted(got)
 
 
 class TestSplitTrainTest:
