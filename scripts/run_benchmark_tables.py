@@ -59,7 +59,7 @@ def main() -> None:
         "rows": [
             {
                 "label": label,
-                "manifest": str(manifest),
+                "manifest": manifest.name,  # resolved against the grid file's directory
                 "predictions": str(SYN30 / f"predictions_{label}.json"),
             }
             for label in ("perfect", "noisy", "empty")

@@ -183,15 +183,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _loss_logits(table, rows, one_hot) -> np.ndarray:
+def _loss_logits(table, rows, tokens) -> np.ndarray:
     """Category-token reduction of the table's ``rows``, as a (rows, V)
-    array: the token vocabulary is the dataset's categories in id order
-    (``one_hot`` holds their masks); a detection's logit for its own
-    category token is the log-odds of its score, every other token gets a
-    saturated negative logit."""
+    array: the token vocabulary is the dataset's category positions
+    ``tokens`` (id order); a detection's logit for its own category token
+    is the log-odds of its score, every other token gets a saturated
+    negative logit."""
     p = np.clip(table.score[rows], _SCORE_EPS, 1.0 - _SCORE_EPS).tolist()
     own = np.array([math.log(v / (1.0 - v)) for v in p]).reshape(-1, 1)
-    return np.where(one_hot[table.category[rows]], own, _NEGATIVE_LOGIT)
+    return np.where(table.category[rows, None] == tokens, own, _NEGATIVE_LOGIT)
 
 
 def cmd_loss(args) -> int:
@@ -203,7 +203,7 @@ def cmd_loss(args) -> int:
         image_ids = [m.id for m in ds.images]
     by_image = np.argsort(table.image, kind="stable")  # input order within an image
     bounds = np.searchsorted(table.image[by_image], np.arange(len(ds.images) + 1)).tolist()
-    one_hot = np.eye(len(ds.categories), dtype=bool)
+    tokens = np.arange(len(ds.categories))
     weights = args.weights
     rows = []
     breakdowns: list[LossBreakdown] = []
@@ -213,8 +213,8 @@ def cmd_loss(args) -> int:
         gt_rows = ds.gt_rows(k)
         pred_rows = by_image[bounds[k]:bounds[k + 1]]
         breakdown = set_loss(
-            table.boxes[pred_rows], _loss_logits(table, pred_rows, one_hot),
-            ds.gt_boxes[gt_rows], one_hot[ds.gt_category[gt_rows]], img.width, img.height,
+            table.boxes[pred_rows], _loss_logits(table, pred_rows, tokens),
+            ds.gt_boxes[gt_rows], ds.gt_category[gt_rows, None] == tokens, img.width, img.height,
             weights, count_unmatched_contrastive=not args.no_unmatched_contrastive,
         )
         breakdowns.append(breakdown)

@@ -27,15 +27,15 @@ fills the columns straight from the parsed records
 (``DetectionDataset.from_columns``), and builds a row's
 ``GroundTruthInstance`` only when that row is read.
 
-Both loaders of scored files work alike: they check exact classes in one
-pass over the records and the values with numpy; when anything fails, the
-scalar record reader replays the records and raises for the first bad one,
-so there is one set of rules and one set of messages. A prediction file is
-read once, by ``load_predictions``, into a ``PredictionTable`` of columns
-(image and category positions, corner boxes, scores, prompts) that
-evaluation and the set loss score from; it is the only form they take.
-The table is also a read-only ``Sequence[Detection]`` of views;
-``list(table)`` is the list of them.
+Both loaders of scored files have one shape: one pass checks exact classes
+and numpy the values; if a record fails, the scalar reader (which only
+raises) replays the records for the first bad one: one set of rules and
+messages. Dataset checks raise straight from the columns. A prediction file
+is read once, by ``load_predictions``, into a ``PredictionTable`` of
+columns (image and category positions, corner boxes, scores, prompts) that
+evaluation and the set loss score from; it is the only form they take. The
+table is also a read-only ``Sequence[Detection]`` of views; ``list(table)``
+is the list of them.
 
 Loaders return what they repaired or skipped (clamped boxes, unmapped
 labels) and print nothing; the CLI reports it.
@@ -64,7 +64,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FruitBenchError, IntegrityError, ParseError, ValidationError
+from .errors import IntegrityError, ParseError, ValidationError
 from .geometry import BoundingBox, box_from_xywh, corner_array
 
 __all__ = [
@@ -459,10 +459,10 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
     of clamped boxes is returned alongside the dataset.
 
     One pass takes the annotation fields out by exact JSON class, then
-    numpy checks and lays out the columns (``DetectionDataset.from_columns``);
-    no instance is built until it is read. If any record fails, the scalar
-    reader replays the records in file order and raises for the first bad
-    one, so there is one set of rules and one set of messages.
+    numpy checks and lays out the columns (``DetectionDataset.from_columns``,
+    whose dataset checks raise); no instance is built until it is read. If
+    a record fails, the scalar reader replays the records in file order and
+    raises for the first bad one: one set of rules and one set of messages.
 
     Returns:
         (dataset, clamped_count)
@@ -496,12 +496,14 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
     ]
     records = field(raw, "annotations", path, ARRAY)
     loaded = _annotation_columns(categories, images, records)
-    return loaded or _annotation_records(path, categories, images, records)
+    if loaded is None:
+        _annotation_records(path, images, records)
+    return loaded
 
 
 def _annotation_columns(categories, images, records: list):
-    """``(dataset, clamped)`` of the annotation ``records``, or None if
-    some record is invalid."""
+    """``(dataset, clamped)`` of the annotation ``records``, or None if a
+    record is invalid, which the scalar ``_annotation_records`` rejects too."""
     try:
         ids, image, category, bbox = (list(map(get, records)) for get in _ANNOTATION_FIELDS)
         crowd = list(map(dict.get, records, repeat("iscrowd"), repeat(0)))
@@ -510,6 +512,7 @@ def _annotation_columns(categories, images, records: list):
         if not (
             _classes(chain(ids, image, category)) <= {int}
             and min(ids, default=1) > 0
+            and set(image) <= {m.id for m in images}
             and _classes(crowd) <= {int, bool}
             and set(crowd) <= {0, 1}
             and _classes(attributes) <= {dict, tuple}
@@ -518,34 +521,31 @@ def _annotation_columns(categories, images, records: list):
         for value in set(chain.from_iterable(a.values() for a in attributes if a)):
             checked(value, STRING, "attribute")
         boxes = _corners(bbox, len(records))
-        if boxes is None:
-            return None
-        return DetectionDataset.from_columns(
-            categories, images, ids, image, category, boxes, crowd, attributes
-        )
-    except (KeyError, TypeError, OverflowError, FruitBenchError):
+    except (KeyError, TypeError, OverflowError, ValidationError):
         return None
+    if boxes is None:
+        return None
+    return DetectionDataset.from_columns(
+        categories, images, ids, image, category, boxes, crowd, attributes
+    )
 
 
-def _annotation_records(path, categories, images, records: list):
-    """The scalar reader of the annotation records, in file order."""
-    image_ids, instances = {m.id for m in images}, []
+def _annotation_records(path, images, records: list) -> None:
+    """The scalar reader of the annotation records, in file order; it
+    raises for every record ``_annotation_columns`` rejects."""
+    image_ids = {m.id for m in images}
     for a in records:
         ann_id = field(a, "id", f"{path} annotations", INTEGER)
         context = f"annotation {ann_id}"
         image_id = field(a, "image_id", context, INTEGER)
         category_id = field(a, "category_id", context, INTEGER)
-        iscrowd = bool(field(a, "iscrowd", context, FLAG, 0))
+        field(a, "iscrowd", context, FLAG, 0)
         if image_id not in image_ids:
             raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
         box = box_from_xywh(field(a, "bbox", context))
-        attributes = field(a, "attributes", context, OBJECT, {})
-        for key, value in attributes.items():
+        for key, value in field(a, "attributes", context, OBJECT, {}).items():
             checked(value, STRING, context, key)
-        instances.append(
-            GroundTruthInstance(ann_id, image_id, category_id, box, attributes, iscrowd)
-        )
-    return DetectionDataset.from_columns(categories, images, *_instance_columns(instances))
+        GroundTruthInstance(ann_id, image_id, category_id, box)  # rejects an id below 1
 
 
 def _canonical_label(label: str) -> str:

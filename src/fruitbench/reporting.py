@@ -2,10 +2,12 @@
 
 Three renderers: dataset statistics tables, metric grids over experiment
 settings (rows) by category (column groups of mAP/AP50/mAR), and inference
-timing summaries. Rendering is pure: identical inputs produce byte
-identical output. Display conventions: counts carry thousands separators,
-statistics averages round half-to-even to integers, metrics are shown
-x100 with one decimal, missing values render as an em dash.
+timing summaries. Each builds its header, display rows and JSON payload,
+and one table path (``_render``) checks the format and writes one of them.
+Rendering is pure: identical inputs produce byte identical output. Display
+conventions: counts carry thousands separators, statistics averages round
+half-to-even to integers, metrics are shown x100 with one decimal, missing
+values render as an em dash.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .datamodel import NUMBER, STRING, DatasetStats, field, parse_json, read_text
+from .datamodel import NUMBER, STRING, CategoryStats, DatasetStats, field, parse_json, read_text
 from .errors import ValidationError
 from .evaluation import EvaluationReport
 
@@ -110,7 +112,15 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
+def _render(header: list[str], rows: list[list[str]], payload, output_format: str) -> str:
+    """The one table path: ``payload`` as indented JSON, or ``header`` and
+    the display ``rows`` as a markdown or CSV table."""
+    if output_format not in FORMATS:
+        raise ValidationError(f"unknown format {output_format!r}")
+    if output_format == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if output_format == "markdown":
+        return _markdown_table(header, rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -118,49 +128,36 @@ def _csv_table(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
+def _stats_json(row: CategoryStats) -> dict:
+    return {
+        "name": row.name,
+        "images": row.image_count,
+        "bboxes": row.bbox_count,
+        "avg_bboxes_per_image": row.avg_boxes_per_image,
+        "avg_size_per_instance": row.avg_instance_area,
+        "region": row.region,
+    }
+
+
 def render_stats_table(stats: DatasetStats, output_format: str = "markdown") -> str:
     """Dataset statistics with a total row."""
-    if output_format not in FORMATS:
-        raise ValidationError(f"unknown format {output_format!r}")
-    if output_format == "json":
-        payload = {
-            "categories": [
-                {
-                    "name": row.name,
-                    "images": row.image_count,
-                    "bboxes": row.bbox_count,
-                    "avg_bboxes_per_image": row.avg_boxes_per_image,
-                    "avg_size_per_instance": row.avg_instance_area,
-                    "region": row.region,
-                }
-                for row in stats.per_category
-            ],
-            "total": {
-                "name": stats.total.name,
-                "images": stats.total.image_count,
-                "bboxes": stats.total.bbox_count,
-                "avg_bboxes_per_image": stats.total.avg_boxes_per_image,
-                "avg_size_per_instance": stats.total.avg_instance_area,
-                "region": stats.total.region,
-            },
-        }
-        return json.dumps(payload, indent=2) + "\n"
     header = ["Category", "# imgs", "# bboxes", "avg bboxes/image", "avg size/instance", "Region"]
-    rows = []
-    for row in list(stats.per_category) + [stats.total]:
-        rows.append(
-            [
-                row.name,
-                _fmt_count(row.image_count),
-                _fmt_count(row.bbox_count),
-                _fmt_rounded(row.avg_boxes_per_image),
-                _fmt_rounded(row.avg_instance_area),
-                row.region,
-            ]
-        )
-    if output_format == "markdown":
-        return _markdown_table(header, rows)
-    return _csv_table(header, rows)
+    rows = [
+        [
+            row.name,
+            _fmt_count(row.image_count),
+            _fmt_count(row.bbox_count),
+            _fmt_rounded(row.avg_boxes_per_image),
+            _fmt_rounded(row.avg_instance_area),
+            row.region,
+        ]
+        for row in (*stats.per_category, stats.total)
+    ]
+    payload = {
+        "categories": [_stats_json(row) for row in stats.per_category],
+        "total": _stats_json(stats.total),
+    }
+    return _render(header, rows, payload, output_format)
 
 
 def _grid_categories(reports) -> list[tuple[int, str]]:
@@ -186,19 +183,13 @@ def render_metric_grid(
     json_rows = []
     for row in grid.rows:
         report = reports.get(row.label)
+        by_id = {r.category_id: r for r in report.per_category} if report is not None else {}
         cells = [row.label]
         json_cells: dict[str, dict] = {}
         for cat_id, cat_name in categories:
-            cat_row = None
-            if report is not None:
-                cat_row = next(
-                    (r for r in report.per_category if r.category_id == cat_id), None
-                )
-            values = {
-                "mAP": cat_row.map if cat_row else None,
-                "AP50": cat_row.ap50 if cat_row else None,
-                "mAR": cat_row.mar if cat_row else None,
-            }
+            cat_row = by_id.get(cat_id)
+            values = (cat_row.map, cat_row.ap50, cat_row.mar) if cat_row else (None,) * 3
+            values = dict(zip(METRIC_KEYS, values))
             json_cells[cat_name] = {m: values[m] for m in grid.metrics}
             for metric in grid.metrics:
                 if values[metric] is None:
@@ -206,14 +197,11 @@ def render_metric_grid(
                 cells.append(_fmt_metric(values[metric]))
         table_rows.append(cells)
         json_rows.append({"label": row.label, "cells": json_cells})
-    if grid.output_format == "json":
-        return json.dumps({"rows": json_rows, "missing_cells": warnings}, indent=2) + "\n", warnings
     header = ["Setting"] + [
         f"{name} {metric}" for _, name in categories for metric in grid.metrics
     ]
-    if grid.output_format == "markdown":
-        return _markdown_table(header, table_rows), warnings
-    return _csv_table(header, table_rows), warnings
+    payload = {"rows": json_rows, "missing_cells": warnings}
+    return _render(header, table_rows, payload, grid.output_format), warnings
 
 
 def render_report_table(report: EvaluationReport) -> str:
@@ -242,23 +230,15 @@ def load_timing_log(path) -> list[TimingRecord]:
 def summarize_timing(records: list[TimingRecord], output_format: str = "markdown") -> str:
     """Per-model mean latency and FPS = 1000 / mean latency, one decimal
     each (so FPS x latency stays consistent within display rounding)."""
-    if output_format not in FORMATS:
-        raise ValidationError(f"unknown format {output_format!r}")
-    if output_format == "json":
-        payload = [
-            {
-                "model": r.model,
-                "fps": round(1000.0 / r.mean_ms, 1),
-                "mean_latency_ms": round(r.mean_ms, 1),
-                "images": len(r.latencies_ms),
-            }
-            for r in records
-        ]
-        return json.dumps(payload, indent=2) + "\n"
     header = ["Model", "FPS (imgs/s)", "Inference time per image (ms)"]
-    rows = [
-        [r.model, f"{1000.0 / r.mean_ms:.1f}", f"{r.mean_ms:.1f}"] for r in records
+    rows = [[r.model, f"{1000.0 / r.mean_ms:.1f}", f"{r.mean_ms:.1f}"] for r in records]
+    payload = [
+        {
+            "model": r.model,
+            "fps": round(1000.0 / r.mean_ms, 1),
+            "mean_latency_ms": round(r.mean_ms, 1),
+            "images": len(r.latencies_ms),
+        }
+        for r in records
     ]
-    if output_format == "markdown":
-        return _markdown_table(header, rows)
-    return _csv_table(header, rows)
+    return _render(header, rows, payload, output_format)

@@ -18,6 +18,10 @@ Reproducibility is pinned down to the algorithm, not just the seed:
 
 Note that k-shot samples are *not* nested: the 5-shot draw for a seed need
 not contain the 1-shot draw for the same seed.
+
+A manifest holds the spec, the sorted train and test image ids and a
+SHA-256 digest of them; one table of the optional spec keys
+(``_SPEC_FIELDS``) serves its writer, its digest and its reader.
 """
 
 from __future__ import annotations
@@ -58,6 +62,14 @@ _SHOT_DOMAIN = 2
 
 _MAX_SEED = 2**64
 
+# The optional spec fields, in manifest key order: the attribute, its
+# manifest key and its JSON kind.
+_SPEC_FIELDS = (
+    ("train_fraction", "fraction", NUMBER),
+    ("k", "k", INTEGER),
+    ("held_out_category", "held_out", INTEGER),
+)
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -90,7 +102,7 @@ class SplitSpec:
         }.get(self.kind)
         if required is None:
             raise ValidationError(f"unknown split kind {self.kind!r}")
-        for name in ("train_fraction", "k", "held_out_category"):
+        for name, _, _ in _SPEC_FIELDS:
             value = getattr(self, name)
             if name in required:
                 if value is None:
@@ -126,27 +138,17 @@ class SplitResult:
             raise ValidationError("train and test image sets overlap")
 
 
-def _spec_to_dict(spec: SplitSpec) -> dict:
-    payload = {"kind": spec.kind, "seed": spec.seed}
-    if spec.train_fraction is not None:
-        payload["fraction"] = spec.train_fraction
-    if spec.k is not None:
-        payload["k"] = spec.k
-    if spec.held_out_category is not None:
-        payload["held_out"] = spec.held_out_category
-    return payload
+def _manifest_body(spec: SplitSpec, train, test) -> dict:
+    """A manifest without its digest: the object the digest hashes."""
+    keys = {"kind": spec.kind, "seed": spec.seed}
+    for name, key, _ in _SPEC_FIELDS:
+        if getattr(spec, name) is not None:
+            keys[key] = getattr(spec, name)
+    return {"spec": keys, "train_image_ids": list(train), "test_image_ids": list(test)}
 
 
 def _digest(spec: SplitSpec, train: tuple[int, ...], test: tuple[int, ...]) -> str:
-    body = json.dumps(
-        {
-            "spec": _spec_to_dict(spec),
-            "train_image_ids": list(train),
-            "test_image_ids": list(test),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    body = json.dumps(_manifest_body(spec, train, test), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
@@ -281,12 +283,8 @@ def split_cross_class(
 
 
 def write_manifest(result: SplitResult, path) -> None:
-    payload = {
-        "spec": _spec_to_dict(result.spec),
-        "train_image_ids": list(result.train_image_ids),
-        "test_image_ids": list(result.test_image_ids),
-        "digest": result.manifest_digest,
-    }
+    payload = _manifest_body(result.spec, result.train_image_ids, result.test_image_ids)
+    payload["digest"] = result.manifest_digest
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
@@ -299,9 +297,7 @@ def load_manifest(path) -> SplitResult:
     spec = SplitSpec(
         kind=field(raw, "kind", context, STRING),
         seed=field(raw, "seed", context, INTEGER),
-        train_fraction=field(raw, "fraction", context, NUMBER, None),
-        k=field(raw, "k", context, INTEGER, None),
-        held_out_category=field(raw, "held_out", context, INTEGER, None),
+        **{name: field(raw, key, context, kind, None) for name, key, kind in _SPEC_FIELDS},
     )
     train, test = (
         tuple(checked(i, INTEGER, path, key) for i in field(payload, key, path, ARRAY))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,32 @@ class TestLoss:
         )
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_memory_is_linear_in_the_category_count(self, capsys, tmp_path):
+        """Masks and logits are built per image from category positions:
+        10,000 categories cost kilobytes per row, where a (V, V) identity
+        alone would take 95 MB."""
+        n = 10_000
+        coco = {
+            "images": [{"id": 1, "file_name": "a.jpg", "width": 64, "height": 48}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": n, "bbox": [4, 4, 10, 10]}],
+            "categories": [{"id": k, "name": f"c{k}"} for k in range(1, n + 1)],
+        }
+        records = [{"image_id": 1, "category_id": n, "bbox": [5, 5, 10, 10], "score": 0.9}]
+        (tmp_path / "annotations.json").write_text(json.dumps(coco))
+        (tmp_path / "predictions.json").write_text(json.dumps(records))
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "loss", "--annotations", str(tmp_path / "annotations.json"),
+                "--predictions", str(tmp_path / "predictions.json"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["per_image"][0]["no_matches"] is False
+        assert peak < 24 * 2**20
 
     def test_image_size_past_the_float_range_exits_1(self, capsys, tmp_path):
         """``loss`` rejects an image size no float holds; ``stats`` and
@@ -1540,6 +1567,35 @@ class TestInstancesBuiltOnRead:
         ds, _ = datamodel.load_coco(SYN30 / "annotations.json")
         assert len(ds.instances) > 0 and built == []
 
+    def test_dataset_check_raises_from_the_columns(self, tmp_path, built):
+        """A duplicate category fails a dataset check, not a record: it
+        raises straight from the columns, with no record replayed and no
+        instance built."""
+        from fruitbench import datamodel
+        from fruitbench.errors import ValidationError
+
+        payload = json.loads((SYN30 / "annotations.json").read_text())
+        payload["categories"].append({"id": 1, "name": "duplicate"})
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="^duplicate category id 1$"):
+            datamodel.load_coco(path)
+        assert built == []
+
+    def test_record_error_wins_over_dataset_check(self, tmp_path):
+        """A bad record raises before a dataset check, wherever in the file
+        it sits: the last annotation's box beats a duplicate category."""
+        from fruitbench import datamodel
+        from fruitbench.errors import ValidationError
+
+        payload = json.loads((SYN30 / "annotations.json").read_text())
+        payload["categories"].append({"id": 1, "name": "duplicate"})
+        payload["annotations"][-1]["bbox"] = [0, 0, -1, 1]
+        path = tmp_path / "annotations.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=r"^negative box size: w=-1\.0, h=1\.0$"):
+            datamodel.load_coco(path)
+
     def test_loss_builds_no_row_objects(self, capsys, monkeypatch, split_manifest, built):
         """``loss`` scores from the prediction table and the ground-truth
         columns: it builds no ``GroundTruthInstance`` or ``BoundingBox``."""
@@ -1721,6 +1777,10 @@ GOLDEN_OUTPUT_DIGESTS = {
         "86281b643466dc22090f601c1fba6be15449aee0ce39ebab9e06d7a3bef2b5ef",
     "rec-eval golden markdown default":
         "56e4e270da8d54a18237d85e1c64775649d0dd465eaba1e6c6dac500e343d68c",
+    "report golden csv custom":
+        "fcb861e62dd8f6dfa65a4efbf3ccaf3c60ca7727af43ccc62478b2dd47a17863",
+    "report golden csv default":
+        "8ce5198e57f58aef88e6f353e721d6c2f2a0164dbce30983a5c1834fa68f0f2d",
     "report golden json custom":
         "b6d24560f3a599641a16dde9af027a9445e8b67e6bf17ae9196f428c0f1a0447",
     "report golden json default":
@@ -1729,6 +1789,10 @@ GOLDEN_OUTPUT_DIGESTS = {
         "05ff6b532b3c8ccc2797ea79714b9208de538f6f8ca931e5772e503b2e8a497a",
     "report golden markdown default":
         "0d64a2c8a143cdb29b87fefd01150ef026f75d458b33ebd95f4476236adbb2a5",
+    "report synthetic30 csv custom":
+        "810ad4f8fe18be5f16699b0c31942c5547f8efefb80f580ae935a715285183d7",
+    "report synthetic30 csv default":
+        "94dde3558d655d55b0257c0a171c790eabbc99a0fc848479c3cca138249dd726",
     "report synthetic30 json custom":
         "262bac585db3cdf508267a84ec23d7c3e4c1b6be148de73804f5df9270a3a59a",
     "report synthetic30 json default":
@@ -1739,8 +1803,42 @@ GOLDEN_OUTPUT_DIGESTS = {
         "05aa362207bb95c850e7686446baaa4dabca0c383fcbc6b0d7acb0c043984ee2",
 }
 
+# sha256 of stdout per table case: subcommand, input and output format.
+GOLDEN_TABLE_DIGESTS = {
+    "stats fixture_stats csv":
+        "c0df98b089f68788cc255c9c129318903617a292c817f6030c4e9cbd2f48154d",
+    "stats fixture_stats json":
+        "1d885e1f32c43d3c13a9ca7107777513a8a6bc3108e615752260ff9eaa41f52c",
+    "stats fixture_stats markdown":
+        "7e77df3986fd4d5c1a809633736462009def7f51e25d4c059ca4db8339fc220b",
+    "stats synthetic30 csv":
+        "b5a2b93533d97764cce07caab9c574852ecca821e0d17e45ed792acb07d26a8c",
+    "stats synthetic30 json":
+        "f8004b283bb660ddc222f4133001420502303c1bcc6d2ce728936ed90a727097",
+    "stats synthetic30 markdown":
+        "901f5b88ee83f56825932257dd65be367eac69372248094cb6eb91aa4bde22c0",
+    "bench timing csv":
+        "d1c0ac466e7aaf20c28426ee590dbbd51e43cbd43331535b91c515d180fadd83",
+    "bench timing json":
+        "30843bc6871c8687bfb5109a70a88f302ddcf8561b2d032f6f60a1bb88748994",
+    "bench timing markdown":
+        "9a41e87bfa2e0c79ccbf22e412eed129eaa23fbe0b6d9af37a36a8e1d6d05e4c",
+}
+
 
 class TestGoldenOutputs:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TABLE_DIGESTS))
+    def test_table_digest(self, capsys, case):
+        """Statistics and timing tables stay byte for byte what they were."""
+        command, source, output_format = case.split()
+        if command == "stats":
+            argv = ["--annotations", str(DATA / source / "annotations.json")]
+        else:
+            argv = ["--timings", str(DATA / f"{source}.jsonl")]
+        code, out, err = run(capsys, command, *argv, "--format", output_format)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_TABLE_DIGESTS[case]
+
     @pytest.mark.parametrize("case", sorted(GOLDEN_OUTPUT_DIGESTS))
     def test_stdout_digest(self, capsys, golden_inputs, case):
         """Scoring output stays byte for byte what it was."""
