@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BoundingBox, giou, l1_box_distance, pairwise_areas
+from .geometry import BoundingBox, giou, l1_box_distance, left_sum, pairwise_areas
 
 __all__ = [
     "CostMatrix",
@@ -293,9 +293,7 @@ def hungarian(costs: CostMatrix) -> Assignment:
         tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop
     )
     pairs = tuple((i, j) for i, j in enumerate(pred_to_gt) if j >= 0)
-    total = 0.0
-    for i, j in pairs:
-        total += float(entries[i, j])
+    total = left_sum(float(entries[i, j]) for i, j in pairs)
     return Assignment(
         pairs=pairs,
         unmatched_predictions=tuple(i for i, j in enumerate(pred_to_gt) if j < 0),
@@ -462,20 +460,13 @@ def set_loss(
     terms = _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
     l1, g, tac, negative = terms
     assignment = hungarian(_combined_cost(terms, weights))
-    l1_sum = 0.0
-    giou_sum = 0.0
-    cons_sum = 0.0
-    for i, j in assignment.pairs:
-        l1_sum += float(l1[i, j])
-        giou_sum += 1.0 - float(g[i, j])
-        cons_sum += float(tac[i, j])
-    if count_unmatched_contrastive:
-        for i in assignment.unmatched_predictions:
-            cons_sum += float(negative[i])
+    pairs = assignment.pairs
+    unmatched = assignment.unmatched_predictions if count_unmatched_contrastive else ()
     denom = max(l1.shape[1], 1)
-    l1_term = l1_sum / denom
-    giou_term = giou_sum / denom
-    cons_term = cons_sum / denom
+    l1_term = left_sum(float(l1[i, j]) for i, j in pairs) / denom
+    giou_term = left_sum(1.0 - float(g[i, j]) for i, j in pairs) / denom
+    cons = [float(tac[i, j]) for i, j in pairs] + [float(negative[i]) for i in unmatched]
+    cons_term = left_sum(cons) / denom
     return LossBreakdown(
         l1=l1_term,
         giou_loss=giou_term,

@@ -31,6 +31,7 @@ from . import datamodel, evaluation, reporting, splits
 from .assignment import LossBreakdown, LossWeights, set_loss
 from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json
 from .errors import FruitBenchError, IntegrityError, ValidationError
+from .geometry import left_sum
 
 __all__ = ["main", "build_parser"]
 
@@ -235,10 +236,8 @@ def cmd_loss(args) -> int:
         },
         "per_image": rows,
         "aggregate": {
-            "l1": sum(b.l1 for b in breakdowns) / n,
-            "giou_loss": sum(b.giou_loss for b in breakdowns) / n,
-            "contrastive": sum(b.contrastive for b in breakdowns) / n,
-            "total": sum(b.total for b in breakdowns) / n,
+            key: left_sum(getattr(b, key) for b in breakdowns) / n
+            for key in ("l1", "giou_loss", "contrastive", "total")
         },
     }
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)

@@ -65,7 +65,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import IntegrityError, ParseError, ValidationError
-from .geometry import BoundingBox, box_from_xywh, corner_array
+from .geometry import BoundingBox, box_from_xywh, corner_array, left_sum
 
 __all__ = [
     "Category",
@@ -661,9 +661,8 @@ class PredictionTable(Sequence):
     and ``prompt`` a string or None per row. The arrays are read-only.
 
     As a ``Sequence[Detection]`` the table yields one ``Detection`` view
-    per row, equal to the one the scalar reader builds. Indexing with an
-    int gives that view; a slice or an int64 array of row numbers gives
-    the table of those rows, in that order."""
+    per row, equal to the one the scalar reader builds; an int index gives
+    that view."""
 
     def __init__(self, ds, image, category, boxes, score, prompt):
         self.ds = ds
@@ -675,14 +674,8 @@ class PredictionTable(Sequence):
     def __len__(self) -> int:
         return len(self.score)
 
-    def __getitem__(self, index):
-        if isinstance(index, (slice, np.ndarray)):
-            rows = np.arange(len(self))[index]
-            return PredictionTable(
-                self.ds, self.image[rows], self.category[rows], self.boxes[rows], self.score[rows],
-                [self.prompt[k] for k in rows.tolist()],
-            )
-        index = range(len(self))[index]
+    def __getitem__(self, index: int) -> Detection:
+        index = range(len(self))[operator.index(index)]
         return self._view(
             self.image[index], self.category[index], self.boxes[index].tolist(),
             float(self.score[index]), self.prompt[index],
@@ -815,7 +808,7 @@ def _stats_row(name: str, boxes: np.ndarray, images) -> CategoryStats:
     x0, y0, x1, y1 = boxes.T
     with np.errstate(over="ignore", invalid="ignore"):
         areas = ((x1 - x0) * (y1 - y0)).tolist()  # geometry.area, row by row
-    mean = sum(areas) / n_box if n_box else None
+    mean = left_sum(areas) / n_box if n_box else None
     if mean is not None and not math.isfinite(mean):
         raise ValidationError(f"stats row {name!r}: the mean box area overflows a float")
     region = " & ".join(sorted({m.region for m in images if m.region}))

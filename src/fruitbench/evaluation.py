@@ -26,10 +26,11 @@ from the aggregate means.
 
 One array path computes it all. Detections arrive only as the
 ``PredictionTable`` that ``load_predictions`` read against the dataset,
-and ground truth as the dataset's columns; on both sides a cell is keyed
-by ``category * len(ds.images) + image``. ``np.isin`` picks the test
-images' rows (``gt_filter``, called on each row's ``gt_attributes`` map,
-is one mask over the ground-truth ones); a stable lexsort by (key,
+and ground truth as the dataset's columns. ``evaluate`` scores all rows
+as one group, ``evaluate_rec`` each prompt's rows as a group against the
+test ground truth its filter accepts. A cell of either side is keyed by
+``(group * len(ds.categories) + category) * len(ds.images) + image``;
+``np.isin`` picks the test images' rows, a stable lexsort by (key,
 descending score) and its segment offsets form the capped detection
 cells, and ``searchsorted`` finds each one's ground-truth run. ``_match``
 then matches every cell at every threshold at once. A detection is paired
@@ -39,14 +40,13 @@ built in blocks of about ``_BLOCK`` pairs, and the detection of rank r in
 its cell keeps at most r + 1 non-crowd candidates plus the first crowd
 region to reach each threshold, so memory grows with D * min(D, G), not
 D * G. Detections holding no contested box are matched in one pass, the
-others one rank per pass. Each category gets a (T, N) int8 state (1 true
-positive, -1 crowd-ignored, 0 otherwise) and one sweep over all its
-thresholds.
+others one rank per pass. Each group's category gets a (T, N) int8 state
+(1 true positive, -1 crowd-ignored, 0 otherwise) and one sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -56,7 +56,7 @@ from .datamodel import (
     checked, field,
 )
 from .errors import ValidationError
-from .geometry import corner_array, paired_iou
+from .geometry import corner_array, left_sum, paired_iou
 from .splits import SplitResult
 
 __all__ = [
@@ -312,7 +312,7 @@ def _sweep(state: np.ndarray, total_gt: int, curve: bool):
     envelope = np.maximum.accumulate(envelope[:, ::-1], axis=1)[:, ::-1]
     need = np.searchsorted(np.arange(total_gt + 1) / total_gt, _LEVELS)
     interpolated = envelope[:, np.clip(need - 1, 0, width - 1)].tolist()
-    aps = [sum(levels) / len(RECALL_LEVELS) for levels in interpolated]
+    aps = [left_sum(levels) / len(RECALL_LEVELS) for levels in interpolated]
     if not curve:
         return aps, None
     curves = []
@@ -368,26 +368,32 @@ def _segments(key: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(change), len(change))
 
 
-def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[tuple]:
-    """Per category of ``ds``, in position order: the scores of its capped
-    ``used`` rows of ``table``, their (T, N) ``_sweep`` state and its
-    non-crowd GT count. A cell of either side is keyed by
-    ``category * len(ds.images) + image``."""
-    n_images = len(ds.images)
-    gt = np.flatnonzero(np.isin(ds.gt_image, test_positions))
-    if gt_filter is not None:
-        attrs = ds.gt_attributes
-        gt = gt[np.array([bool(gt_filter(attrs[k])) for k in gt.tolist()], dtype=bool)]
-    gt_key = ds.gt_category[gt] * n_images + ds.gt_image[gt]
+def _category_pools(ds, test_positions, table, used, group, filters, config) -> tuple:
+    """Per group, then category of ``ds``: the scores of its capped ``used``
+    rows of ``table``, their (T, N) ``_sweep`` state and its non-crowd GT
+    count; and each group's ``used`` row count. ``group`` holds the used
+    rows' groups, or one for all; the values of ``filters`` are each
+    group's test of a GT row's ``gt_attributes`` map, or None for all."""
+    n_images, n_categories = len(ds.images), len(ds.categories)
+    test_gt = np.flatnonzero(np.isin(ds.gt_image, test_positions))
+    keep = np.ones((len(filters), len(test_gt)), dtype=bool)
+    for k, gt_filter in enumerate(filters.values()):
+        if gt_filter is not None:
+            keep[k] = [bool(gt_filter(ds.gt_attributes[row])) for row in test_gt.tolist()]
+    gt_group, gt = np.nonzero(keep)
+    gt = test_gt[gt]
+    gt_key = (ds.gt_category[gt] + gt_group * n_categories) * n_images + ds.gt_image[gt]
+    del test_gt, keep, gt_group  # freed before the matcher's working arrays
     by_key = np.argsort(gt_key, kind="stable")  # id order within a cell
     gt, gt_key = gt[by_key], gt_key[by_key]
     gt_corners, gt_crowd = np.ascontiguousarray(ds.gt_boxes[gt].T), ds.gt_crowd[gt]
-    num_gt = np.bincount(ds.gt_category[gt[~gt_crowd]], minlength=len(ds.categories)).tolist()
+    num_gt = np.bincount(gt_key[~gt_crowd] // n_images, minlength=len(filters) * n_categories)
     # Cells in key order, each by descending score with input order breaking
-    # ties, capped at max_dets; a category's cells are one run.
-    key = table.category[used] * n_images + table.image[used]
+    # ties, capped at max_dets; a group's and a category's cells are runs.
+    key = (table.category[used] + group * n_categories) * n_images + table.image[used]
     by_key = np.lexsort((-table.score[used], key))
     order, key = used[by_key], key[by_key]
+    groups = np.searchsorted(key, np.arange(len(filters) + 1) * n_categories * n_images)
     bounds = _segments(key)
     capped = np.arange(len(order)) - np.repeat(bounds[:-1], np.diff(bounds)) < config.max_dets
     kept, key = order[capped], key[capped]
@@ -397,11 +403,11 @@ def _category_pools(ds, test_positions, table, used, config, gt_filter) -> list[
     corners = np.ascontiguousarray(table.boxes[kept].T)
     hit = _match(corners, gt_corners, gt_crowd, cells, config.iou_thresholds)
     state = np.append(np.where(gt_crowd, -1, 1), 0).astype(np.int8)[hit]  # -1 takes the 0
-    runs = np.searchsorted(key, np.arange(len(ds.categories) + 1) * n_images).tolist()
+    runs = np.searchsorted(key, np.arange(len(num_gt) + 1) * n_images).tolist()
     return [
         (table.score[kept[lo:hi]], state[:, lo:hi], n)
-        for lo, hi, n in zip(runs[:-1], runs[1:], num_gt)
-    ]
+        for lo, hi, n in zip(runs[:-1], runs[1:], num_gt.tolist())
+    ], np.diff(groups).tolist()
 
 
 def _check_table(ds: DetectionDataset, dets) -> None:
@@ -409,55 +415,59 @@ def _check_table(ds: DetectionDataset, dets) -> None:
         raise ValidationError("detections must be a PredictionTable read against the dataset")
 
 
-def evaluate(
-    ds: DetectionDataset,
-    split: SplitResult,
-    dets: PredictionTable,
-    config: EvalConfig = EvalConfig(),
-    *,
-    gt_filter: Callable[[Mapping[str, str]], bool] | None = None,
-) -> EvaluationReport:
-    """Score detections against the test portion of a split.
-
-    ``dets`` is a ``PredictionTable`` read against ``ds``; anything else is
-    a ``ValidationError``. Detections referencing images outside the test
-    split are ignored and counted. With ``gt_filter``, only the ground
-    truth whose attribute map it accepts is scored. Raises on an empty test
-    split.
-    """
-    _check_table(ds, dets)
+def _reports(ds, split, dets, group, totals, filters, config) -> list[EvaluationReport]:
+    """A report per ``prompt: filter`` item, of the rows whose ``group`` (per
+    row, or one for all) is its index; ``totals`` counts each group's rows."""
     test_ids = sorted(split.test_image_ids)
     if not test_ids:
         raise ValidationError("empty test split")
     test_positions = [ds.image_index(image_id) for image_id in test_ids]
     used = np.flatnonzero(np.isin(dets.image, test_positions))
-    pools = _category_pools(ds, test_positions, dets, used, config, gt_filter)
-
+    group = group[used] if np.ndim(group) else group
+    pools, counts = _category_pools(ds, test_positions, dets, used, group, filters, config)
     rows = []
-    for cat, (scores, state, num_gt) in zip(ds.categories, pools):
+    for cat, (scores, state, num_gt) in zip(ds.categories * len(filters), pools):
         aps, _ = _sweep(state[:, np.argsort(-scores, kind="stable")], num_gt, curve=False)
         tps = np.count_nonzero(state == 1, axis=1).tolist()
         ars = [n / num_gt if num_gt else (None if ap is None else 0.0) for n, ap in zip(tps, aps)]
         if num_gt == 0 and not len(scores):
             map_value = ap50 = mar = None
         else:
-            map_value = sum(aps) / len(aps)
+            map_value = left_sum(aps) / len(aps)
             ap50 = aps[config.iou_thresholds.index(0.5)] if 0.5 in config.iou_thresholds else None
-            mar = sum(ars) / len(ars)
+            mar = left_sum(ars) / len(ars)
         rows.append(CategoryReport(
             cat.id, cat.name, num_gt, len(scores), tuple(aps), tuple(ars), map_value, ap50, mar
         ))
+    reports, n = [], len(ds.categories)
+    for k, (prompt, n_used, total) in enumerate(zip(filters, counts, totals)):
+        part = tuple(rows[k * n:(k + 1) * n])
+        scored = [r for r in part if r.num_gt > 0]
+        mean_ap = left_sum(r.map for r in scored) / len(scored) if scored else None
+        with_ap50 = scored and all(r.ap50 is not None for r in scored)
+        mean_ap50 = left_sum(r.ap50 for r in scored) / len(scored) if with_ap50 else None
+        mean_ar = left_sum(r.mar for r in scored) / len(scored) if scored else None
+        reports.append(EvaluationReport(
+            part, mean_ap, mean_ap50, mean_ar, config.iou_thresholds, config.max_dets,
+            n_used, total - n_used, sum(r.num_gt for r in part), split.manifest_digest, prompt,
+        ))
+    return reports
 
-    scored = [r for r in rows if r.num_gt > 0]
-    mean_ap = sum(r.map for r in scored) / len(scored) if scored else None
-    with_ap50 = scored and all(r.ap50 is not None for r in scored)
-    mean_ap50 = sum(r.ap50 for r in scored) / len(scored) if with_ap50 else None
-    mean_ar = sum(r.mar for r in scored) / len(scored) if scored else None
-    return EvaluationReport(
-        tuple(rows), mean_ap, mean_ap50, mean_ar, config.iou_thresholds, config.max_dets,
-        len(used), len(dets) - len(used), sum(num_gt for _, _, num_gt in pools),
-        split.manifest_digest,
-    )
+
+def evaluate(
+    ds: DetectionDataset,
+    split: SplitResult,
+    dets: PredictionTable,
+    config: EvalConfig = EvalConfig(),
+) -> EvaluationReport:
+    """Score detections against the test portion of a split.
+
+    ``dets`` is a ``PredictionTable`` read against ``ds``; anything else is
+    a ``ValidationError``. Detections referencing images outside the test
+    split are ignored and counted. Raises on an empty test split.
+    """
+    _check_table(ds, dets)
+    return _reports(ds, split, dets, 0, [len(dets)], {None: None}, config)[0]
 
 
 def attribute_predicate(spec: Mapping) -> Callable[[Mapping[str, str]], bool]:
@@ -504,28 +514,24 @@ def evaluate_rec(
     config: EvalConfig = EvalConfig(),
 ) -> list[EvaluationReport]:
     """Prompt-conditioned evaluation of a ``PredictionTable`` read against
-    ``ds``.
-
-    For each prompt, the ground truth is restricted to the rows whose
-    attribute map satisfies the prompt's predicate and only detections
-    carrying that prompt are scored; the result is one report per prompt
-    (sorted by prompt). Every prompt appearing on a detection must have a
-    filter.
+    ``ds``: one report per prompt (sorted by prompt) of the detections
+    carrying it, against the ground truth whose attribute map its filter
+    accepts. Every prompt on a detection must have a filter.
     """
     _check_table(ds, dets)
-    rows: dict[str, list[int]] = {prompt: [] for prompt in prompt_filters}
-    for row, prompt in enumerate(dets.prompt):
+    prompts = sorted(prompt_filters)
+    position = {prompt: k for k, prompt in enumerate(prompts)}
+    group = np.array([position.get(prompt, -1) for prompt in dets.prompt], dtype=np.int64)
+    if -1 in group:
+        prompt = dets.prompt[np.argmax(group < 0)]
         if prompt is None:
             raise ValidationError("REC evaluation requires a prompt on every detection")
-        if prompt not in rows:
-            raise ValidationError(f"unknown prompt {prompt!r}: no filter provided")
-        rows[prompt].append(row)
-    reports = []
-    for prompt in sorted(prompt_filters):
-        part = dets[np.array(rows[prompt], dtype=np.int64)]
-        report = evaluate(ds, split, part, config, gt_filter=prompt_filters[prompt])
-        reports.append(replace(report, prompt=prompt))
-    return reports
+        raise ValidationError(f"unknown prompt {prompt!r}: no filter provided")
+    if not prompts:
+        return []
+    totals = np.bincount(group, minlength=len(prompts)).tolist()
+    filters = {prompt: prompt_filters[prompt] for prompt in prompts}
+    return _reports(ds, split, dets, group, totals, filters, config)
 
 
 def report_to_dict(report: EvaluationReport) -> dict:

@@ -22,6 +22,7 @@ from pathlib import Path
 from .datamodel import NUMBER, STRING, CategoryStats, DatasetStats, field, parse_json, read_text
 from .errors import ValidationError
 from .evaluation import EvaluationReport
+from .geometry import left_sum
 
 __all__ = [
     "GridRow",
@@ -58,9 +59,11 @@ class ExperimentGrid:
         labels = [r.label for r in self.rows]
         if len(labels) != len(set(labels)):
             raise ValidationError("grid row labels must be unique")
-        for metric in self.metrics:
+        for k, metric in enumerate(self.metrics):
             if metric not in METRIC_KEYS:
                 raise ValidationError(f"unknown metric {metric!r}; choose from {METRIC_KEYS}")
+            if metric in self.metrics[:k]:
+                raise ValidationError(f"metric {metric!r} is listed twice")
         if self.output_format not in FORMATS:
             raise ValidationError(f"unknown format {self.output_format!r}")
 
@@ -87,7 +90,7 @@ class TimingRecord:
 
     @property
     def mean_ms(self) -> float:
-        return sum(self.latencies_ms) / len(self.latencies_ms)
+        return left_sum(self.latencies_ms) / len(self.latencies_ms)
 
 
 def _fmt_count(n: int) -> str:

@@ -507,3 +507,46 @@ def loop_majority_category(ds):
         if best is not None:
             assignment[image.id] = best
     return assignment
+
+
+
+_LONG = range(-2**63, 2**63)  # C long: CPython's fast paths of ``sum``
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12 and later, on any Python. Ints in
+    the C long range add exactly; from the first float on, floats add with
+    Neumaier's compensation, applied once at the end of the float run, and
+    long-range ints add as floats; any other value ends the fast paths, and
+    the rest adds with a plain ``+``."""
+    items = iter(values)
+    total = start
+    if type(total) is int and total in _LONG:
+        for item in items:
+            exact = type(item) in (int, bool) and item in _LONG and total + item in _LONG
+            total = total + item
+            if not exact:
+                break
+    if type(total) is float:
+        compensation, ended = 0.0, True
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif isinstance(item, int) and item in _LONG:
+                total += float(item)
+            else:
+                ended = False
+                break
+        if compensation and math.isfinite(compensation):
+            total += compensation
+        if ended:
+            return total
+        total = total + item
+    for item in items:
+        total = total + item
+    return total

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import math
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fruitbench.cli import main
+
+from .oracles import compensated_sum
 
 REPO = Path(__file__).parent.parent
 DATA = REPO / "tests" / "data"
@@ -1826,45 +1829,72 @@ GOLDEN_TABLE_DIGESTS = {
 }
 
 
+def table_argv(case):
+    """The command line of a ``GOLDEN_TABLE_DIGESTS`` case."""
+    command, source, output_format = case.split()
+    if command == "stats":
+        argv = ["--annotations", str(DATA / source / "annotations.json")]
+    else:
+        argv = ["--timings", str(DATA / f"{source}.jsonl")]
+    return [command, *argv, "--format", output_format]
+
+
+def output_argv(case, golden_inputs):
+    """The command line of a ``GOLDEN_OUTPUT_DIGESTS`` case."""
+    command, corpus, output_format, settings = case.split()
+    settings, _, scope = settings.partition("-")
+    paths = golden_inputs[corpus]
+    argv = [command, "--annotations", str(paths["annotations"])]
+    if command == "report":
+        argv += ["--grid", str(paths["grid"])]
+    else:
+        argv += ["--predictions", str(paths["predictions"])]
+        if scope != "all-images":
+            argv += ["--split", str(paths["split"])]
+    if command == "rec-eval":
+        argv += ["--filters", str(paths["filters"])]
+    if command == "loss":
+        assert output_format == "json"  # ``loss`` writes JSON only
+        if settings == "custom":
+            argv += ["--weights", "2,0.5,3", "--no-unmatched-contrastive"]
+    else:
+        argv += ["--format", output_format]
+        if settings == "custom":
+            argv += ["--max-dets", "7", "--thresholds", "0.3,0.5,0.7"]
+    return argv
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("case", sorted(GOLDEN_TABLE_DIGESTS))
     def test_table_digest(self, capsys, case):
         """Statistics and timing tables stay byte for byte what they were."""
-        command, source, output_format = case.split()
-        if command == "stats":
-            argv = ["--annotations", str(DATA / source / "annotations.json")]
-        else:
-            argv = ["--timings", str(DATA / f"{source}.jsonl")]
-        code, out, err = run(capsys, command, *argv, "--format", output_format)
+        code, out, err = run(capsys, *table_argv(case))
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_TABLE_DIGESTS[case]
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_OUTPUT_DIGESTS))
     def test_stdout_digest(self, capsys, golden_inputs, case):
         """Scoring output stays byte for byte what it was."""
-        command, corpus, output_format, settings = case.split()
-        settings, _, scope = settings.partition("-")
-        paths = golden_inputs[corpus]
-        argv = [command, "--annotations", str(paths["annotations"])]
-        if command == "report":
-            argv += ["--grid", str(paths["grid"])]
-        else:
-            argv += ["--predictions", str(paths["predictions"])]
-            if scope != "all-images":
-                argv += ["--split", str(paths["split"])]
-        if command == "rec-eval":
-            argv += ["--filters", str(paths["filters"])]
-        if command == "loss":
-            assert output_format == "json"  # ``loss`` writes JSON only
-            if settings == "custom":
-                argv += ["--weights", "2,0.5,3", "--no-unmatched-contrastive"]
-        else:
-            argv += ["--format", output_format]
-            if settings == "custom":
-                argv += ["--max-dets", "7", "--thresholds", "0.3,0.5,0.7"]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *output_argv(case, golden_inputs))
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_OUTPUT_DIGESTS[case]
+
+    def test_digests_hold_under_a_compensated_sum(self, capsys, golden_inputs, monkeypatch):
+        """Every total adds left to right: with the builtin ``sum`` of
+        Python 3.12 and later in place, which compensates float rounding,
+        every digest stays what it is."""
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        cases = [(case, table_argv(case), digest) for case, digest in GOLDEN_TABLE_DIGESTS.items()]
+        cases += [
+            (case, output_argv(case, golden_inputs), digest)
+            for case, digest in GOLDEN_OUTPUT_DIGESTS.items()
+        ]
+        changed = []
+        for case, argv, digest in cases:
+            code, out, _ = run(capsys, *argv)
+            if (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) != (0, digest):
+                changed.append(case)
+        assert changed == []
 
     @pytest.mark.parametrize("max_dets", ["100", str(2**64)])
     def test_a_cap_past_int64_scores_as_the_default(self, capsys, golden_inputs, max_dets):

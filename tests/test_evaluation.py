@@ -1,7 +1,9 @@
+import builtins
 import json
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fruitbench.datamodel import (
     load_coco,
     load_predictions,
 )
+from fruitbench import evaluation
 from fruitbench.errors import IntegrityError, ValidationError
 from fruitbench.evaluation import (
     DEFAULT_IOU_THRESHOLDS,
@@ -34,7 +37,7 @@ from fruitbench.geometry import BoundingBox, iou, paired_iou
 from fruitbench.splits import SplitResult, SplitSpec, split_train_test
 
 from .generators import random_eval_instance, table_of
-from .oracles import naive_evaluate
+from .oracles import compensated_sum, naive_evaluate
 
 
 def det(image_id, category_id, box, score, prompt=None):
@@ -686,11 +689,17 @@ class TestPredictionTable:
                 )
 
     def test_rec_table_and_list_agree_with_the_oracle(self, tmp_path):
+        """Every prompt, including one no detection carries and one whose
+        filter accepts no ground truth, is scored as the oracle scores its
+        detections against its filtered ground truth."""
         filters = {
             "any": attribute_predicate({"any": True}),
             "even": lambda attrs: attrs.get("parity") == "even",
             "occluded": attribute_predicate({"attribute": "occlusion", "in": ["leaf", "branch"]}),
+            "nothing": lambda attrs: False,
+            "unused": attribute_predicate({"any": True}),
         }
+        configs = (EvalConfig(), EvalConfig(iou_thresholds=(0.1, 0.5, 0.95), max_dets=2))
         for rng, ds, dets, split in self.instances(32, 40):
             ds = DetectionDataset(ds.categories, ds.images, [
                 replace(g, attributes={
@@ -701,20 +710,44 @@ class TestPredictionTable:
                 })
                 for g in ds.instances
             ])
-            dets = [replace(d, prompt=rng.choice(sorted(filters))) for d in dets]
+            prompts = ["any", "even", "nothing", "occluded"]
+            dets = [replace(d, prompt=rng.choice(prompts)) for d in dets]
             table = load_predictions(write_predictions(tmp_path / "p.json", dets), ds)
-            reports = evaluate_rec(ds, split, table, filters)
-            assert reports == evaluate_rec(ds, split, table_of(ds, list(table)), filters)
-            for report in reports:
-                keep = filters[report.prompt]
-                filtered = DetectionDataset(
-                    list(ds.categories), list(ds.images),
-                    [g for g in ds.instances if keep(g.attributes)],
-                )
-                prompt_dets = [d for d in table if d.prompt == report.prompt]
-                assert oracle_fields(report) == naive_evaluate(
-                    filtered, split, prompt_dets, DEFAULT_IOU_THRESHOLDS, 100
-                )
+            for config in configs:
+                reports = evaluate_rec(ds, split, table, filters, config)
+                assert [r.prompt for r in reports] == sorted(filters)
+                assert reports == evaluate_rec(ds, split, table_of(ds, list(table)), filters, config)
+                for report in reports:
+                    keep = filters[report.prompt]
+                    filtered = DetectionDataset(
+                        list(ds.categories), list(ds.images),
+                        [g for g in ds.instances if keep(g.attributes)],
+                    )
+                    prompt_dets = [d for d in table if d.prompt == report.prompt]
+                    assert oracle_fields(report) == naive_evaluate(
+                        filtered, split, prompt_dets, config.iou_thresholds, config.max_dets
+                    )
+                    in_test = [d for d in prompt_dets if d.image_id in split.test_image_ids]
+                    assert report.num_detections_used == len(in_test)
+                    assert report.num_detections_ignored == len(prompt_dets) - len(in_test)
+
+    def test_rec_matches_every_prompt_in_one_call(self, tmp_path, monkeypatch):
+        """``evaluate_rec`` matches the cells of all its prompts in one
+        ``_match`` call."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _match(*args)
+
+        monkeypatch.setattr(evaluation, "_match", counted)
+        ds = TestEvaluate().make_corpus()
+        split = split_train_test(ds, 0.5, seed=1)
+        prompts = ("a", "b", "c")
+        dets = [replace(d, prompt=prompts[k % 3]) for k, d in enumerate(perfect_detections(ds))]
+        table = load_predictions(write_predictions(tmp_path / "p.json", dets), ds)
+        reports = evaluate_rec(ds, split, table, dict.fromkeys(prompts, lambda attrs: True))
+        assert [r.prompt for r in reports] == list(prompts) and len(calls) == 1
 
     def test_rec_rejects_the_first_bad_prompt_in_input_order(self, tmp_path):
         ds = single_image_dataset([gt(1, 1, 1, B(0, 0, 10, 10))])
@@ -881,6 +914,33 @@ def score_corpus(annotations, prediction_files, filters, directory):
         return [report_to_dict(evaluate(ds, split, dets))]
     predicates = {prompt: attribute_predicate(spec) for prompt, spec in filters.items()}
     return [report_to_dict(r) for r in evaluate_rec(ds, split, dets, predicates)]
+
+
+class TestLeftToRightTotals:
+    def test_evaluate_matches_the_oracle_under_a_compensated_sum(self, monkeypatch):
+        """The oracle adds its totals left to right. With the builtin ``sum``
+        of Python 3.12 and later in place, ``evaluate`` still equals it bit
+        for bit, on a corpus where that ``sum`` rounds some of the AP totals
+        the reports average differently."""
+        data = Path(__file__).parent / "data" / "synthetic30"
+        ds, _ = load_coco(data / "annotations.json")
+        table = load_predictions(data / "predictions_noisy.json", ds)
+        split = split_train_test(ds, 0.5, seed=11)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        report = evaluate(ds, split, table)
+        assert oracle_fields(report) == naive_evaluate(
+            ds, split, list(table), DEFAULT_IOU_THRESHOLDS, 100
+        )
+        totals = [row.per_threshold_ap for row in report.per_category if row.map is not None]
+        totals.append([row.map for row in report.per_category if row.num_gt])
+        assert any(compensated_sum(values) != left_to_right(values) for values in totals)
+
+
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @pytest.mark.parametrize("corpus", ["grid-sparse", "rec-dense"])

@@ -148,6 +148,12 @@ class TestRenderMetricGrid:
         with pytest.raises(ValidationError):
             ExperimentGrid(rows=(GridRow("a", "m", "p"), GridRow("a", "m", "p")))
 
+    def test_repeated_metric_rejected(self):
+        """A metric listed twice would get its columns twice in markdown and
+        CSV but one key in JSON."""
+        with pytest.raises(ValidationError, match="^metric 'mAP' is listed twice$"):
+            ExperimentGrid(rows=(GridRow("a", "m", "p"),), metrics=("mAP", "AP50", "mAP"))
+
     def test_csv_and_markdown_numeric_content_match(self):
         grid_md = ExperimentGrid(rows=(GridRow("x", "m", "p"),), output_format="markdown")
         grid_csv = ExperimentGrid(rows=(GridRow("x", "m", "p"),), output_format="csv")
