@@ -39,7 +39,6 @@ from .evaluation import (
     DEFAULT_IOU_THRESHOLDS,
     EvalConfig,
     EvaluationReport,
-    PRCurve,
     attribute_predicate,
     average_precision,
     evaluate,

@@ -412,7 +412,8 @@ def _cost_terms(predictions, logits, ground_truth, gt_token_masks, img_w, img_h)
 
 def _combined_cost(terms, weights: LossWeights) -> CostMatrix:
     l1, g, tac, _ = terms
-    return CostMatrix(weights.l1 * l1 + weights.giou * (1.0 - g) + weights.contrastive * tac)
+    with np.errstate(over="ignore"):  # CostMatrix reports the non-finite entry
+        return CostMatrix(weights.l1 * l1 + weights.giou * (1.0 - g) + weights.contrastive * tac)
 
 
 def build_match_cost(

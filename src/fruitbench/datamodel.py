@@ -565,8 +565,9 @@ def load_labelme(
     silently absorbed.
 
     Rectangles use their two corner points; polygons are reduced to the
-    bounding box of their points. Image and instance ids are synthesized
-    sequentially over files sorted by name.
+    bounding box of their points, and a box outside its image is clamped
+    to it (``DetectionDataset.from_columns``). Image and instance ids are
+    synthesized sequentially over files sorted by name.
 
     Returns:
         (dataset, unmapped) where ``unmapped`` maps each unmatched raw
@@ -582,9 +583,8 @@ def load_labelme(
     categories = sorted({c.id: c for c in canonical.values()}.values(), key=lambda c: c.id)
 
     images: list[ImageRecord] = []
-    instances: list[GroundTruthInstance] = []
+    image_ids, category_ids, corners = [], [], []
     unmapped: Counter[str] = Counter()
-    next_instance_id = 1
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
     for image_id, file_path in enumerate(files, start=1):
         raw = read_json(file_path)
@@ -609,14 +609,16 @@ def load_labelme(
             if cat is None:
                 unmapped[label] += 1
                 continue
-            box = BoundingBox(min(xs), min(ys), max(xs), max(ys)).clamped(width, height)
-            instances.append(
-                GroundTruthInstance(
-                    id=next_instance_id, image_id=image_id, category_id=cat.id, box=box
-                )
-            )
-            next_instance_id += 1
-    return DetectionDataset(categories, images, instances), dict(unmapped)
+            image_ids.append(image_id)
+            category_ids.append(cat.id)
+            corners.append((min(xs), min(ys), max(xs), max(ys)))
+    n = len(corners)
+    boxes = np.array(corners, np.float64).reshape(n, 4)
+    ds, _ = DetectionDataset.from_columns(
+        categories, images, list(range(1, n + 1)), image_ids, category_ids, boxes,
+        [False] * n, [None] * n,
+    )
+    return ds, dict(unmapped)
 
 
 def write_coco(ds: DetectionDataset, path) -> None:

@@ -1,5 +1,5 @@
-"""Detection metrics: greedy IoU matching, precision-recall construction,
-and per-category mAP / AP50 / mAR.
+"""Detection metrics: greedy IoU matching, a precision-recall sweep, and
+per-category mAP / AP50 / mAR.
 
 Protocol (the standard benchmark conventions, spelled out because every
 number downstream depends on them):
@@ -41,7 +41,8 @@ its cell keeps at most r + 1 non-crowd candidates plus the first crowd
 region to reach each threshold, so memory grows with D * min(D, G), not
 D * G. Detections holding no contested box are matched in one pass, the
 others one rank per pass. Each group's category gets a (T, N) int8 state
-(1 true positive, -1 crowd-ignored, 0 otherwise) and one sweep.
+(1 true positive, -1 crowd-ignored, 0 otherwise) and one sweep, which
+returns the AP per threshold; no precision-recall curve is kept.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "DEFAULT_IOU_THRESHOLDS",
     "EvalConfig",
     "DetMatch",
-    "PRCurve",
     "CategoryReport",
     "EvaluationReport",
     "match_detections",
@@ -82,8 +82,8 @@ _LEVELS = np.array(RECALL_LEVELS)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """IoU thresholds (ascending, each in (0, 1]) and the per image and
-    category detection cap."""
+    """IoU thresholds (strictly ascending, each in (0, 1]) and the per
+    image and category detection cap."""
 
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     max_dets: int = 100
@@ -97,6 +97,9 @@ class EvalConfig:
                 raise ValidationError(f"IoU thresholds must lie in (0, 1], got {t!r}")
         if list(self.iou_thresholds) != sorted(self.iou_thresholds):
             raise ValidationError("IoU thresholds must be ascending")
+        for t, following in zip(self.iou_thresholds, self.iou_thresholds[1:]):
+            if t == following:
+                raise ValidationError(f"IoU threshold {t!r} is listed twice")
         if self.max_dets < 1:
             raise ValidationError(f"max_dets must be >= 1, got {self.max_dets!r}")
 
@@ -110,15 +113,6 @@ class DetMatch:
     gt_instance_id: int | None
     is_tp: bool
     ignored: bool
-
-
-@dataclass(frozen=True)
-class PRCurve:
-    """Raw sweep points plus the 101-level interpolated precision, which is
-    monotone non-increasing by construction."""
-
-    points: tuple[tuple[float, float], ...]  # (recall, precision)
-    interpolated: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -284,18 +278,15 @@ def _windows(a, b, cells):
     return row[seg], rank[seg], lo[seg] + chunk * _BLOCK, length, col[by_x]
 
 
-def _sweep(state: np.ndarray, total_gt: int, curve: bool):
-    """``(aps, curves)`` per threshold of one category from its (T, N)
-    ``state`` in sweep order (stable by descending score): 1 for a true
-    positive, -1 for a crowd-ignored row, 0 otherwise; ``curves`` only
-    with ``curve``."""
+def _sweep(state: np.ndarray, total_gt: int) -> list[float | None]:
+    """The AP per threshold of one category from its (T, N) ``state`` in
+    sweep order (stable by descending score): 1 for a true positive, -1 for
+    a crowd-ignored row, 0 otherwise."""
     n_thresholds, n = state.shape
     if total_gt == 0:
         # Absent only with no detections at all; crowd-ignored detections
         # still count as "having detections" and pin the metric to 0.
-        flat = PRCurve(points=(), interpolated=(0.0,) * len(RECALL_LEVELS))
-        ap, empty = (None, None) if not n else (0.0, flat)
-        return [ap] * n_thresholds, [empty] * n_thresholds if curve else None
+        return [0.0 if n else None] * n_thresholds
     # At the k-th true positive of a threshold, precision is k over the rows
     # counted so far, and it falls until the next one: the envelope needs
     # only true positives. Recall k / total_gt first reaches a level at the
@@ -312,15 +303,7 @@ def _sweep(state: np.ndarray, total_gt: int, curve: bool):
     envelope = np.maximum.accumulate(envelope[:, ::-1], axis=1)[:, ::-1]
     need = np.searchsorted(np.arange(total_gt + 1) / total_gt, _LEVELS)
     interpolated = envelope[:, np.clip(need - 1, 0, width - 1)].tolist()
-    aps = [left_sum(levels) / len(RECALL_LEVELS) for levels in interpolated]
-    if not curve:
-        return aps, None
-    curves = []
-    for row, levels in zip(state, interpolated):
-        tp = np.cumsum(row[row >= 0] == 1)
-        points = zip((tp / total_gt).tolist(), (tp / np.arange(1, len(tp) + 1)).tolist())
-        curves.append(PRCurve(tuple(points), tuple(levels)))
-    return aps, curves
+    return [left_sum(levels) / len(RECALL_LEVELS) for levels in interpolated]
 
 
 def match_detections(
@@ -342,9 +325,7 @@ def match_detections(
     ]
 
 
-def average_precision(
-    matches: Sequence[DetMatch], total_gt: int
-) -> tuple[float | None, PRCurve | None]:
+def average_precision(matches: Sequence[DetMatch], total_gt: int) -> float | None:
     """AP of one category at one threshold from its pooled match rows.
 
     ``matches`` must be the concatenation over images in ascending image-id
@@ -356,8 +337,7 @@ def average_precision(
         raise ValidationError("total_gt must be non-negative")
     order = np.argsort([-m.detection.score for m in matches], kind="stable")
     state = np.array([-1 if m.ignored else int(m.is_tp) for m in matches], dtype=np.int8)
-    aps, curves = _sweep(state[order][None], total_gt, curve=True)
-    return aps[0], curves[0]
+    return _sweep(state[order][None], total_gt)[0]
 
 
 def _segments(key: np.ndarray) -> np.ndarray:
@@ -427,7 +407,7 @@ def _reports(ds, split, dets, group, totals, filters, config) -> list[Evaluation
     pools, counts = _category_pools(ds, test_positions, dets, used, group, filters, config)
     rows = []
     for cat, (scores, state, num_gt) in zip(ds.categories * len(filters), pools):
-        aps, _ = _sweep(state[:, np.argsort(-scores, kind="stable")], num_gt, curve=False)
+        aps = _sweep(state[:, np.argsort(-scores, kind="stable")], num_gt)
         tps = np.count_nonzero(state == 1, axis=1).tolist()
         ars = [n / num_gt if num_gt else (None if ap is None else 0.0) for n, ap in zip(tps, aps)]
         if num_gt == 0 and not len(scores):

@@ -181,7 +181,7 @@ class TestCriterion3ApWorkedExamples:
             gts,
             0.5,
         )
-        ap, _ = average_precision(rows, total_gt=2)
+        ap = average_precision(rows, total_gt=2)
         assert abs(ap - 51 / 101) <= 1e-12
         _pass("criterion 3 (51/101 two-detection case)")
 
@@ -195,7 +195,7 @@ class TestCriterion3ApWorkedExamples:
             gts,
             0.5,
         )
-        ap, _ = average_precision(rows, total_gt=1)
+        ap = average_precision(rows, total_gt=1)
         assert abs(ap - 0.5) <= 1e-12
         _pass("criterion 3 (0.5 reversed-order case)")
 

@@ -267,6 +267,25 @@ class TestEvaluate:
         assert (code, out) == (1, "")
         assert err == f"error: test_image_ids repeats image id {repeated}\n"
 
+    @pytest.mark.parametrize("thresholds, message", [
+        ("0.5,0.5,0.9", "IoU threshold 0.5 is listed twice"),
+        ("0.5,0.9,0.9", "IoU threshold 0.9 is listed twice"),
+        ("0.9,0.5,0.5", "IoU thresholds must be ascending"),
+    ])
+    def test_repeated_or_descending_thresholds_exit_1(
+        self, capsys, split_manifest, thresholds, message
+    ):
+        """A repeated threshold would count its AP twice in mAP."""
+        code, out, err = run(
+            capsys,
+            "evaluate",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(SYN30 / "predictions_noisy.json"),
+            "--split", str(split_manifest),
+            "--thresholds", thresholds,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_json_errors_flag(self, capsys, split_manifest, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -347,9 +366,21 @@ class TestLoss:
             totals.append(json.loads(out)["aggregate"]["total"])
         assert totals[1] == pytest.approx(2 * totals[0], rel=1e-9)
 
-    @pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1"])
-    @pytest.mark.parametrize("predictions", ["predictions_empty.json", "predictions_noisy.json"])
-    def test_non_finite_weights_exit_1(self, capsys, split_manifest, weights, predictions):
+    @pytest.mark.parametrize("predictions, weights, message", [
+        pytest.param(
+            predictions, weights, f"loss weight {name} must be finite and non-negative",
+            id=f"{predictions}-{weights}",
+        )
+        for predictions in ("predictions_empty.json", "predictions_noisy.json")
+        for weights, name in (("nan,1,1", "l1"), ("1,inf,1", "giou"))
+    ] + [
+        # Finite weights whose costs overflow: no numpy warning comes first.
+        pytest.param(
+            "predictions_noisy.json", "1e308,1e308,1", "cost matrix entries must be finite",
+            id="predictions_noisy.json-1e308,1e308,1",
+        ),
+    ])
+    def test_non_finite_weights_exit_1(self, capsys, split_manifest, predictions, weights, message):
         code, out, err = run(
             capsys,
             "loss",
@@ -358,8 +389,7 @@ class TestLoss:
             "--split", str(split_manifest),
             "--weights", weights,
         )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and "loss weight" in err
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
     def test_inputs_are_the_per_image_rows_and_one_hot_masks(
@@ -726,6 +756,81 @@ class TestIngestLabelme:
             "--fail-on-unmapped",
         )
         assert code == 1
+
+    def test_clamped_shapes_golden_bytes(self, capsys, tmp_path, monkeypatch):
+        """Shapes past every image side are clamped to the image, a corner
+        clamped to an image side keeps the int size (``640``, not
+        ``640.0``), ``-0.0`` corners stay as they are, and the written file
+        and the stderr lines stay byte for byte what they were."""
+        clamped_labels(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "ingest-labelme", "--dir", "labels", "--categories", "cats.json",
+            "--out", "out.json",
+        )
+        assert (code, out) == (0, "")
+        assert err.splitlines() == [
+            "labels: 3 shapes with unmapped labels",
+            "unmapped label 'Apple ': 1 shapes",
+            "unmapped label 'banana': 2 shapes",
+            "wrote out.json: 6 images, 12 instances",
+        ]
+        written = (tmp_path / "out.json").read_bytes()
+        assert b'"bbox": [\n        640,\n        0.0,\n        0,\n        2.0\n      ]' in written
+        assert hashlib.sha256(written).hexdigest() == (
+            "e0c0ee343d0fb1e6815f56bedfc4abc20577104118159e97bd0087f9ceecae7f"
+        )
+
+
+def clamped_labels(tmp_path):
+    """A label directory of six files whose mapped shapes lie past every
+    side of their image, and its category file. It holds ``-0.0``
+    corners, polygons, unmapped and whitespace-padded labels, a file
+    without ``imagePath`` and an image 2**53 + 5 wide, whose clamped
+    corner is the int width."""
+    src = tmp_path / "labels"
+    src.mkdir()
+    rect = "rectangle"
+    files = {
+        "a_left_top.json": (640, 480, "a.jpg", [
+            ("apple", [[-12.5, -3], [20, 30]], rect),
+            ("apple", [[-0.0, -0.0], [5, 5.25]], rect),
+            ("pear", [[-40, -40], [-10, -10]], rect),
+            ("apple", [[-30, 10], [10, -20], [25, 40]], "polygon"),
+        ]),
+        "b_right_bottom.json": (640, 480, "b.jpg", [
+            ("apple", [[650, 0], [700, 2]], rect),
+            ("pear", [[600, 470], [660, 500]], rect),
+            ("Apple ", [[1, 1], [2, 2]], rect),
+            ("apple", [[630.5, 100], [700, 479.75], [635, 520]], "polygon"),
+        ]),
+        "c_every_side.json": (3, 2, None, [
+            ("pear", [[-1e6, -1e6], [1e6, 1e6]], rect),
+            ("apple", [[-0.0, 1], [3, -0.0]], rect),
+        ]),
+        "d_wide.json": (2**53 + 5, 7, "d.jpg", [
+            ("apple", [[2**53, 1], [2**53 + 20, 9]], rect),
+            ("pear", [[2**53 + 8, -1], [2**54, 3]], rect),
+            ("apple", [[1, 1], [2**53 + 4, 6]], rect),
+        ]),
+        "e_unmapped_only.json": (10, 10, "e.jpg", [
+            ("banana", [[0, 0], [1, 1]], rect),
+            ("banana", [[2, 2], [3, 3]], rect),
+        ]),
+        "f_empty.json": (1, 1, "f.jpg", []),
+    }
+    for name, (width, height, image_path, shapes) in files.items():
+        payload = {"imageWidth": width, "imageHeight": height}
+        if image_path is not None:
+            payload["imagePath"] = image_path
+        payload["shapes"] = [
+            {"label": label, "points": points, "shape_type": kind}
+            for label, points, kind in shapes
+        ]
+        (src / name).write_text(json.dumps(payload))
+    cats = tmp_path / "cats.json"
+    cats.write_text(json.dumps([{"id": 1, "name": "apple"}, {"id": 2, "name": "pear"}]))
+    return src, cats
 
 
 def unmapped_labels(tmp_path):

@@ -37,7 +37,7 @@ from fruitbench.geometry import BoundingBox, iou, paired_iou
 from fruitbench.splits import SplitResult, SplitSpec, split_train_test
 
 from .generators import random_eval_instance, table_of
-from .oracles import compensated_sum, naive_evaluate
+from .oracles import _naive_ap, compensated_sum, naive_evaluate
 
 
 def det(image_id, category_id, box, score, prompt=None):
@@ -273,13 +273,26 @@ class TestArrayMatcher:
         assert (results[0] == np.arange(100)).all()
 
 
+class TestEvalConfig:
+    def test_thresholds_strictly_ascending(self):
+        assert EvalConfig((0.5, 0.9)).iou_thresholds == (0.5, 0.9)
+        with pytest.raises(ValidationError, match=r"^IoU threshold 0\.5 is listed twice$"):
+            EvalConfig((0.5, 0.5, 0.9))
+        with pytest.raises(ValidationError, match="^IoU thresholds must be ascending$"):
+            EvalConfig((0.9, 0.5, 0.5))
+
+    @pytest.mark.parametrize("thresholds", [(), (0.0,), (1.5,), (0.5, float("nan"))])
+    def test_empty_or_out_of_range_thresholds_rejected(self, thresholds):
+        with pytest.raises(ValidationError, match="IoU threshold"):
+            EvalConfig(thresholds)
+
+
 class TestAveragePrecision:
     def test_single_tp(self):
         g = [gt(1, 1, 1, B(0, 0, 10, 10))]
         rows = match_detections([det(1, 1, B(0, 0, 10, 10), 0.9)], g, 0.5)
-        ap, curve = average_precision(rows, total_gt=1)
+        ap = average_precision(rows, total_gt=1)
         assert ap == pytest.approx(1.0, abs=1e-12)
-        assert curve.interpolated == (1.0,) * 101
 
     def test_two_gt_one_tp_one_fp(self):
         g = [gt(1, 1, 1, B(0, 0, 10, 10)), gt(2, 1, 1, B(40, 40, 60, 60))]
@@ -291,7 +304,7 @@ class TestAveragePrecision:
             g,
             0.5,
         )
-        ap, _ = average_precision(rows, total_gt=2)
+        ap = average_precision(rows, total_gt=2)
         assert ap == pytest.approx(51 / 101, abs=1e-12)
 
     def test_fp_before_tp(self):
@@ -304,18 +317,20 @@ class TestAveragePrecision:
             g,
             0.5,
         )
-        ap, _ = average_precision(rows, total_gt=1)
+        ap = average_precision(rows, total_gt=1)
         assert ap == pytest.approx(0.5, abs=1e-12)
 
     def test_no_gt_no_dets_absent(self):
-        assert average_precision([], total_gt=0) == (None, None)
+        assert average_precision([], total_gt=0) is None
 
     def test_no_gt_with_dets_zero(self):
         rows = match_detections([det(1, 1, B(0, 0, 5, 5), 0.5)], [], 0.5)
-        ap, _ = average_precision(rows, total_gt=0)
+        ap = average_precision(rows, total_gt=0)
         assert ap == 0.0
 
-    def test_envelope_monotone(self):
+    def test_envelope_matches_the_naive_sweep(self):
+        """The right envelope, sampled at the 101 recall levels, is the
+        naive sweep's bit for bit, tied scores included."""
         rng = random.Random(3)
         for _ in range(30):
             g = [gt(k + 1, 1, 1, B(4 * k, 0, 4 * k + 3, 3)) for k in range(rng.randint(1, 5))]
@@ -324,12 +339,9 @@ class TestAveragePrecision:
                 x0 = 4 * rng.randint(0, 4)
                 dets.append(det(1, 1, B(x0, 0, x0 + 3, 3), rng.randint(1, 9) / 10))
             rows = match_detections(dets, g, 0.5)
-            _, curve = average_precision(rows, total_gt=len(g))
-            if curve is not None:
-                assert all(
-                    curve.interpolated[k] >= curve.interpolated[k + 1]
-                    for k in range(len(curve.interpolated) - 1)
-                )
+            flags = ["crowd" if r.ignored else "tp" if r.is_tp else "fp" for r in rows]
+            sweep = [(flag, r.detection.score) for flag, r in zip(flags, rows)]
+            assert average_precision(rows, total_gt=len(g)) == _naive_ap(sweep, len(g))
 
 
 def perfect_detections(ds, image_ids=None):
