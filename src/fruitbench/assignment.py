@@ -11,13 +11,13 @@ number of ground-truth instances; unmatched predictions contribute only
 their contrastive penalty against the all-negative mask (on by default).
 
 The solver is a hand-rolled rectangular shortest-augmenting-path algorithm
-(Jonker & Volgenant, 1987; Crouse, 2016) on the short side of the matrix,
-padding nothing, rather than a library call: the assignment must be
-bit-identical across platforms and library versions, including a pinned
-tie-break among equal-cost optima (see ``hungarian``), which off-the-shelf
-solvers do not promise. Optimality and the tie-break are cross-checked
-against brute-force enumeration, and optimality at scale against SciPy, in
-the test suite.
+(Crouse, 2016) from a column-reduction start (Jonker & Volgenant, 1987)
+on the short side, padding nothing, rather than a library call: the
+assignment must be bit-identical across platforms and library versions,
+including a pinned tie-break among equal-cost optima (see ``hungarian``),
+which off-the-shelf solvers do not promise. Optimality and the tie-break
+are cross-checked against brute-force enumeration, and optimality at
+scale against SciPy, in the test suite.
 
 ``set_loss`` and ``build_match_cost`` take an image's (P, 4) predicted
 corners, (P, V) token logits, (G, 4) ground-truth corners and (G, V)
@@ -112,18 +112,25 @@ def _solve_short_side(cost: np.ndarray):
     """Rectangular shortest-augmenting-path assignment (Crouse, 2016) for
     ``rows <= cols``: every row is matched, each column at most once.
 
+    Column reduction starts it: a row whose first cheapest column no other
+    row shares takes that column, with ``u`` the row minimum and ``v`` 0;
+    only the other rows run a Dijkstra round, in ascending order.
     Returns (col_for_row, row_for_col, u, v), -1 marking unmatched, with
     ``u[i] + v[j] <= cost[i, j]`` for every cell, equality on matched cells,
-    ``v <= 0``, and ``v[j] == 0`` on every unmatched column: each Dijkstra
-    round only lowers the potentials of the columns it scans, all of which
-    end the round matched.
+    ``v <= 0``, and ``v[j] == 0`` on every unmatched column: each round
+    only lowers the potentials of the columns it scans, all of which end
+    the round matched.
     """
     n_rows, n_cols = cost.shape
     u = np.zeros(n_rows)
     v = np.zeros(n_cols)
     col_for_row = np.full(n_rows, -1)
     row_for_col = np.full(n_cols, -1)
-    for start in range(n_rows):
+    first = cost.argmin(axis=1)
+    own = np.flatnonzero(np.bincount(first, minlength=n_cols)[first] == 1)
+    col_for_row[own], row_for_col[first[own]] = first[own], own
+    u[own] = cost[own, first[own]]
+    for start in np.flatnonzero(col_for_row < 0).tolist():
         shortest = np.full(n_cols, np.inf)
         path = np.full(n_cols, -1)
         scanned = np.zeros(n_cols, dtype=bool)
@@ -199,6 +206,8 @@ def _canonicalize(tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop):
     still allows. Optimal matchings are the matchings of ``tight`` edges
     that cover every vertex not flagged in ``*_may_drop``; the given
     matching is one of them. Returns the canonical one in the same form.
+    Only predictions with a tight edge are walked: any other is unmatched
+    in every optimum, so its one candidate is the "unmatched" it holds.
     """
     matched = np.flatnonzero(pred_to_gt >= 0)
     tight[matched, pred_to_gt[matched]] = True
@@ -210,7 +219,7 @@ def _canonicalize(tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop):
     # The certificate is one optimal matching that agrees with every choice
     # made so far; the candidate it already holds is accepted outright.
     pred_to_gt, gt_to_pred = pred_to_gt.tolist(), gt_to_pred.tolist()
-    for i in range(tight.shape[0]):
+    for i in np.flatnonzero(tight.any(axis=1)).tolist():
         candidates = [j for j in gts_of[i] if not 0 <= gt_to_pred[j] < i]
         if pred_may_drop[i]:
             candidates.append(-1)
@@ -267,7 +276,8 @@ def hungarian(costs: CostMatrix) -> Assignment:
     lexicographically smallest pair list is returned, prediction-major: each
     prediction in turn takes the smallest ground-truth index an optimum
     allows, "unmatched" last. Costs within ``1e-9 * max(1, max|C|)`` count
-    as tied. An empty matrix yields an empty assignment.
+    as tied. An empty matrix yields an empty assignment; entries so large
+    that the solver's sums overflow a float are a ``ValidationError``.
     """
     entries = costs.entries
     n_rows, n_cols = entries.shape
@@ -279,16 +289,22 @@ def hungarian(costs: CostMatrix) -> Assignment:
             total_cost=0.0,
         )
     tol = 1e-9 * max(1.0, float(np.max(np.abs(entries))))
-    if n_rows > n_cols:
-        gt_to_pred, pred_to_gt, gt_dual, pred_dual = _solve_short_side(entries.T)
-    else:
-        pred_to_gt, gt_to_pred, pred_dual, gt_dual = _solve_short_side(entries)
+    try:
+        with np.errstate(over="raise"):
+            if n_rows > n_cols:
+                gt_to_pred, pred_to_gt, gt_dual, pred_dual = _solve_short_side(entries.T)
+            else:
+                pred_to_gt, gt_to_pred, pred_dual, gt_dual = _solve_short_side(entries)
+            tight = entries - pred_dual[:, None] - gt_dual[None, :] <= tol
+    except FloatingPointError:
+        raise ValidationError(
+            "cost matrix entries are too large: the solver's sums overflow a float"
+        ) from None
     # Complementary slackness: the optimal matchings are exactly the
     # matchings of tight edges that cover the short side and every
     # long-side vertex whose dual is negative.
     pred_may_drop = ((pred_dual >= -tol) & (n_rows > n_cols)).tolist()
     gt_may_drop = ((gt_dual >= -tol) & (n_rows <= n_cols)).tolist()
-    tight = entries - pred_dual[:, None] - gt_dual[None, :] <= tol
     pred_to_gt, gt_to_pred = _canonicalize(
         tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop
     )

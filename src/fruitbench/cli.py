@@ -230,15 +230,19 @@ def cmd_loss(args) -> int:
             }
         )
     n = max(len(breakdowns), 1)
+    aggregate = {
+        key: left_sum(getattr(b, key) for b in breakdowns) / n
+        for key in ("l1", "giou_loss", "contrastive", "total")
+    }
+    for key, value in aggregate.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"loss aggregate {key!r}: the sum over images overflows a float")
     payload = {
         "weights": {
             "l1": weights.l1, "giou": weights.giou, "contrastive": weights.contrastive,
         },
         "per_image": rows,
-        "aggregate": {
-            key: left_sum(getattr(b, key) for b in breakdowns) / n
-            for key in ("l1", "giou_loss", "contrastive", "total")
-        },
+        "aggregate": aggregate,
     }
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -147,6 +147,39 @@ class TestHungarian:
             expected = forced_lexicographic_assignment(matrix, min_cost)
             assert hungarian(CostMatrix(matrix)).pairs == expected, (trial, matrix)
 
+    def test_tie_break_matches_forced_oracle_at_detr_shapes(self):
+        """Many predictions against a few ground-truth boxes, and the
+        transposes: most predictions have no tight edge, and the solver's
+        short-side rows run an augmenting round only where their cheapest
+        column is shared."""
+        pytest.importorskip("scipy")
+        from scipy.optimize import linear_sum_assignment
+
+        def min_cost(sub):
+            rows, cols = linear_sum_assignment(sub)
+            return float(sub[rows, cols].sum())
+
+        rng = np.random.default_rng(2407)
+        matrices = []
+        for _ in range(24):
+            rows, cols = int(rng.integers(20, 61)), int(rng.integers(2, 7))
+            matrices.append(rng.integers(0, 3, (rows, cols)).astype(float))
+        # Every box's first cheapest prediction is prediction 0: every row runs a round.
+        shared = rng.integers(1, 3, (40, 5)).astype(float)
+        shared[0] = 0.0
+        # Each box's first cheapest prediction is its own: no round runs.
+        own = rng.integers(1, 3, (40, 5)).astype(float)
+        own[[3, 9, 17, 26, 38], range(5)] = 0.0
+        # The solver leaves prediction 2 unmatched, though the canonical
+        # optimum matches it: it has a tight edge, so the walk must visit it.
+        visited = np.full((20, 3), 2.0)
+        visited[:6] = [[1, 2, 0], [2, 2, 2], [2, 1, 2], [2, 2, 1], [2, 0, 0], [2, 1, 2]]
+        matrices += [shared, own, visited]
+        for matrix in matrices:
+            for m in (matrix, matrix.T):
+                expected = forced_lexicographic_assignment(m, min_cost)
+                assert hungarian(CostMatrix(m)).pairs == expected, m
+
     def test_matches_scipy_optimum_at_detr_shapes(self):
         pytest.importorskip("scipy")
         from scipy.optimize import linear_sum_assignment

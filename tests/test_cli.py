@@ -379,6 +379,18 @@ class TestLoss:
             "predictions_noisy.json", "1e308,1e308,1", "cost matrix entries must be finite",
             id="predictions_noisy.json-1e308,1e308,1",
         ),
+        # Finite costs whose dual sums in the solver overflow.
+        pytest.param(
+            "predictions_noisy.json", "0,8e307,0",
+            "cost matrix entries are too large: the solver's sums overflow a float",
+            id="predictions_noisy.json-0,8e307,0",
+        ),
+        # Finite per-image totals whose sum over images overflows.
+        pytest.param(
+            "predictions_noisy.json", "0,4e307,0",
+            "loss aggregate 'total': the sum over images overflows a float",
+            id="predictions_noisy.json-0,4e307,0",
+        ),
     ])
     def test_non_finite_weights_exit_1(self, capsys, split_manifest, predictions, weights, message):
         code, out, err = run(
