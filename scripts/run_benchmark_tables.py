@@ -66,7 +66,7 @@ def main() -> None:
         ],
     }
     grid_path = out / "grid.json"
-    grid_path.write_text(json.dumps(grid, indent=2) + "\n")
+    grid_path.write_text(json.dumps(grid, indent=2) + "\n", encoding="utf-8")
     run("report", "--annotations", annotations, "--grid", grid_path, "--out", out / "table.md")
 
     run(

@@ -166,15 +166,16 @@ def _solve_short_side(cost: np.ndarray):
     return col_for_row, row_for_col, u, v
 
 
-def _alternate(start, adjacency, mate, other_mate, may_drop, blocked, parent) -> bool:
+def _alternate(start, tight, mate, other_mate, may_drop, blocked, parent) -> bool:
     """Re-match the unmatched vertex ``start`` along an alternating path of
-    tight edges, in place. The path ends at a vertex of the other side that
-    is unmatched, or whose mate may go unmatched and is dropped. Vertices
-    for which ``blocked`` holds are never entered; ``parent`` (empty on
-    entry) collects every other-side vertex reached. Returns whether a path
-    was found; ``mate`` and ``other_mate`` are unchanged when none is."""
+    tight edges (row ``x`` of ``tight`` for a vertex ``x`` of its side), in
+    place. The path ends at a vertex of the other side that is unmatched, or
+    whose mate may go unmatched and is dropped. Vertices for which
+    ``blocked`` holds are never entered; ``parent`` (empty on entry)
+    collects every other-side vertex reached. Returns whether a path was
+    found; ``mate`` and ``other_mate`` are unchanged when none is."""
     tails = [start]
-    stack = [iter(adjacency[start])]
+    stack = [iter(np.flatnonzero(tight[start]).tolist())]
     while stack:
         for y in stack[-1]:
             if y in parent or blocked(y):
@@ -192,7 +193,7 @@ def _alternate(start, adjacency, mate, other_mate, may_drop, blocked, parent) ->
                     y = previous
                 return True
             tails.append(x)
-            stack.append(iter(adjacency[x]))
+            stack.append(iter(np.flatnonzero(tight[x]).tolist()))
             break
         else:
             stack.pop()
@@ -206,21 +207,17 @@ def _canonicalize(tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop):
     still allows. Optimal matchings are the matchings of ``tight`` edges
     that cover every vertex not flagged in ``*_may_drop``; the given
     matching is one of them. Returns the canonical one in the same form.
-    Only predictions with a tight edge are walked: any other is unmatched
-    in every optimum, so its one candidate is the "unmatched" it holds.
+    Only predictions with a tight edge are walked, each listing its row of
+    ``tight``: any other is unmatched in every optimum, so its one
+    candidate is the "unmatched" it holds.
     """
     matched = np.flatnonzero(pred_to_gt >= 0)
     tight[matched, pred_to_gt[matched]] = True
-    gts_of = [[] for _ in range(tight.shape[0])]
-    preds_of = [[] for _ in range(tight.shape[1])]
-    for i, j in zip(*(x.tolist() for x in np.nonzero(tight))):  # row-major: both ascending
-        gts_of[i].append(j)
-        preds_of[j].append(i)
     # The certificate is one optimal matching that agrees with every choice
     # made so far; the candidate it already holds is accepted outright.
     pred_to_gt, gt_to_pred = pred_to_gt.tolist(), gt_to_pred.tolist()
     for i in np.flatnonzero(tight.any(axis=1)).tolist():
-        candidates = [j for j in gts_of[i] if not 0 <= gt_to_pred[j] < i]
+        candidates = [j for j in np.flatnonzero(tight[i]).tolist() if not 0 <= gt_to_pred[j] < i]
         if pred_may_drop[i]:
             candidates.append(-1)
         ruled_out = set()
@@ -243,7 +240,7 @@ def _canonicalize(tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop):
                 trial_pred[owner] = -1
             reached = {}
             if not (owner < 0 or pred_may_drop[owner] or _alternate(
-                owner, gts_of, trial_pred, trial_gt, pred_may_drop,
+                owner, tight, trial_pred, trial_gt, pred_may_drop,
                 lambda g: 0 <= trial_gt[g] <= i, reached,
             )):
                 # Hall: the predictions reached can use only the columns
@@ -256,7 +253,7 @@ def _canonicalize(tight, pred_to_gt, gt_to_pred, pred_may_drop, gt_may_drop):
                 vacated < 0
                 or trial_gt[vacated] >= 0
                 or gt_may_drop[vacated]
-                or _alternate(vacated, preds_of, trial_gt, trial_pred, gt_may_drop,
+                or _alternate(vacated, tight.T, trial_gt, trial_pred, gt_may_drop,
                               lambda p: p <= i, reached)
             ):
                 pred_to_gt, gt_to_pred = trial_pred, trial_gt

@@ -18,6 +18,7 @@ takes true or false, and null leaves a flag unset.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datamodel, evaluation, reporting, splits
-from .assignment import LossBreakdown, LossWeights, set_loss
+from .assignment import LossWeights, set_loss
 from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json
 from .errors import FruitBenchError, IntegrityError, ValidationError
 from .geometry import left_sum
@@ -207,7 +208,6 @@ def cmd_loss(args) -> int:
     tokens = np.arange(len(ds.categories))
     weights = args.weights
     rows = []
-    breakdowns: list[LossBreakdown] = []
     for image_id in image_ids:
         k = ds.image_index(image_id)
         img = ds.images[k]
@@ -218,7 +218,6 @@ def cmd_loss(args) -> int:
             ds.gt_boxes[gt_rows], ds.gt_category[gt_rows, None] == tokens, img.width, img.height,
             weights, count_unmatched_contrastive=not args.no_unmatched_contrastive,
         )
-        breakdowns.append(breakdown)
         rows.append(
             {
                 "image_id": image_id,
@@ -229,18 +228,16 @@ def cmd_loss(args) -> int:
                 "no_matches": breakdown.no_matches,
             }
         )
-    n = max(len(breakdowns), 1)
+    n = max(len(rows), 1)
     aggregate = {
-        key: left_sum(getattr(b, key) for b in breakdowns) / n
+        key: left_sum(row[key] for row in rows) / n
         for key in ("l1", "giou_loss", "contrastive", "total")
     }
     for key, value in aggregate.items():
         if not math.isfinite(value):
             raise ValidationError(f"loss aggregate {key!r}: the sum over images overflows a float")
     payload = {
-        "weights": {
-            "l1": weights.l1, "giou": weights.giou, "contrastive": weights.contrastive,
-        },
+        "weights": dataclasses.asdict(weights),
         "per_image": rows,
         "aggregate": aggregate,
     }

@@ -248,12 +248,13 @@ class DetectionDataset:
         built = [None] * n if built is None else [built[k] for k in rows]
         attrs = tuple(MappingProxyType(attrs[k]) if attrs[k] else _NO_ATTRIBUTES for k in rows)
         # Image sizes as floats, plus an unbounded row for an unknown image
-        # (-1). A size past 2**53 rounds, so BoundingBox.clamped decides each
-        # row with a corner at or past its float bound, exactly.
+        # (-1), never clamped. A size past 2**53 rounds, so BoundingBox.clamped
+        # decides each row with a corner at or past its float bound, exactly.
         top = sys.float_info.max
         limits = [(min(m.width, top), min(m.height, top)) for m in self.images]
         limits = np.array(limits + [(math.inf, math.inf)], np.float64)[image]
         outside = (boxes[:, :2] < 0).any(axis=1) | (boxes[:, 2:] >= limits).any(axis=1)
+        outside &= image >= 0
         for k in np.flatnonzero(outside).tolist():
             img = self.images[image[k]]
             box = built[k].box if built[k] else BoundingBox(*boxes[k].tolist())
@@ -565,9 +566,9 @@ def load_labelme(
     silently absorbed.
 
     Rectangles use their two corner points; polygons are reduced to the
-    bounding box of their points, and a box outside its image is clamped
-    to it (``DetectionDataset.from_columns``). Image and instance ids are
-    synthesized sequentially over files sorted by name.
+    bounding box of their points. ``DetectionDataset.from_columns`` clamps
+    a box outside its image and rejects two mapped categories sharing an
+    id. Image and instance ids are numbered from 1 over files sorted by name.
 
     Returns:
         (dataset, unmapped) where ``unmapped`` maps each unmatched raw
@@ -580,7 +581,7 @@ def load_labelme(
         if ckey in canonical and canonical[ckey] != cat:
             raise ValidationError(f"category map keys collide after canonicalization: {key!r}")
         canonical[ckey] = cat
-    categories = sorted({c.id: c for c in canonical.values()}.values(), key=lambda c: c.id)
+    categories = sorted(set(canonical.values()), key=lambda c: c.id)
 
     images: list[ImageRecord] = []
     image_ids, category_ids, corners = [], [], []

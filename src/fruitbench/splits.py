@@ -232,11 +232,11 @@ def split_zero_shot(ds: DetectionDataset, fraction: float, seed: int) -> SplitRe
 def sample_k_shot(
     ds: DetectionDataset, train_pool: SplitResult, k: int, seed: int
 ) -> SplitResult:
-    """Draw exactly ``k`` train images per category, uniformly without
-    replacement from the pool's train set; the test set is unchanged.
-
-    ``k = 0`` yields the zero-shot split. Raises if some category's pool is
-    smaller than ``k``, naming the category and its pool size.
+    """Draw exactly ``k`` train images per ``_partition`` category group,
+    uniformly without replacement from its train-pool images; the test set
+    is unchanged. ``k = 0`` yields the zero-shot split. Raises if a pool,
+    even an empty one, is smaller than ``k``, naming the category and its
+    pool size, or if the train pool holds an image no group owns.
     """
     fraction = train_pool.spec.train_fraction
     spec = SplitSpec(kind=KIND_K_SHOT, seed=seed, train_fraction=fraction, k=k)
@@ -244,21 +244,19 @@ def sample_k_shot(
         spec = SplitSpec(kind=KIND_ZERO_SHOT, seed=seed, train_fraction=fraction)
         return _build_result((), train_pool.test_image_ids, spec)
     pool_ids = set(train_pool.train_image_ids)
-    assignment = majority_category(ds)
-    pools: dict[int, list[int]] = {}
-    for image_id in sorted(pool_ids):
-        pools.setdefault(assignment[image_id], []).append(image_id)
+    grouped = _images_by_category(ds)
+    if foreign := pool_ids.difference(*grouped.values()):
+        raise ValidationError(f"train pool image {min(foreign)} is not an annotated image")
     train: list[int] = []
-    for category_id in sorted(pools):
-        pool = pools[category_id]
+    for category_id in sorted(grouped):
+        pool = [i for i in grouped[category_id] if i in pool_ids]
         if len(pool) < k:
             name = ds.category(category_id).name
             raise ValidationError(
                 f"category {name!r} has only {len(pool)} train images, cannot draw k={k}"
             )
-        order = list(pool)
-        _shuffle(order, seed, category_id, _SHOT_DOMAIN)
-        train.extend(order[:k])
+        _shuffle(pool, seed, category_id, _SHOT_DOMAIN)
+        train.extend(pool[:k])
     return _build_result(train, train_pool.test_image_ids, spec)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fruitbench import assignment
 from fruitbench.assignment import (
     Assignment,
     CostMatrix,
@@ -202,6 +203,27 @@ class TestHungarian:
         # Loose: a solver that blows up on many-queries-few-boxes shapes
         # fails here instead of stalling the suite.
         assert time.monotonic() - started <= 10.0
+
+    @pytest.mark.parametrize("m", [1, 2, 40])
+    def test_hall_pruning_bounds_the_searches(self, m, monkeypatch):
+        """Row 0 is all 0 and rows 1..m cost 1 only on column m, so row 0
+        must take column m. Once one forced choice of row 0 fails, the
+        columns its repair search reached are ruled out without a search
+        each: at most m + 1 searches instead of about 2m."""
+        matrix = np.zeros((m + 1, m + 1))
+        matrix[1:, m] = 1.0
+        calls = []
+        search = assignment._alternate
+
+        def counted(*args):
+            calls.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(assignment, "_alternate", counted)
+        result = hungarian(CostMatrix(matrix))
+        assert result.pairs[:2] == ((0, m), (1, 0))
+        assert result.total_cost == 0.0
+        assert len(calls) <= m + 1
 
     @given(
         n=st.integers(2, 5),

@@ -166,6 +166,29 @@ class TestSplit:
         assert code == 1
         assert "banana" in err
 
+    def test_k_shot_category_without_train_images_exits_1(self, capsys, tmp_path):
+        """Apple's one image goes to test at fraction 0.6, so no apple
+        image can be drawn for k = 1."""
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({
+            "images": [
+                {"id": i, "file_name": f"{i}.jpg", "width": 64, "height": 64} for i in range(1, 7)
+            ],
+            "categories": [{"id": 1, "name": "apple"}, {"id": 2, "name": "pear"}],
+            "annotations": [
+                {"id": i, "image_id": i, "category_id": 1 if i == 1 else 2, "bbox": [0, 0, 8, 8]}
+                for i in range(1, 7)
+            ],
+        }))
+        out_path = tmp_path / "k.json"
+        code, out, err = run(
+            capsys, "split", "--annotations", str(annotations), "--kind", "k-shot", "--k", "1",
+            "--fraction", "0.6", "--seed", "1", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: category 'apple' has only 0 train images, cannot draw k=1\n"
+        assert not out_path.exists()
+
     def test_bad_fraction_exits_1_before_io(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -755,6 +778,18 @@ class TestIngestLabelme:
         )
         assert code == 1
         assert err.startswith("error: ") and "duplicate category name 'apple'" in err
+        assert not out_path.exists()
+
+    def test_duplicate_category_id_exits_1(self, capsys, tmp_path):
+        src, cats = unmapped_labels(tmp_path)
+        cats.write_text(json.dumps([{"id": 1, "name": "apple"}, {"id": 1, "name": "pear"}]))
+        out_path = tmp_path / "out.json"
+        code, _, err = run(
+            capsys, "ingest-labelme", "--dir", str(src), "--categories", str(cats),
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert err == "error: duplicate category id 1\n"
         assert not out_path.exists()
 
     def test_fail_on_unmapped(self, capsys, tmp_path):

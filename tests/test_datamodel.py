@@ -184,6 +184,21 @@ class TestDatasetValidation:
                 ],
             )
 
+    @pytest.mark.parametrize("images", [[], [ImageRecord(1, "a.jpg", 10, 10)]])
+    @pytest.mark.parametrize("build", ["instances", "columns"])
+    def test_unknown_image_with_box_past_origin(self, build, images):
+        """A row of an unknown image is never clamped or bounds-checked
+        against some other image: it raises as unknown."""
+        categories, box = [Category(1, "apple")], BoundingBox(-1, 0, 1, 1)
+        with pytest.raises(IntegrityError, match="^instance 1 references unknown image 5$"):
+            if build == "instances":
+                DetectionDataset(categories, images, [GroundTruthInstance(1, 5, 1, box)])
+            else:
+                DetectionDataset.from_columns(
+                    categories, images, [1], [5], [1], np.array([[-1.0, 0.0, 1.0, 1.0]]),
+                    [False], [None],
+                )
+
     @pytest.mark.parametrize("width, x_max", [
         (2**53 + 3, 2**53 + 3), (2**54 + 1, 2**54 + 1), (2**54 + 1, 2**54 + 2), (10**400, 2**60),
     ])
@@ -259,6 +274,23 @@ class TestLoadLabelme:
         ds, unmapped = load_labelme(tmp_path, {" Apple ": Category(1, "apple")})
         assert len(ds.instances) == 1
         assert unmapped == {}
+
+    def test_synonyms_share_one_category(self, tmp_path):
+        shapes = [
+            {"label": label, "points": [[0, 0], [5, 5]]} for label in ("apple", "malus", "pear")
+        ]
+        labelme_file(tmp_path, "img1.json", shapes)
+        apple = Category(1, "apple")
+        ds, _ = load_labelme(
+            tmp_path, {"apple": apple, "malus": Category(1, "apple"), "pear": Category(2, "pear")}
+        )
+        assert ds.categories == [apple, Category(2, "pear")]
+        assert [a.category_id for a in ds.instances] == [1, 1, 2]
+
+    def test_two_categories_sharing_an_id_rejected(self, tmp_path):
+        labelme_file(tmp_path, "img1.json", [{"label": "apple", "points": [[0, 0], [5, 5]]}])
+        with pytest.raises(ValidationError, match="^duplicate category id 1$"):
+            load_labelme(tmp_path, {"apple": Category(1, "apple"), "pear": Category(1, "pear")})
 
     def test_shape_with_one_point(self, tmp_path):
         labelme_file(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +208,23 @@ class TestSampleKShot:
         pool = split_train_test(ds, 0.6, seed=2)  # orange pool: 4 images
         with pytest.raises(ValidationError, match="orange.*4"):
             sample_k_shot(ds, pool, 5, seed=2)
+
+    def test_category_without_train_images_rejected(self):
+        """A category whose images all went to test has an empty pool,
+        which is too short for any k > 0 rather than skipped."""
+        ds = make_dataset({"apple": 1, "pear": 5})
+        pool = split_train_test(ds, 0.6, seed=1)
+        assert 1 in pool.test_image_ids
+        message = "^category 'apple' has only 0 train images, cannot draw k=1$"
+        with pytest.raises(ValidationError, match=message):
+            sample_k_shot(ds, pool, 1, seed=1)
+
+    def test_foreign_pool_image_named(self):
+        ds = make_dataset({"apple": 4, "pear": 4})
+        pool = split_train_test(ds, 0.5, seed=3)
+        foreign = replace(pool, train_image_ids=pool.train_image_ids + (99,))
+        with pytest.raises(ValidationError, match="train pool image 99 "):
+            sample_k_shot(ds, foreign, 1, seed=3)
 
     def test_sample_is_subset_of_pool(self):
         ds = make_dataset({"apple": 20, "orange": 20})
