@@ -62,7 +62,6 @@ from .splits import (
     sample_k_shot,
     split_cross_class,
     split_train_test,
-    split_zero_shot,
     write_manifest,
 )
 

@@ -96,15 +96,15 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term values are unweighted; ``total`` applies the weights, so
-    ``total == w_l1*l1 + w_giou*giou_loss + w_cons*contrastive`` exactly.
-    ``no_matches`` flags degenerate inputs with an empty matching."""
+    """Per-term values are unweighted; ``total`` applies the weights given
+    to ``set_loss``, so ``total == w_l1*l1 + w_giou*giou_loss +
+    w_cons*contrastive`` exactly. ``no_matches`` flags degenerate inputs
+    with an empty matching. The fields, in order, are a ``loss`` row."""
 
     l1: float
     giou_loss: float
     contrastive: float
     total: float
-    weights: LossWeights
     no_matches: bool = False
 
 
@@ -486,6 +486,5 @@ def set_loss(
         giou_loss=giou_term,
         contrastive=cons_term,
         total=weights.l1 * l1_term + weights.giou * giou_term + weights.contrastive * cons_term,
-        weights=weights,
         no_matches=not assignment.pairs,
     )

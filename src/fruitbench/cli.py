@@ -2,9 +2,9 @@
 library operations.
 
 Subcommands: ingest-labelme, write-coco, stats, split, evaluate, loss,
-rec-eval, report, bench. Exit codes: 0 success, 1 validation/usage error,
-2 I/O error. With ``--json-errors`` failures are additionally written to
-stderr as one JSON object.
+rec-eval, report, bench. Exit codes: 0 success, 1 validation/usage error
+or running out of memory, 2 I/O error. A failure is one ``error:`` line on
+stderr, or with ``--json-errors`` one JSON object instead.
 
 A JSON config file (top-level keys naming subcommands, values mapping flag
 names with dashes replaced by underscores) supplies flags: the chosen
@@ -91,6 +91,12 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         raise ValidationError(f"--thresholds must be comma-separated numbers, got {text!r}") from None
 
 
+def _reject_unknown_keys(record: dict, keys, context: str) -> None:
+    unknown = set(record) - set(keys)
+    if unknown:
+        raise ValidationError(f"{context} has unknown keys: {sorted(unknown)}")
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -149,24 +155,16 @@ def cmd_stats(args) -> int:
 
 def cmd_split(args) -> int:
     ds = _load_coco(args.annotations)
-    if args.kind == splits.KIND_TRAIN_TEST:
-        result = splits.split_train_test(ds, args.fraction, args.seed)
-    elif args.kind == splits.KIND_ZERO_SHOT:
-        result = splits.split_zero_shot(ds, args.fraction, args.seed)
-    elif args.kind == splits.KIND_K_SHOT:
-        if args.k is None:
-            raise ValidationError("--k is required for k-shot splits")
-        pool = splits.split_train_test(ds, args.fraction, args.seed)
-        result = splits.sample_k_shot(ds, pool, args.k, args.seed)
-    elif args.kind == splits.KIND_CROSS_CLASS:
-        if not args.held_out:
-            raise ValidationError("--held-out is required for cross-class splits")
-        held = next((c for c in ds.categories if c.name == args.held_out), None)
-        if held is None:
-            raise ValidationError(f"unknown category {args.held_out!r}")
+    held = next((c.id for c in ds.categories if c.name == args.held_out), None)
+    if held is None and args.held_out is not None:
+        raise ValidationError(f"unknown category {args.held_out!r}")
+    splits.SplitSpec(args.kind, args.seed, args.fraction, args.k, held)  # rejects a wrong flag
+    if args.kind == splits.KIND_CROSS_CLASS:
         result = splits.split_cross_class(ds, held, args.fraction, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown split kind {args.kind!r}")
+    else:
+        result = splits.split_train_test(ds, args.fraction, args.seed)
+        if args.kind != splits.KIND_TRAIN_TEST:  # k-shot, or zero-shot as its 0-shot draw
+            result = splits.sample_k_shot(ds, result, args.k or 0, args.seed)
     splits.write_manifest(result, args.out)
     print(result.manifest_digest)
     return 0
@@ -218,16 +216,7 @@ def cmd_loss(args) -> int:
             ds.gt_boxes[gt_rows], ds.gt_category[gt_rows, None] == tokens, img.width, img.height,
             weights, count_unmatched_contrastive=not args.no_unmatched_contrastive,
         )
-        rows.append(
-            {
-                "image_id": image_id,
-                "l1": breakdown.l1,
-                "giou_loss": breakdown.giou_loss,
-                "contrastive": breakdown.contrastive,
-                "total": breakdown.total,
-                "no_matches": breakdown.no_matches,
-            }
-        )
+        rows.append({"image_id": image_id, **dataclasses.asdict(breakdown)})
     n = max(len(rows), 1)
     aggregate = {
         key: left_sum(row[key] for row in rows) / n
@@ -271,13 +260,14 @@ def cmd_report(args) -> int:
     raw = read_json(grid_path)
     context = f"--grid {grid_path}"
     keys = ("label", "manifest", "predictions")
-    rows = tuple(
-        reporting.GridRow(*(field(r, key, f"{context} row", STRING) for key in keys))
-        for r in field(raw, "rows", context, ARRAY, [])
-    )
+    rows = []
+    for r in field(raw, "rows", context, ARRAY, []):
+        rows.append(reporting.GridRow(*(field(r, key, f"{context} row", STRING) for key in keys)))
+        _reject_unknown_keys(r, keys, f"{context} row")
+    _reject_unknown_keys(raw, ("rows", "metrics", "format"), context)
     output_format = field(raw, "format", context, STRING, "markdown")
     grid = reporting.ExperimentGrid(
-        rows=rows,
+        rows=tuple(rows),
         metrics=tuple(field(raw, "metrics", context, ARRAY, reporting.METRIC_KEYS)),
         output_format=args.format or output_format,
     )
@@ -422,9 +412,7 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     section = field(config, command, context, OBJECT, {})
     subparser = parser.commands[command]
     actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest != "help"}
-    unknown = set(section) - set(actions)
-    if unknown:
-        raise ValidationError(f"config section {command!r} has unknown keys: {sorted(unknown)}")
+    _reject_unknown_keys(section, actions, f"config section {command!r}")
     flags = []
     for key, value in section.items():
         flag = actions[key].option_strings[0]
@@ -454,6 +442,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(exc, 2, json_errors)
         return 2
+    except MemoryError:  # numpy's failed allocations included
+        _emit_error(MemoryError("ran out of memory"), 1, json_errors)
+        return 1
 
 
 def _os_encodable(token: str) -> bool:

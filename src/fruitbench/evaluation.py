@@ -348,12 +348,12 @@ def _segments(key: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero(change), len(change))
 
 
-def _category_pools(ds, test_positions, table, used, group, filters, config) -> tuple:
+def _category_pools(ds, test_positions, table, used, group, filters, config) -> list:
     """Per group, then category of ``ds``: the scores of its capped ``used``
     rows of ``table``, their (T, N) ``_sweep`` state and its non-crowd GT
-    count; and each group's ``used`` row count. ``group`` holds the used
-    rows' groups, or one for all; the values of ``filters`` are each
-    group's test of a GT row's ``gt_attributes`` map, or None for all."""
+    count. ``group`` holds the used rows' groups; the values of ``filters``
+    are each group's test of a GT row's ``gt_attributes`` map, or None for
+    all."""
     n_images, n_categories = len(ds.images), len(ds.categories)
     test_gt = np.flatnonzero(np.isin(ds.gt_image, test_positions))
     keep = np.ones((len(filters), len(test_gt)), dtype=bool)
@@ -373,7 +373,6 @@ def _category_pools(ds, test_positions, table, used, group, filters, config) -> 
     key = (table.category[used] + group * n_categories) * n_images + table.image[used]
     by_key = np.lexsort((-table.score[used], key))
     order, key = used[by_key], key[by_key]
-    groups = np.searchsorted(key, np.arange(len(filters) + 1) * n_categories * n_images)
     bounds = _segments(key)
     capped = np.arange(len(order)) - np.repeat(bounds[:-1], np.diff(bounds)) < config.max_dets
     kept, key = order[capped], key[capped]
@@ -387,7 +386,7 @@ def _category_pools(ds, test_positions, table, used, group, filters, config) -> 
     return [
         (table.score[kept[lo:hi]], state[:, lo:hi], n)
         for lo, hi, n in zip(runs[:-1], runs[1:], num_gt.tolist())
-    ], np.diff(groups).tolist()
+    ]
 
 
 def _check_table(ds: DetectionDataset, dets) -> None:
@@ -395,16 +394,18 @@ def _check_table(ds: DetectionDataset, dets) -> None:
         raise ValidationError("detections must be a PredictionTable read against the dataset")
 
 
-def _reports(ds, split, dets, group, totals, filters, config) -> list[EvaluationReport]:
-    """A report per ``prompt: filter`` item, of the rows whose ``group`` (per
-    row, or one for all) is its index; ``totals`` counts each group's rows."""
+def _reports(ds, split, dets, group, filters, config) -> list[EvaluationReport]:
+    """A report per ``prompt: filter`` item, of the rows whose ``group`` is
+    its index; it counts its detections, used and in all, from ``group``."""
     test_ids = sorted(split.test_image_ids)
     if not test_ids:
         raise ValidationError("empty test split")
     test_positions = [ds.image_index(image_id) for image_id in test_ids]
     used = np.flatnonzero(np.isin(dets.image, test_positions))
-    group = group[used] if np.ndim(group) else group
-    pools, counts = _category_pools(ds, test_positions, dets, used, group, filters, config)
+    totals = np.bincount(group, minlength=len(filters)).tolist()
+    group = group[used]
+    counts = np.bincount(group, minlength=len(filters)).tolist()
+    pools = _category_pools(ds, test_positions, dets, used, group, filters, config)
     rows = []
     for cat, (scores, state, num_gt) in zip(ds.categories * len(filters), pools):
         aps = _sweep(state[:, np.argsort(-scores, kind="stable")], num_gt)
@@ -447,7 +448,7 @@ def evaluate(
     split are ignored and counted. Raises on an empty test split.
     """
     _check_table(ds, dets)
-    return _reports(ds, split, dets, 0, [len(dets)], {None: None}, config)[0]
+    return _reports(ds, split, dets, np.zeros(len(dets), np.int64), {None: None}, config)[0]
 
 
 def attribute_predicate(spec: Mapping) -> Callable[[Mapping[str, str]], bool]:
@@ -457,8 +458,8 @@ def attribute_predicate(spec: Mapping) -> Callable[[Mapping[str, str]], bool]:
     Forms: ``{"any": true}`` with no other key, or
     ``{"attribute": name, <op>: value}`` with one of the ops
     ``equals | not_equals | in | not_in``; the value is a string, a list of
-    strings for ``in | not_in``. ``any`` is a JSON boolean. A missing
-    attribute compares as the empty string.
+    strings for ``in | not_in``. ``any`` is a JSON boolean. Any other key
+    is rejected. A missing attribute compares as the empty string.
     """
     context = f"predicate {spec!r:.80}"
     if field(spec, "any", context, BOOLEAN, False):
@@ -472,6 +473,9 @@ def attribute_predicate(spec: Mapping) -> Callable[[Mapping[str, str]], bool]:
     if len(ops) != 1:
         raise ValidationError(f"{context}: needs exactly one operator")
     op = ops[0]
+    unknown = set(spec) - {"any", "attribute", op}
+    if unknown:
+        raise ValidationError(f"{context} has unknown keys: {sorted(unknown)}")
     if op in ("in", "not_in"):
         operand = {checked(v, STRING, context, op) for v in field(spec, op, context, ARRAY)}
     else:
@@ -509,9 +513,8 @@ def evaluate_rec(
         raise ValidationError(f"unknown prompt {prompt!r}: no filter provided")
     if not prompts:
         return []
-    totals = np.bincount(group, minlength=len(prompts)).tolist()
     filters = {prompt: prompt_filters[prompt] for prompt in prompts}
-    return _reports(ds, split, dets, group, totals, filters, config)
+    return _reports(ds, split, dets, group, filters, config)
 
 
 def report_to_dict(report: EvaluationReport) -> dict:

@@ -45,7 +45,6 @@ __all__ = [
     "SplitResult",
     "majority_category",
     "split_train_test",
-    "split_zero_shot",
     "sample_k_shot",
     "split_cross_class",
     "write_manifest",
@@ -222,21 +221,16 @@ def split_train_test(ds: DetectionDataset, fraction: float, seed: int) -> SplitR
     return _build_result(train, test, spec)
 
 
-def split_zero_shot(ds: DetectionDataset, fraction: float, seed: int) -> SplitResult:
-    """Empty train set over the standard test portion, so zero-shot numbers
-    are comparable with every other row on the same test images: the
-    0-shot sample of the train/test split."""
-    return sample_k_shot(ds, split_train_test(ds, fraction, seed), 0, seed)
-
-
 def sample_k_shot(
     ds: DetectionDataset, train_pool: SplitResult, k: int, seed: int
 ) -> SplitResult:
     """Draw exactly ``k`` train images per ``_partition`` category group,
     uniformly without replacement from its train-pool images; the test set
-    is unchanged. ``k = 0`` yields the zero-shot split. Raises if a pool,
-    even an empty one, is smaller than ``k``, naming the category and its
-    pool size, or if the train pool holds an image no group owns.
+    is unchanged. ``k = 0`` yields the zero-shot split, an empty train set
+    over the standard test portion, so that its numbers compare with every
+    other row. Raises if a pool, even an empty one, is smaller than ``k``,
+    naming the category and its pool size, or if the train pool holds an
+    image no group owns.
     """
     fraction = train_pool.spec.train_fraction
     spec = SplitSpec(kind=KIND_K_SHOT, seed=seed, train_fraction=fraction, k=k)

@@ -225,6 +225,29 @@ class TestHungarian:
         assert result.total_cost == 0.0
         assert len(calls) <= m + 1
 
+    @pytest.mark.parametrize("shape", ["zero-one", "hall"])
+    def test_free_column_preference_bounds_the_rows_read(self, shape):
+        """Among equally short columns a Dijkstra round ends at an unmatched
+        one. On these ties each round then reads a row or two of the cost
+        matrix; taking the first tied column instead reads about 20n."""
+        n = 40
+        if shape == "zero-one":
+            matrix = np.random.default_rng(0).integers(0, 2, (n, n)).astype(float)
+        else:  # the adversary of test_hall_pruning_bounds_the_searches
+            matrix = np.zeros((n + 1, n + 1))
+            matrix[1:, n] = 1.0
+
+        class RowReads(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, int):
+                    reads.append(index)
+                return super().__getitem__(index)
+
+        reads = []
+        col_for_row, _, _, _ = assignment._solve_short_side(matrix.view(RowReads))
+        assert sorted(col_for_row.tolist()) == list(range(len(matrix)))
+        assert len(reads) <= 2 * n
+
     @given(
         n=st.integers(2, 5),
         seed=st.integers(0, 10**6),

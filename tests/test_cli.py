@@ -189,6 +189,29 @@ class TestSplit:
         assert err == "error: category 'apple' has only 0 train images, cannot draw k=1\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message", [
+            (["train-test", "--k", "5"], "train-test split does not take k"),
+            (["zero-shot", "--k", "3"], "zero-shot split does not take k"),
+            (["k-shot", "--k", "1", "--held-out", "apple"],
+             "k-shot split does not take held_out_category"),
+            (["train-test", "--held-out", "nosuch"], "unknown category 'nosuch'"),
+            (["cross-class", "--held-out", "apple", "--k", "2"],
+             "cross-class split does not take k"),
+            (["k-shot"], "k-shot split requires k"),
+            (["cross-class"], "cross-class split requires held_out_category"),
+        ],
+    )
+    def test_flags_the_kind_does_not_take_exit_1(self, capsys, tmp_path, flags, message):
+        """A flag the kind takes no field for is an error, not ignored."""
+        out_path = tmp_path / "split.json"
+        code, out, err = run(
+            capsys, "split", "--annotations", str(SYN30 / "annotations.json"), "--kind", *flags,
+            "--seed", "1", "--out", str(out_path),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()
+
     def test_bad_fraction_exits_1_before_io(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -328,6 +351,28 @@ class TestEvaluate:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "IntegrityError"
         assert "999" in payload["message"]
+
+    @pytest.mark.parametrize("json_errors", [False, True])
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch, split_manifest, json_errors):
+        from fruitbench import evaluation
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("x")
+
+        monkeypatch.setattr(evaluation, "evaluate", exhausted)
+        code, out, err = run(
+            capsys, *(["--json-errors"] if json_errors else []), "evaluate",
+            "--annotations", str(SYN30 / "annotations.json"),
+            "--predictions", str(SYN30 / "predictions_noisy.json"),
+            "--split", str(split_manifest),
+        )
+        assert (code, out) == (1, "")
+        if json_errors:
+            assert json.loads(err) == {
+                "error": "MemoryError", "message": "ran out of memory", "exit_code": 1
+            }
+        else:
+            assert err == "error: ran out of memory\n"
 
     @pytest.mark.parametrize("bbox", [None, "abcd", [0, 0, 1], [True, 0, 1, 1]])
     def test_malformed_prediction_bbox_exits_1(self, capsys, split_manifest, tmp_path, bbox):
@@ -694,6 +739,32 @@ class TestReport:
         assert code == 1
         assert "manifest" in err
 
+    def test_unknown_grid_key_exits_1(self, capsys, tmp_path, split_manifest):
+        """A misspelt ``metrics`` would otherwise render every metric."""
+        grid = tmp_path / "grid.json"
+        row = {
+            "label": "x", "manifest": str(split_manifest),
+            "predictions": str(SYN30 / "predictions_perfect.json"),
+        }
+        grid.write_text(json.dumps({"rows": [row], "metric": ["AP50"]}))
+        code, out, err = run(
+            capsys, "report", "--annotations", str(SYN30 / "annotations.json"), "--grid", str(grid)
+        )
+        assert (code, out, err) == (1, "", f"error: --grid {grid} has unknown keys: ['metric']\n")
+
+    def test_unknown_grid_row_key_exits_1(self, capsys, tmp_path, split_manifest):
+        grid = tmp_path / "grid.json"
+        row = {
+            "label": "x", "manifest": str(split_manifest),
+            "predictions": str(SYN30 / "predictions_perfect.json"), "prompt": "apple",
+        }
+        grid.write_text(json.dumps({"rows": [row]}))
+        code, out, err = run(
+            capsys, "report", "--annotations", str(SYN30 / "annotations.json"), "--grid", str(grid)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --grid {grid} row has unknown keys: ['prompt']\n"
+
     def test_missing_grid_file_exits_1(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(
@@ -962,6 +1033,18 @@ class TestUsageAndConfig:
         code, _, err = run(capsys, "--config", str(config), "stats", "--annotations", "x")
         assert code == 1
         assert "bogus_key" in err
+
+    def test_config_split_section_checked_like_flags(self, capsys, tmp_path):
+        """A ``k`` in the section fails a train-test run as ``--k`` does."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"split": {"k": 2}}))
+        out_path = tmp_path / "split.json"
+        code, out, err = run(
+            capsys, "--config", str(config), "split", "--kind", "train-test",
+            "--annotations", str(SYN30 / "annotations.json"), "--seed", "1", "--out", str(out_path),
+        )
+        assert (code, out, err) == (1, "", "error: train-test split does not take k\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "command, section, named", [

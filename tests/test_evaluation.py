@@ -872,6 +872,13 @@ class TestAttributePredicate:
         with pytest.raises(ValidationError):
             attribute_predicate({"attribute": "x", "equals": "a", "in": ["b"]})
 
+    def test_unknown_key_rejected(self):
+        """A key nothing reads would be ignored: ``negate`` here would
+        leave the plain ``equals`` test."""
+        spec = {"attribute": "occlusion", "equals": "leaf", "negate": True}
+        with pytest.raises(ValidationError, match=r"has unknown keys: \['negate'\]"):
+            attribute_predicate(spec)
+
     @pytest.mark.parametrize(
         "spec", [
             5,

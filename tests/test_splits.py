@@ -16,7 +16,6 @@ from fruitbench.splits import (
     sample_k_shot,
     split_cross_class,
     split_train_test,
-    split_zero_shot,
     write_manifest,
 )
 
@@ -277,7 +276,7 @@ class TestSplitCrossClass:
 class TestZeroShot:
     def test_empty_train(self):
         ds = make_dataset({"apple": 10})
-        result = split_zero_shot(ds, 0.6, seed=5)
+        result = sample_k_shot(ds, split_train_test(ds, 0.6, 5), 0, 5)
         assert result.train_image_ids == ()
         assert result.test_image_ids == split_train_test(ds, 0.6, seed=5).test_image_ids
 
@@ -292,7 +291,7 @@ class TestManifests:
 
     def test_zero_shot_manifest(self, tmp_path):
         ds = make_dataset({"apple": 10})
-        result = split_zero_shot(ds, 0.6, seed=1)
+        result = sample_k_shot(ds, split_train_test(ds, 0.6, 1), 0, 1)
         path = tmp_path / "split.json"
         write_manifest(result, path)
         loaded = load_manifest(path)
