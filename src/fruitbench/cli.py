@@ -6,6 +6,10 @@ rec-eval, report, bench. Exit codes: 0 success, 1 validation/usage error
 or running out of memory, 2 I/O error. A failure is one ``error:`` line on
 stderr, or with ``--json-errors`` one JSON object instead.
 
+Flags are checked before any file is read, with the texts of the library
+types that own their rules (``SplitSpec``, ``EvalConfig``, ``LossWeights``);
+manifests and filters are read before the annotation file.
+
 A JSON config file (top-level keys naming subcommands, values mapping flag
 names with dashes replaced by underscores) supplies flags: the chosen
 subcommand's section is inserted into the arguments right after the
@@ -49,28 +53,6 @@ class CliUsageError(FruitBenchError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliUsageError(message)
-
-
-def _checked(convert, ok, message: str):
-    """An argparse ``type=``: convert the text, then raise a
-    ``ValidationError`` (exit 1, before any file I/O) unless ``ok``."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise ValidationError(message.format(value))
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-_fraction = _checked(
-    float, lambda v: 0.0 < v < 1.0, "--fraction must lie strictly between 0 and 1, got {}"
-)
-_k = _checked(int, lambda v: v >= 0, "--k must be non-negative, got {}")
-_seed = _checked(int, lambda v: 0 <= v < 2**64, "--seed must be a 64-bit unsigned integer, got {}")
-_max_dets = _checked(int, lambda v: v >= 1, "--max-dets must be >= 1, got {}")
 
 
 def _parse_weights(text: str) -> LossWeights:
@@ -128,11 +110,11 @@ def cmd_ingest_labelme(args) -> int:
     shapes = sum(unmapped.values())
     if shapes:
         print(f"{Path(args.dir)}: {shapes} shapes with unmapped labels", file=sys.stderr)
-    datamodel.write_coco(ds, args.out)
     for label, count in sorted(unmapped.items()):
         print(f"unmapped label {label!r}: {count} shapes", file=sys.stderr)
     if shapes and args.fail_on_unmapped:
         raise ValidationError(f"{shapes} shapes carried unmapped labels")
+    datamodel.write_coco(ds, args.out)
     print(
         f"wrote {args.out}: {len(ds.images)} images, {len(ds.instances)} instances",
         file=sys.stderr,
@@ -154,11 +136,13 @@ def cmd_stats(args) -> int:
 
 
 def cmd_split(args) -> int:
+    # Rejects a wrong flag before the load; the spec only checks that held_out_category
+    # is set, so the name stands in for the id, and the split functions build their own.
+    splits.SplitSpec(args.kind, args.seed, args.fraction, args.k, args.held_out)
     ds = _load_coco(args.annotations)
     held = next((c.id for c in ds.categories if c.name == args.held_out), None)
     if held is None and args.held_out is not None:
         raise ValidationError(f"unknown category {args.held_out!r}")
-    splits.SplitSpec(args.kind, args.seed, args.fraction, args.k, held)  # rejects a wrong flag
     if args.kind == splits.KIND_CROSS_CLASS:
         result = splits.split_cross_class(ds, held, args.fraction, args.seed)
     else:
@@ -171,10 +155,11 @@ def cmd_split(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ds = _load_coco(args.annotations)
+    config = _eval_config(args)
     split = splits.load_manifest(args.split)
+    ds = _load_coco(args.annotations)
     dets = datamodel.load_predictions(args.predictions, ds)
-    report = evaluation.evaluate(ds, split, dets, _eval_config(args))
+    report = evaluation.evaluate(ds, split, dets, config)
     if args.format == "markdown":
         text = reporting.render_report_table(report)
     else:
@@ -195,12 +180,10 @@ def _loss_logits(table, rows, tokens) -> np.ndarray:
 
 
 def cmd_loss(args) -> int:
+    split = splits.load_manifest(args.split) if args.split else None
     ds = _load_coco(args.annotations)
     table = datamodel.load_predictions(args.predictions, ds)
-    if args.split:
-        image_ids = sorted(splits.load_manifest(args.split).test_image_ids)
-    else:
-        image_ids = [m.id for m in ds.images]
+    image_ids = [m.id for m in ds.images] if split is None else sorted(split.test_image_ids)
     by_image = np.argsort(table.image, kind="stable")  # input order within an image
     bounds = np.searchsorted(table.image[by_image], np.arange(len(ds.images) + 1)).tolist()
     tokens = np.arange(len(ds.categories))
@@ -235,16 +218,17 @@ def cmd_loss(args) -> int:
 
 
 def cmd_rec_eval(args) -> int:
-    ds = _load_coco(args.annotations)
-    split = splits.load_manifest(args.split)
-    dets = datamodel.load_predictions(args.predictions, ds)
+    config = _eval_config(args)
     context = f"--filters {args.filters}"
     raw = checked(read_json(args.filters), OBJECT, context)
     filters = {
         checked(prompt, STRING, context): evaluation.attribute_predicate(spec)
         for prompt, spec in raw.items()
     }
-    reports = evaluation.evaluate_rec(ds, split, dets, filters, _eval_config(args))
+    split = splits.load_manifest(args.split)
+    ds = _load_coco(args.annotations)
+    dets = datamodel.load_predictions(args.predictions, ds)
+    reports = evaluation.evaluate_rec(ds, split, dets, filters, config)
     if args.format == "markdown":
         text = "\n".join(
             f"## {report.prompt}\n\n" + reporting.render_report_table(report) for report in reports
@@ -256,6 +240,7 @@ def cmd_rec_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    config = _eval_config(args)
     grid_path = Path(args.grid)
     raw = read_json(grid_path)
     context = f"--grid {grid_path}"
@@ -273,12 +258,12 @@ def cmd_report(args) -> int:
     )
     base = grid_path.parent
     grid.check_files_exist(base)
+    manifests = [splits.load_manifest(base / row.manifest) for row in grid.rows]
     ds = _load_coco(args.annotations)
     reports = {}
-    for row in grid.rows:
-        split = splits.load_manifest(base / row.manifest)
+    for row, split in zip(grid.rows, manifests):
         dets = datamodel.load_predictions(base / row.predictions, ds)
-        reports[row.label] = evaluation.evaluate(ds, split, dets, _eval_config(args))
+        reports[row.label] = evaluation.evaluate(ds, split, dets, config)
     text, missing = reporting.render_metric_grid(grid, reports)
     if missing:
         print(f"warning: {missing} missing cells rendered as {reporting.MISSING}", file=sys.stderr)
@@ -309,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--thresholds", type=_parse_thresholds, default=defaults.iou_thresholds,
             help="comma-separated IoU thresholds",
         )
-        p.add_argument("--max-dets", type=_max_dets, default=defaults.max_dets)
+        p.add_argument("--max-dets", type=int, default=defaults.max_dets)
 
     p = sub.add_parser("ingest-labelme", help="convert per-image label files to one annotation file")
     p.add_argument("--dir", required=True)
@@ -330,18 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="generate a split manifest")
     p.add_argument("--annotations", required=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            splits.KIND_TRAIN_TEST, splits.KIND_K_SHOT,
-            splits.KIND_CROSS_CLASS, splits.KIND_ZERO_SHOT,
-        ],
-    )
-    p.add_argument("--fraction", type=_fraction, default=0.6)
-    p.add_argument("--k", type=_k, default=None)
+    p.add_argument("--kind", required=True, choices=splits.KINDS)
+    p.add_argument("--fraction", type=float, default=0.6)
+    p.add_argument("--k", type=int, default=None)
     p.add_argument("--held-out", default=None, help="category name to hold out")
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 

@@ -310,13 +310,12 @@ def match_detections(
     dets: Sequence[Detection], gts: Sequence[GroundTruthInstance], threshold: float
 ) -> list[DetMatch]:
     """Greedy matching of one image/category cell at one threshold."""
-    if not (0.0 < threshold <= 1.0):
-        raise ValidationError(f"IoU threshold must lie in (0, 1], got {threshold!r}")
+    thresholds = EvalConfig((threshold,)).iou_thresholds
     ordered = sorted(dets, key=lambda d: -d.score)  # stable: input order breaks ties
     crowd = np.array([g.iscrowd for g in gts], dtype=bool)
     a, b = corner_array(d.box for d in ordered).T, corner_array(g.box for g in gts).T
     cells = np.array([[0], [len(dets)], [0], [len(gts)]])
-    hit = _match(a, b, crowd, cells, (threshold,))[0].tolist()
+    hit = _match(a, b, crowd, cells, thresholds)[0].tolist()
     return [
         DetMatch(det, gts[c].id, not gts[c].iscrowd, bool(gts[c].iscrowd))
         if c >= 0

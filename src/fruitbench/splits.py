@@ -61,6 +61,15 @@ _SHOT_DOMAIN = 2
 
 _MAX_SEED = 2**64
 
+# The spec fields each kind requires, in the order ``--kind`` lists them.
+_REQUIRED = {
+    KIND_TRAIN_TEST: ("train_fraction",),
+    KIND_K_SHOT: ("train_fraction", "k"),
+    KIND_CROSS_CLASS: ("train_fraction", "held_out_category"),
+    KIND_ZERO_SHOT: ("train_fraction",),
+}
+KINDS = tuple(_REQUIRED)
+
 # The optional spec fields, in manifest key order: the attribute, its
 # manifest key and its JSON kind.
 _SPEC_FIELDS = (
@@ -93,12 +102,7 @@ class SplitSpec:
     def __post_init__(self):
         if self.seed.__class__ is not int or not (0 <= self.seed < _MAX_SEED):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        required = {
-            KIND_TRAIN_TEST: ("train_fraction",),
-            KIND_ZERO_SHOT: ("train_fraction",),
-            KIND_K_SHOT: ("train_fraction", "k"),
-            KIND_CROSS_CLASS: ("train_fraction", "held_out_category"),
-        }.get(self.kind)
+        required = _REQUIRED.get(self.kind)
         if required is None:
             raise ValidationError(f"unknown split kind {self.kind!r}")
         for name, _, _ in _SPEC_FIELDS:

@@ -195,7 +195,9 @@ class TestSplit:
             (["zero-shot", "--k", "3"], "zero-shot split does not take k"),
             (["k-shot", "--k", "1", "--held-out", "apple"],
              "k-shot split does not take held_out_category"),
-            (["train-test", "--held-out", "nosuch"], "unknown category 'nosuch'"),
+            (["train-test", "--held-out", "nosuch"],
+             "train-test split does not take held_out_category"),
+            (["cross-class", "--held-out", "nosuch"], "unknown category 'nosuch'"),
             (["cross-class", "--held-out", "apple", "--k", "2"],
              "cross-class split does not take k"),
             (["k-shot"], "k-shot split requires k"),
@@ -874,6 +876,7 @@ class TestIngestLabelme:
             "--fail-on-unmapped",
         )
         assert code == 1
+        assert not (tmp_path / "out.json").exists()
 
     def test_clamped_shapes_golden_bytes(self, capsys, tmp_path, monkeypatch):
         """Shapes past every image side are clamped to the image, a corner
@@ -1033,6 +1036,56 @@ class TestUsageAndConfig:
         code, _, err = run(capsys, "--config", str(config), "stats", "--annotations", "x")
         assert code == 1
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize(
+        "argv, message", [
+            (["split", "--kind", "k-shot", "--seed", "1"], "k-shot split requires k"),
+            (["split", "--kind", "train-test", "--fraction", "1.5", "--seed", "1"],
+             "train fraction must lie strictly between 0 and 1, got 1.5"),
+            (["split", "--kind", "k-shot", "--k", "-1", "--seed", "1"],
+             "k must be a non-negative integer, got -1"),
+            (["split", "--kind", "train-test", "--seed", "18446744073709551616"],
+             "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+            (["evaluate", "--thresholds", "0.5,0.5"], "IoU threshold 0.5 is listed twice"),
+            (["rec-eval", "--thresholds", "0.7,0.5"], "IoU thresholds must be ascending"),
+            (["report", "--max-dets", "0"], "max_dets must be >= 1, got 0"),
+            (["rec-eval"], "predicate {'attribute': 'x'}: needs exactly one operator"),
+        ],
+    )
+    def test_flag_rules_fire_before_any_read(self, capsys, tmp_path, argv, message):
+        """A flag the library types reject, or a filters file, fails before
+        the missing annotation, prediction, manifest or grid file is read."""
+        missing = tmp_path / "missing"
+        filters = tmp_path / "filters.json"
+        filters.write_text(json.dumps({"p": {"attribute": "x"}}))
+        data_flags = {
+            "split": ["--out", str(tmp_path / "split.json")],
+            "evaluate": ["--predictions", str(missing / "p.json"), "--split", str(missing / "s.json")],
+            "rec-eval": [
+                "--predictions", str(missing / "p.json"), "--split", str(missing / "s.json"),
+                "--filters", str(filters),
+            ],
+            "report": ["--grid", str(missing / "grid.json")],
+        }[argv[0]]
+        code, out, err = run(
+            capsys, *argv, "--annotations", str(missing / "annotations.json"), *data_flags
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "split.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        None, "ingest-labelme", "write-coco", "stats", "split", "evaluate", "loss", "rec-eval",
+        "report", "bench",
+    ])
+    def test_help_renders(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: fruitbench")
+        if command == "split":
+            assert "--kind {train-test,k-shot,cross-class,zero-shot}" in out
 
     def test_config_split_section_checked_like_flags(self, capsys, tmp_path):
         """A ``k`` in the section fails a train-test run as ``--k`` does."""

@@ -146,6 +146,13 @@ class TestMatchDetections:
         rows = match_detections(d, g, 0.5)
         assert rows[0].is_tp and rows[0].gt_instance_id == 2
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        g = [gt(1, 1, 1, B(0, 0, 10, 10))]
+        d = [det(1, 1, B(0, 0, 10, 10), 0.9)]
+        with pytest.raises(ValidationError, match=r"^IoU thresholds must lie in \(0, 1\], got "):
+            match_detections(d, g, threshold)
+
 
 @st.composite
 def jittered_cells(draw):
