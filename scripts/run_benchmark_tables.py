@@ -11,6 +11,7 @@ Usage: python3 scripts/run_benchmark_tables.py [--out-dir out]
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,8 +60,10 @@ def main() -> None:
         "rows": [
             {
                 "label": label,
-                "manifest": manifest.name,  # resolved against the grid file's directory
-                "predictions": str(SYN30 / f"predictions_{label}.json"),
+                # Paths relative to the grid file's directory, which resolves them,
+                # so the artifacts do not depend on where the checkout lives.
+                "manifest": manifest.name,
+                "predictions": os.path.relpath(SYN30 / f"predictions_{label}.json", out),
             }
             for label in ("perfect", "noisy", "empty")
         ],

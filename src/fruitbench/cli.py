@@ -34,7 +34,7 @@ import numpy as np
 
 from . import datamodel, evaluation, reporting, splits
 from .assignment import LossWeights, set_loss
-from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json
+from .datamodel import ARRAY, INTEGER, OBJECT, STRING, checked, field, read_json, reject_unknown_keys
 from .errors import FruitBenchError, IntegrityError, ValidationError
 from .geometry import left_sum
 
@@ -71,12 +71,6 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(f"--thresholds must be comma-separated numbers, got {text!r}") from None
-
-
-def _reject_unknown_keys(record: dict, keys, context: str) -> None:
-    unknown = set(record) - set(keys)
-    if unknown:
-        raise ValidationError(f"{context} has unknown keys: {sorted(unknown)}")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -248,8 +242,8 @@ def cmd_report(args) -> int:
     rows = []
     for r in field(raw, "rows", context, ARRAY, []):
         rows.append(reporting.GridRow(*(field(r, key, f"{context} row", STRING) for key in keys)))
-        _reject_unknown_keys(r, keys, f"{context} row")
-    _reject_unknown_keys(raw, ("rows", "metrics", "format"), context)
+        reject_unknown_keys(r, keys, f"{context} row")
+    reject_unknown_keys(raw, ("rows", "metrics", "format"), context)
     output_format = field(raw, "format", context, STRING, "markdown")
     grid = reporting.ExperimentGrid(
         rows=tuple(rows),
@@ -390,7 +384,7 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     section = field(config, command, context, OBJECT, {})
     subparser = parser.commands[command]
     actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest != "help"}
-    _reject_unknown_keys(section, actions, f"config section {command!r}")
+    reject_unknown_keys(section, actions, f"config section {command!r}")
     flags = []
     for key, value in section.items():
         flag = actions[key].option_strings[0]

@@ -65,7 +65,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import IntegrityError, ParseError, ValidationError
-from .geometry import BoundingBox, box_from_xywh, corner_array, left_sum
+from .geometry import BoundingBox, box_from_xywh, corner_array, corners_from_xywh, left_sum
 
 __all__ = [
     "Category",
@@ -160,8 +160,6 @@ class _Instances(Sequence):
         return len(self._built)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(len(self))[index]]
         index = range(len(self))[index]
         if self._built[index] is None:
             self._built[index] = self._build(index)
@@ -414,6 +412,12 @@ def _where(context, key) -> str:
     return context if key is None else f"{context}: {key!r}"
 
 
+def _admits(values, kind) -> bool:
+    """Whether every one of ``values`` has an exact class of ``kind``'s:
+    ``checked``'s class test, for a column."""
+    return set(map(type, values)) <= set(kind[1:])
+
+
 def field(record, key: str, context, kind=None, default=_NO_DEFAULT):
     """``record[key]`` of a JSON object, ``checked`` against ``kind`` (any
     value without one, for a caller that checks it itself). With a
@@ -427,6 +431,14 @@ def field(record, key: str, context, kind=None, default=_NO_DEFAULT):
             raise ParseError(f"{context}: missing field {key!r}") from None
         return default
     return value if kind is None else checked(value, kind, context, key)
+
+
+def reject_unknown_keys(record: dict, keys, context) -> None:
+    """A ``ValidationError`` naming ``context`` if ``record`` has a key
+    outside ``keys``."""
+    unknown = set(record) - set(keys)
+    if unknown:
+        raise ValidationError(f"{context} has unknown keys: {sorted(unknown)}")
 
 
 def _collector_paused(load):
@@ -511,17 +523,17 @@ def _annotation_columns(categories, images, records: list):
         # () stands for no attributes: JSON has no tuple, so a null fails the check.
         attributes = list(map(dict.get, records, repeat("attributes"), repeat(())))
         if not (
-            _classes(chain(ids, image, category)) <= {int}
+            _admits(chain(ids, image, category), INTEGER)
             and min(ids, default=1) > 0
             and set(image) <= {m.id for m in images}
-            and _classes(crowd) <= {int, bool}
+            and _admits(crowd, FLAG)
             and set(crowd) <= {0, 1}
-            and _classes(attributes) <= {dict, tuple}
+            and set(map(type, attributes)) <= {dict, tuple}
         ):
             return None
         for value in set(chain.from_iterable(a.values() for a in attributes if a)):
             checked(value, STRING, "attribute")
-        boxes = _corners(bbox, len(records))
+        boxes = corners_from_xywh(bbox)
     except (KeyError, TypeError, OverflowError, ValidationError):
         return None
     if boxes is None:
@@ -733,39 +745,18 @@ def _columns(records: list, ds: DetectionDataset) -> PredictionTable | None:
         prompt = tuple(map(dict.get, records, repeat("prompt")))
         for value in set(prompt):
             checked(value, OPTIONAL_STRING, "prompt")
-        if not (_classes(chain(image, category)) <= {int} and _classes(score) <= {int, float}):
+        if not (_admits(chain(image, category), INTEGER) and _admits(score, NUMBER)):
             return None
         # An unknown id maps to None, which np.fromiter rejects with a TypeError.
         image = np.fromiter(map(ds._image_pos.get, image), np.int64, n)
         category = np.fromiter(map(ds._category_pos.get, category), np.int64, n)
-        boxes = _corners(bbox, n)
+        boxes = corners_from_xywh(bbox)
         score = np.fromiter(score, np.float64, n)
     except (KeyError, TypeError, OverflowError, ValidationError):
         return None
     if boxes is None or not ((score >= 0) & (score <= 1)).all():
         return None
     return PredictionTable(ds, image, category, boxes, score, prompt)
-
-
-def _classes(values) -> set:
-    return set(map(type, values))
-
-
-def _corners(bbox: list, n: int) -> np.ndarray | None:
-    """The (n, 4) float64 corners of ``n`` on-disk ``[x, y, w, h]`` lists,
-    or None if one is not a box ``box_from_xywh`` accepts. An integer past
-    the float range raises ``OverflowError``."""
-    if not (
-        _classes(bbox) <= {list}
-        and set(map(len, bbox)) <= {4}
-        and _classes(chain.from_iterable(bbox)) <= {int, float}
-    ):
-        return None
-    xywh = np.fromiter(chain.from_iterable(bbox), np.float64, 4 * n).reshape(n, 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        boxes = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
-    # Finite corners imply finite sizes; NaN fails every comparison.
-    return boxes if np.isfinite(boxes).all() and (xywh[:, 2:] >= 0).all() else None
 
 
 def _detection(index: int, record, ds: DetectionDataset) -> Detection:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .datamodel import (
     ARRAY, BOOLEAN, STRING, Detection, DetectionDataset, GroundTruthInstance, PredictionTable,
-    checked, field,
+    checked, field, reject_unknown_keys,
 )
 from .errors import ValidationError
 from .geometry import corner_array, left_sum, paired_iou
@@ -472,9 +472,7 @@ def attribute_predicate(spec: Mapping) -> Callable[[Mapping[str, str]], bool]:
     if len(ops) != 1:
         raise ValidationError(f"{context}: needs exactly one operator")
     op = ops[0]
-    unknown = set(spec) - {"any", "attribute", op}
-    if unknown:
-        raise ValidationError(f"{context} has unknown keys: {sorted(unknown)}")
+    reject_unknown_keys(spec, ("any", "attribute", op), context)
     if op in ("in", "not_in"):
         operand = {checked(v, STRING, context, op) for v in field(spec, op, context, ARRAY)}
     else:

@@ -8,7 +8,8 @@ detection benchmarks. Zero-width or zero-height boxes are legal values,
 inverted boxes are rejected at construction.
 
 This module owns the box layout: files store ``[x, y, w, h]``
-(``box_from_xywh``), arrays (N, 4) float64 corners (``corner_array``).
+(``box_from_xywh``, and ``corners_from_xywh`` for a list of them), arrays
+(N, 4) float64 corners (``corner_array``).
 Each array kernel sits next to the scalar function it matches bit for bit
 by the same IEEE operations in the same order; the array twins of ``giou``
 and ``l1_box_distance`` are in ``assignment._cost_terms``, their only user.
@@ -30,6 +31,7 @@ from .errors import ValidationError
 __all__ = [
     "BoundingBox",
     "box_from_xywh",
+    "corners_from_xywh",
     "corner_array",
     "area",
     "intersection_area",
@@ -73,14 +75,6 @@ class BoundingBox:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    def scaled(self, factor: float) -> "BoundingBox":
-        """Return the box with every coordinate multiplied by ``factor`` (> 0)."""
-        if factor <= 0:
-            raise ValidationError(f"scale factor must be positive, got {factor!r}")
-        return BoundingBox(
-            self.x_min * factor, self.y_min * factor, self.x_max * factor, self.y_max * factor
-        )
-
     def clamped(self, img_w: float, img_h: float) -> "BoundingBox":
         """Return the box clipped to the image rectangle [0, img_w] x [0, img_h];
         a box already inside it is returned as it is."""
@@ -110,6 +104,25 @@ def box_from_xywh(values) -> BoundingBox:
     if w < 0 or h < 0:
         raise ValidationError(f"negative box size: w={w}, h={h}")
     return BoundingBox(x, y, x + w, y + h)
+
+
+def corners_from_xywh(bbox: list) -> np.ndarray | None:
+    """``box_from_xywh`` of a list of on-disk boxes, as the (N, 4) float64
+    ``corner_array`` of their boxes bit for bit, or None if one is not a
+    list ``box_from_xywh`` accepts; an integer past the float range raises
+    ``OverflowError``. The exact-class test mirrors the scalar one."""
+    if not (
+        set(map(type, bbox)) <= {list}
+        and set(map(len, bbox)) <= {4}
+        and set(map(type, chain.from_iterable(bbox))) <= {int, float}
+    ):
+        return None
+    n = len(bbox)
+    xywh = np.fromiter(chain.from_iterable(bbox), np.float64, 4 * n).reshape(n, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = np.concatenate((xywh[:, :2], xywh[:, :2] + xywh[:, 2:]), axis=1)
+    # Finite corners imply finite sizes; NaN fails every comparison.
+    return boxes if np.isfinite(boxes).all() and (xywh[:, 2:] >= 0).all() else None
 
 
 def corner_array(boxes) -> np.ndarray:

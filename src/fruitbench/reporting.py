@@ -67,11 +67,10 @@ class ExperimentGrid:
         if self.output_format not in FORMATS:
             raise ValidationError(f"unknown format {self.output_format!r}")
 
-    def check_files_exist(self, base: Path | None = None) -> None:
+    def check_files_exist(self, base: Path) -> None:
         for row in self.rows:
             for path in (row.manifest, row.predictions):
-                resolved = (base / path) if base is not None else Path(path)
-                if not Path(resolved).is_file():
+                if not (base / path).is_file():
                     raise ValidationError(f"grid row {row.label!r}: missing file {path}")
 
 

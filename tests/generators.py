@@ -25,6 +25,11 @@ def random_box(rng: random.Random) -> BoundingBox:
     return BoundingBox(float(x0), float(y0), float(x1), float(y1))
 
 
+def scaled(box: BoundingBox, s: float) -> BoundingBox:
+    """``box`` with every coordinate multiplied by ``s``."""
+    return BoundingBox(box.x_min * s, box.y_min * s, box.x_max * s, box.y_max * s)
+
+
 def random_eval_instance(rng: random.Random, max_images=5, max_gts=8, max_dets=8):
     """A small dataset plus detections with dense IoU structure: boxes on a
     coarse integer grid overlap often, scores come from a small grid so

@@ -40,7 +40,7 @@ from fruitbench.splits import (
     split_train_test,
 )
 
-from .generators import random_eval_instance, table_of
+from .generators import random_eval_instance, scaled, table_of
 from .oracles import (
     TokenLogits,
     brute_force_assignment_cost,
@@ -245,11 +245,11 @@ class TestCriterion5GeometryOracle:
                 assert g <= v + 1e-12
                 assert g == giou(b, a)
                 for s in (0.5, 3.0, 7.25):
-                    assert giou(a.scaled(s), b.scaled(s)) == pytest.approx(
+                    assert giou(scaled(a, s), scaled(b, s)) == pytest.approx(
                         g, rel=1e-12, abs=1e-12
                     )
             for s in (0.5, 3.0, 7.25):
-                assert iou(a.scaled(s), b.scaled(s)) == pytest.approx(
+                assert iou(scaled(a, s), scaled(b, s)) == pytest.approx(
                     v, rel=1e-12, abs=1e-12
                 )
         elapsed = time.monotonic() - started

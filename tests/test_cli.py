@@ -214,19 +214,6 @@ class TestSplit:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not out_path.exists()
 
-    def test_bad_fraction_exits_1_before_io(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
-            "split",
-            "--annotations", "does-not-even-exist.json",
-            "--kind", "train-test",
-            "--fraction", "1.5",
-            "--seed", "3",
-            "--out", str(tmp_path / "x.json"),
-        )
-        assert code == 1  # validation error, not the I/O error
-        assert "fraction" in err
-
 
 @pytest.fixture
 def split_manifest(tmp_path_factory):
@@ -1035,7 +1022,7 @@ class TestUsageAndConfig:
         config.write_text(json.dumps({"stats": {"bogus_key": 1}}))
         code, _, err = run(capsys, "--config", str(config), "stats", "--annotations", "x")
         assert code == 1
-        assert "bogus_key" in err
+        assert err == "error: config section 'stats' has unknown keys: ['bogus_key']\n"
 
     @pytest.mark.parametrize(
         "argv, message", [

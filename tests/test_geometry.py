@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fruitbench.errors import ValidationError
 from fruitbench.geometry import (
@@ -9,6 +9,7 @@ from fruitbench.geometry import (
     area,
     box_from_xywh,
     corner_array,
+    corners_from_xywh,
     giou,
     intersection_area,
     iou,
@@ -17,6 +18,7 @@ from fruitbench.geometry import (
     union_area,
 )
 
+from .generators import scaled
 from .oracles import raster_giou, raster_iou
 
 
@@ -179,6 +181,43 @@ class TestArrayKernels:
                 assert float(inter[i, j]).hex() == intersection_area(box_a, box_b).hex()
                 assert float(union[i, j]).hex() == union_area(box_a, box_b).hex()
 
+    # On-disk box values: floats with their edge values, ints past the float
+    # range, and booleans, which are no box numbers.
+    xywh_values = st.one_of(
+        st.floats(),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]),
+        st.integers(-50, 50),
+        st.integers(-(2**1100), 2**1100),
+        st.booleans(),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(xywh_values, min_size=4, max_size=4), st.lists(xywh_values, max_size=6)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_corners_from_xywh_match_scalar(self, bbox):
+        """The array reader rejects a list (None or ``OverflowError``)
+        exactly when ``box_from_xywh`` rejects one of its boxes, and
+        otherwise gives their ``corner_array`` bit for bit."""
+        try:
+            expected = corner_array([box_from_xywh(values) for values in bbox])
+        except ValidationError:
+            expected = None
+        try:
+            got = corners_from_xywh(bbox)
+        except OverflowError:
+            got = None
+        if expected is None:
+            assert got is None
+        else:
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestProperties:
     @given(boxes(), boxes())
@@ -198,9 +237,9 @@ class TestProperties:
 
     @given(boxes(), boxes(), st.sampled_from([0.5, 2.0, 3.0, 7.25]))
     def test_scale_invariance(self, a, b, s):
-        assert iou(a.scaled(s), b.scaled(s)) == pytest.approx(iou(a, b), rel=1e-12, abs=1e-12)
+        assert iou(scaled(a, s), scaled(b, s)) == pytest.approx(iou(a, b), rel=1e-12, abs=1e-12)
         if area(a) > 0 or area(b) > 0:
-            assert giou(a.scaled(s), b.scaled(s)) == pytest.approx(
+            assert giou(scaled(a, s), scaled(b, s)) == pytest.approx(
                 giou(a, b), rel=1e-12, abs=1e-12
             )
 
