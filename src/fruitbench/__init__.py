@@ -3,66 +3,17 @@
 Dataset statistics, reproducible experiment splits (train/test, k-shot,
 cross-class), an optimal set-matching loss, COCO-style detection metrics
 (mAP / AP50 / mAR), and table renderers, behind one CLI.
+
+The package re-exports each library module's ``__all__`` (``errors``: its
+exception classes); ``cli`` is imported on its own.
 """
 
-from .assignment import (
-    Assignment,
-    CostMatrix,
-    LossBreakdown,
-    LossWeights,
-    build_match_cost,
-    hungarian,
-    set_loss,
-)
-from .datamodel import (
-    Category,
-    DatasetStats,
-    Detection,
-    DetectionDataset,
-    GroundTruthInstance,
-    ImageRecord,
-    PredictionTable,
-    compute_stats,
-    load_coco,
-    load_labelme,
-    load_predictions,
-    write_coco,
-)
-from .errors import (
-    FruitBenchError,
-    IntegrityError,
-    ManifestDigestError,
-    ParseError,
-    ValidationError,
-)
-from .evaluation import (
-    DEFAULT_IOU_THRESHOLDS,
-    EvalConfig,
-    EvaluationReport,
-    attribute_predicate,
-    average_precision,
-    evaluate,
-    evaluate_rec,
-    match_detections,
-)
-from .geometry import BoundingBox, area, giou, iou, l1_box_distance
-from .reporting import (
-    ExperimentGrid,
-    GridRow,
-    TimingRecord,
-    load_timing_log,
-    render_metric_grid,
-    render_stats_table,
-    summarize_timing,
-)
-from .splits import (
-    SplitResult,
-    SplitSpec,
-    load_manifest,
-    sample_k_shot,
-    split_cross_class,
-    split_train_test,
-    write_manifest,
-)
+from .assignment import *
+from .datamodel import *
+from .errors import *
+from .evaluation import *
+from .geometry import *
+from .reporting import *
+from .splits import *
 
 __version__ = "0.1.0"

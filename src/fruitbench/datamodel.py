@@ -128,8 +128,10 @@ class GroundTruthInstance:
 
     def __post_init__(self):
         ids = (self.id, self.image_id, self.category_id)
-        if not all(v.__class__ is int for v in ids) or self.id <= 0:
+        if not all(v.__class__ is int for v in ids):
             raise ValidationError(f"instance, image and category ids must be integers, got {ids}")
+        if self.id <= 0:
+            raise ValidationError(f"instance id must be a positive integer, got {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -510,7 +512,7 @@ def load_coco(path) -> tuple[DetectionDataset, int]:
     records = field(raw, "annotations", path, ARRAY)
     loaded = _annotation_columns(categories, images, records)
     if loaded is None:
-        _annotation_records(path, images, records)
+        _annotation_records(path, records)
     return loaded
 
 
@@ -525,7 +527,6 @@ def _annotation_columns(categories, images, records: list):
         if not (
             _admits(chain(ids, image, category), INTEGER)
             and min(ids, default=1) > 0
-            and set(image) <= {m.id for m in images}
             and _admits(crowd, FLAG)
             and set(crowd) <= {0, 1}
             and set(map(type, attributes)) <= {dict, tuple}
@@ -543,22 +544,29 @@ def _annotation_columns(categories, images, records: list):
     )
 
 
-def _annotation_records(path, images, records: list) -> None:
+def _annotation_records(path, records: list) -> None:
     """The scalar reader of the annotation records, in file order; it
     raises for every record ``_annotation_columns`` rejects."""
-    image_ids = {m.id for m in images}
     for a in records:
         ann_id = field(a, "id", f"{path} annotations", INTEGER)
         context = f"annotation {ann_id}"
         image_id = field(a, "image_id", context, INTEGER)
         category_id = field(a, "category_id", context, INTEGER)
         field(a, "iscrowd", context, FLAG, 0)
-        if image_id not in image_ids:
-            raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
-        box = box_from_xywh(field(a, "bbox", context))
+        box = _bbox(a, context)
         for key, value in field(a, "attributes", context, OBJECT, {}).items():
             checked(value, STRING, context, key)
         GroundTruthInstance(ann_id, image_id, category_id, box)  # rejects an id below 1
+
+
+def _bbox(record, context) -> BoundingBox:
+    """The box of ``record``'s ``bbox`` (``box_from_xywh``); a malformed
+    one is a ``ValidationError`` naming ``context``."""
+    values = field(record, "bbox", context)
+    try:
+        return box_from_xywh(values)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def _canonical_label(label: str) -> str:
@@ -772,7 +780,7 @@ def _detection(index: int, record, ds: DetectionDataset) -> Detection:
     return Detection(
         image_id=image_id,
         category_id=category_id,
-        box=box_from_xywh(field(record, "bbox", context)),
+        box=_bbox(record, context),
         score=field(record, "score", context, NUMBER),
         prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
     )

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import (
-    ARRAY, INTEGER, NUMBER, OBJECT, STRING, Category, DetectionDataset, checked, field, read_json,
+    ARRAY, INTEGER, NUMBER, OBJECT, STRING, DetectionDataset, checked, field, read_json,
 )
 from .errors import ManifestDigestError, ValidationError
 
@@ -259,22 +259,21 @@ def sample_k_shot(
 
 
 def split_cross_class(
-    ds: DetectionDataset, held_out: Category | int, fraction: float, seed: int
+    ds: DetectionDataset, held_out: int, fraction: float, seed: int
 ) -> SplitResult:
-    """Train on every category except ``held_out``; test on the held-out
-    category's *standard* test portion, so the numbers stay comparable with
+    """Train on every category except the one of id ``held_out``; test on
+    its *standard* test portion, so the numbers stay comparable with
     same-seed fine-tuning splits."""
-    held_out_id = held_out.id if isinstance(held_out, Category) else held_out
-    ds.category(held_out_id)
+    ds.category(held_out)
     if len(ds.categories) < 2:
         raise ValidationError("cross-class split needs at least 2 categories")
     spec = SplitSpec(
         kind=KIND_CROSS_CLASS, seed=seed, train_fraction=float(fraction),
-        held_out_category=held_out_id,
+        held_out_category=held_out,
     )
     parts = _partition(ds, spec.train_fraction, seed)
-    train = [i for cid, (tr, _) in parts.items() if cid != held_out_id for i in tr]
-    test = list(parts.get(held_out_id, ((), ()))[1])
+    train = [i for cid, (tr, _) in parts.items() if cid != held_out for i in tr]
+    test = list(parts.get(held_out, ((), ()))[1])
     return _build_result(train, test, spec)
 
 

@@ -150,11 +150,16 @@ def scalar_load_predictions(path, ds) -> list[Detection]:
             raise IntegrityError(f"{context} references unknown image {image_id}")
         if not ds.has_category(category_id):
             raise IntegrityError(f"{context} references unknown category {category_id}")
+        bbox = field(record, "bbox", context)
+        try:
+            box = box_from_xywh(bbox)
+        except ValidationError as exc:
+            raise ValidationError(f"{context}: {exc}") from None
         detections.append(
             Detection(
                 image_id=image_id,
                 category_id=category_id,
-                box=box_from_xywh(field(record, "bbox", context)),
+                box=box,
                 score=field(record, "score", context, NUMBER),
                 prompt=field(record, "prompt", context, OPTIONAL_STRING, None),
             )
@@ -195,11 +200,17 @@ def scalar_load_coco(path):
         image_id = field(a, "image_id", context, INTEGER)
         category_id = field(a, "category_id", context, INTEGER)
         iscrowd = field(a, "iscrowd", context, FLAG, 0)
-        if image_id not in image_by_id:
-            raise IntegrityError(f"annotation {ann_id} references unknown image {image_id}")
-        box = box_from_xywh(field(a, "bbox", context))
-        img = image_by_id[image_id]
-        clipped = box.clamped(img.width, img.height)
+        bbox = field(a, "bbox", context)
+        try:
+            box = box_from_xywh(bbox)
+        except ValidationError as exc:
+            raise ValidationError(f"{context}: {exc}") from None
+        # Only a box of a known image is clamped; an unknown image is a
+        # dataset check below.
+        clipped = box
+        if image_id in image_by_id:
+            img = image_by_id[image_id]
+            clipped = box.clamped(img.width, img.height)
         if clipped is not box:
             clamped += 1
         attributes = field(a, "attributes", context, OBJECT, {})
@@ -216,13 +227,15 @@ def scalar_load_coco(path):
             )
         )
     # The dataset checks: categories and images first, then each instance in
-    # id order (the boxes are clamped and the images known by now).
+    # id order (the boxes of known images are clamped by now).
     DetectionDataset(categories, images, [])
     category_ids, seen = {c.id for c in categories}, set()
     for inst in sorted(instances, key=lambda a: a.id):
         if inst.id in seen:
             raise ValidationError(f"duplicate instance id {inst.id}")
         seen.add(inst.id)
+        if inst.image_id not in image_by_id:
+            raise IntegrityError(f"instance {inst.id} references unknown image {inst.image_id}")
         if inst.category_id not in category_ids:
             raise IntegrityError(
                 f"instance {inst.id} references unknown category {inst.category_id}"

@@ -322,7 +322,7 @@ class TestCriterion7SplitProtocol:
         assignment = majority_category(ds)
         held = ds.categories[2]
         for seed in range(100):
-            result = split_cross_class(ds, held, 0.6, seed)
+            result = split_cross_class(ds, held.id, 0.6, seed)
             assert all(assignment[i] != held.id for i in result.train_image_ids), seed
             assert all(assignment[i] == held.id for i in result.test_image_ids), seed
         _pass("criterion 7 (cross-class exclusion, 100/100 seeds)")

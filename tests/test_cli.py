@@ -1860,18 +1860,25 @@ class TestInstancesBuiltOnRead:
             datamodel.load_coco(path)
         assert built == []
 
-    def test_record_error_wins_over_dataset_check(self, tmp_path):
+    @pytest.mark.parametrize("check", ["duplicate category", "unknown image"])
+    def test_record_error_wins_over_dataset_check(self, tmp_path, check):
         """A bad record raises before a dataset check, wherever in the file
-        it sits: the last annotation's box beats a duplicate category."""
+        it sits: the last annotation's box beats a duplicate category, or
+        the first annotation's unknown image."""
         from fruitbench import datamodel
         from fruitbench.errors import ValidationError
 
         payload = json.loads((SYN30 / "annotations.json").read_text())
-        payload["categories"].append({"id": 1, "name": "duplicate"})
-        payload["annotations"][-1]["bbox"] = [0, 0, -1, 1]
+        if check == "duplicate category":
+            payload["categories"].append({"id": 1, "name": "duplicate"})
+        else:
+            payload["annotations"][0]["image_id"] = 999
+        last = payload["annotations"][-1]
+        last["bbox"] = [0, 0, -1, 1]
         path = tmp_path / "annotations.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValidationError, match=r"^negative box size: w=-1\.0, h=1\.0$"):
+        message = rf"^annotation {last['id']}: negative box size: w=-1\.0, h=1\.0$"
+        with pytest.raises(ValidationError, match=message):
             datamodel.load_coco(path)
 
     def test_loss_builds_no_row_objects(self, capsys, monkeypatch, split_manifest, built):

@@ -104,6 +104,16 @@ class TestLoadCoco:
         assert ds_a == ds_b
 
 
+    @pytest.mark.parametrize("ann_id", [0, -3])
+    def test_non_positive_annotation_id(self, tmp_path, ann_id):
+        path = minimal_coco(
+            tmp_path,
+            annotations=[{"id": ann_id, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1]}],
+        )
+        message = f"^instance id must be a positive integer, got {ann_id}$"
+        with pytest.raises(ValidationError, match=message):
+            load_coco(path)
+
     @pytest.mark.parametrize("bbox", [None, "abcd", [0, 0, 1], [True, 0, 1, 1]])
     def test_malformed_bbox_rejected(self, tmp_path, bbox):
         path = minimal_coco(
@@ -182,6 +192,15 @@ class TestDatasetValidation:
                 instances=[
                     GroundTruthInstance(1, 1, 1, BoundingBox(0, 0, 11, 5)),
                 ],
+            )
+
+    @pytest.mark.parametrize("ann_id", [0, -3])
+    def test_non_positive_instance_id(self, ann_id):
+        message = f"^instance id must be a positive integer, got {ann_id}$"
+        with pytest.raises(ValidationError, match=message):
+            DetectionDataset(
+                [Category(1, "apple")], [ImageRecord(1, "a.jpg", 10, 10)],
+                [GroundTruthInstance(ann_id, 1, 1, BoundingBox(0, 0, 1, 1))],
             )
 
     @pytest.mark.parametrize("images", [[], [ImageRecord(1, "a.jpg", 10, 10)]])
@@ -428,6 +447,15 @@ class TestLoadPredictions:
             json.dumps([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 1.2}])
         )
         with pytest.raises(ValidationError, match="score"):
+            load_predictions(path, ds)
+
+    def test_box_error_names_its_record(self, tmp_path):
+        ds, _ = load_coco(minimal_coco(tmp_path))
+        path = tmp_path / "preds.json"
+        record = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
+        path.write_text(json.dumps([record, {**record, "bbox": [1, 1, "x", 2]}]))
+        message = r"^detection #1: expected a list of 4 box numbers, got \[1, 1, 'x', 2\]$"
+        with pytest.raises(ValidationError, match=message):
             load_predictions(path, ds)
 
     def test_dangling_reference(self, tmp_path):
