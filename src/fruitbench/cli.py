@@ -224,9 +224,7 @@ def cmd_rec_eval(args) -> int:
     dets = datamodel.load_predictions(args.predictions, ds)
     reports = evaluation.evaluate_rec(ds, split, dets, filters, config)
     if args.format == "markdown":
-        text = "\n".join(
-            f"## {report.prompt}\n\n" + reporting.render_report_table(report) for report in reports
-        )
+        text = "\n".join(reporting.render_report_table(report) for report in reports)
     else:
         text = json.dumps([evaluation.report_to_dict(r) for r in reports], indent=2) + "\n"
     _write_output(text, args.out)
@@ -244,14 +242,16 @@ def cmd_report(args) -> int:
         rows.append(reporting.GridRow(*(field(r, key, f"{context} row", STRING) for key in keys)))
         reject_unknown_keys(r, keys, f"{context} row")
     reject_unknown_keys(raw, ("rows", "metrics", "format"), context)
-    output_format = field(raw, "format", context, STRING, "markdown")
     grid = reporting.ExperimentGrid(
         rows=tuple(rows),
         metrics=tuple(field(raw, "metrics", context, ARRAY, reporting.METRIC_KEYS)),
-        output_format=args.format or output_format,
+        output_format=field(raw, "format", context, STRING, "markdown"),
     )
-    base = grid_path.parent
-    grid.check_files_exist(base)
+    base = grid_path.parent  # row paths are relative to the grid file
+    for row in grid.rows:
+        for path in (row.manifest, row.predictions):
+            if not (base / path).is_file():
+                raise ValidationError(f"grid row {row.label!r}: missing file {path}")
     manifests = [splits.load_manifest(base / row.manifest) for row in grid.rows]
     ds = _load_coco(args.annotations)
     reports = {}
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def output(p, fmt_default=None, fmt_choices=reporting.FORMATS):
+    def output(p, fmt_default, fmt_choices=reporting.FORMATS):
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", default=fmt_default, choices=fmt_choices)
 
@@ -347,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="metric grid over experiment settings")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--grid", required=True, help="JSON grid config")
+    p.add_argument("--grid", required=True, help="JSON grid config, which sets the output format")
     scoring(p)
-    output(p)
+    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("bench", help="timing summary from a latency log")

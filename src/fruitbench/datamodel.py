@@ -374,11 +374,13 @@ def read_text(path) -> str:
 
 def parse_json(text: str, where):
     """One JSON value. Malformed text, an integer past the interpreter's
-    digit limit and nesting past its recursion limit are ``ParseError``s."""
+    digit limit and nesting past its recursion limit are ``ParseError``s;
+    a syntax error's offset counts the UTF-8 bytes of ``text`` before it."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: {exc.msg}", offset=exc.pos) from None
+        offset = len(text[: exc.pos].encode("utf-8"))
+        raise ParseError(f"{where}: {exc.msg}", offset=offset) from None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{where}: {exc}") from None
 

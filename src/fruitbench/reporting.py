@@ -4,10 +4,14 @@ Three renderers: dataset statistics tables, metric grids over experiment
 settings (rows) by category (column groups of mAP/AP50/mAR), and inference
 timing summaries. Each builds its header, display rows and JSON payload,
 and one table path (``_render``) checks the format and writes one of them.
+This module writes every markdown text the package emits: those tables and
+the evaluation tables, with a prompted report's ``## <prompt>`` heading.
 Rendering is pure: identical inputs produce byte identical output. Display
 conventions: counts carry thousands separators, statistics averages round
 half-to-even to integers, metrics are shown x100 with one decimal, missing
-values render as an em dash.
+values render as an em dash. A markdown cell escapes ``\\`` and ``|`` with a
+backslash and writes each line break (CR LF, CR or LF) as ``<br>``, so a
+name cannot add or split cells; a heading writes line breaks as ``<br>``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .datamodel import NUMBER, STRING, CategoryStats, DatasetStats, field, parse_json, read_text
 from .errors import ValidationError
@@ -38,6 +42,7 @@ __all__ = [
 FORMATS = ("markdown", "csv", "json")
 MISSING = "—"
 METRIC_KEYS = ("mAP", "AP50", "mAR")
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -66,12 +71,6 @@ class ExperimentGrid:
                 raise ValidationError(f"metric {metric!r} is listed twice")
         if self.output_format not in FORMATS:
             raise ValidationError(f"unknown format {self.output_format!r}")
-
-    def check_files_exist(self, base: Path) -> None:
-        for row in self.rows:
-            for path in (row.manifest, row.predictions):
-                if not (base / path).is_file():
-                    raise ValidationError(f"grid row {row.label!r}: missing file {path}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +104,13 @@ def _fmt_metric(value: float | None) -> str:
     return MISSING if value is None else f"{value * 100:.1f}"
 
 
+def _markdown_cell(text: str) -> str:
+    return _LINE_BREAK.sub("<br>", text.replace("\\", "\\\\").replace("|", "\\|"))
+
+
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return "\n".join(lines) + "\n"
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(map(_markdown_cell, line)) + " |\n" for line in lines)
 
 
 def _render(header: list[str], rows: list[list[str]], payload, output_format: str) -> str:
@@ -208,11 +207,13 @@ def render_metric_grid(
 
 def render_report_table(report: EvaluationReport) -> str:
     """One evaluation report as a markdown table: a mAP / AP50 / mAR row
-    per category, then a "(mean)" row of the aggregates."""
+    per category, then a "(mean)" row of the aggregates. A report with a
+    prompt is headed ``## <prompt>`` and a blank line."""
     values = [(r.name, r.map, r.ap50, r.mar) for r in report.per_category]
     values.append(("(mean)", report.mean_ap, report.mean_ap50, report.mean_ar))
     rows = [[name, *map(_fmt_metric, metrics)] for name, *metrics in values]
-    return _markdown_table(["Category", *METRIC_KEYS], rows)
+    heading = "" if report.prompt is None else f"## {_LINE_BREAK.sub('<br>', report.prompt)}\n\n"
+    return heading + _markdown_table(["Category", *METRIC_KEYS], rows)
 
 
 def load_timing_log(path) -> list[TimingRecord]:

@@ -164,6 +164,10 @@ def _build_result(train, test, spec: SplitSpec) -> SplitResult:
 def _shuffle(items: list, seed: int, category_id: int, domain: int) -> None:
     """Fisher-Yates shuffle of ``items`` in place, drawing 64-bit words from
     the Philox-4x64 counter stream of ``(seed, category_id, domain)``."""
+    if category_id >= _MAX_SEED:
+        raise ValidationError(
+            f"category id {category_id} must fit the split stream's 64-bit Philox key"
+        )
     counter = np.array([0, 0, 0, domain], dtype=np.uint64)
     key = np.array([seed, category_id], dtype=np.uint64)
     bitgen = np.random.Philox(counter=counter, key=key)

@@ -1,5 +1,7 @@
 import builtins
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -212,6 +214,47 @@ class TestSplit:
             "--seed", "1", "--out", str(out_path),
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, digest", [
+            (["train-test"], "6082b3889bd50ece62e3ff78a55055497ec85842dadcc5a15ebbc6a205aadf18"),
+            (["zero-shot"], "19d851eb7a8e792494736e0c7eb5f5e50edd04e57d4981ca424a4114cbacd0ca"),
+            (["k-shot", "--k", "1"],
+             "054bb51fff9f4fb4bc69aaf69f10510bfc3551229c6724bee2d1d23da31714d2"),
+            (["cross-class", "--held-out", "apple"],
+             "7fcac84dd37713bfa159a5589469ac74353fa84e915316cd417604fd058ddd14"),
+        ],
+        ids=["train-test", "zero-shot", "k-shot", "cross-class"],
+    )
+    def test_category_id_past_64_bits_exits_1(self, capsys, tmp_path, flags, digest):
+        """A category's split stream is keyed by the seed and its id as two
+        64-bit words: the largest such id keeps its stream, one more is an
+        error that names it."""
+        out_path = tmp_path / "split.json"
+        results = []
+        for pear in (2**64 - 1, 2**64):
+            annotations = tmp_path / "annotations.json"
+            annotations.write_text(json.dumps({
+                "images": [
+                    {"id": i, "file_name": f"{i}.jpg", "width": 64, "height": 64}
+                    for i in range(1, 7)
+                ],
+                "categories": [{"id": 1, "name": "apple"}, {"id": pear, "name": "pear"}],
+                "annotations": [
+                    {"id": i, "image_id": i, "category_id": 1 if i <= 3 else pear,
+                     "bbox": [0, 0, 8, 8]}
+                    for i in range(1, 7)
+                ],
+            }))
+            out_path.unlink(missing_ok=True)
+            results.append(run(
+                capsys, "split", "--annotations", str(annotations), "--kind", *flags,
+                "--fraction", "0.5", "--seed", "1", "--out", str(out_path),
+            ))
+        assert results[0] == (0, digest + "\n", "")
+        message = "category id 18446744073709551616 must fit the split stream's 64-bit Philox key"
+        assert results[1] == (1, "", f"error: {message}\n")
         assert not out_path.exists()
 
 
@@ -769,6 +812,39 @@ class TestReport:
         assert code == 1
         assert "gone.json" in err
 
+    def test_files_are_checked_before_any_manifest_is_read(self, capsys, tmp_path):
+        """The first row's manifest is unreadable, yet the second row's
+        missing prediction file is the error."""
+        (tmp_path / "broken.json").write_text("{")
+        (tmp_path / "preds.json").write_text("[]")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"rows": [
+            {"label": "a", "manifest": "broken.json", "predictions": "preds.json"},
+            {"label": "b", "manifest": "broken.json", "predictions": "gone.json"},
+        ]}))
+        code, out, err = run(
+            capsys, "report", "--annotations", str(tmp_path / "absent.json"), "--grid", str(grid)
+        )
+        assert (code, out, err) == (1, "", "error: grid row 'b': missing file gone.json\n")
+
+    def test_format_comes_from_the_grid_file_only(self, capsys, tmp_path, split_manifest):
+        """``report`` takes no ``--format`` flag, nor a config key for one."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"format": "csv", "rows": [{
+            "label": "x", "manifest": str(split_manifest),
+            "predictions": str(SYN30 / "predictions_perfect.json"),
+        }]}))
+        argv = ["report", "--annotations", str(SYN30 / "annotations.json"), "--grid", str(grid)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("Setting,")
+        code, out, err = run(capsys, *argv, "--format", "markdown")
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --format markdown\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"report": {"format": "markdown"}}))
+        code, out, err = run(capsys, "--config", str(config), *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: config section 'report' has unknown keys: ['format']\n"
+
 
 class TestBench:
     def test_markdown(self, capsys):
@@ -790,6 +866,113 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--timings", str(log), "--format", output_format)
         assert (code, out) == (1, "")
         assert err == "error: model 'm': mean latency or FPS overflows a float\n"
+
+
+@pytest.fixture
+def awkward_names(tmp_path):
+    """A corpus whose category names, regions, prompt, grid label and model
+    hold markdown's cell separator, a backslash or line breaks; every
+    detection is perfect, so every metric reads 100.0."""
+    images = [
+        {"id": 1, "file_name": "1.jpg", "width": 100, "height": 100, "region": "north|south\\x"},
+        {"id": 2, "file_name": "2.jpg", "width": 100, "height": 100, "region": "a\r\nb"},
+    ]
+    annotations = [
+        {"id": k, "image_id": k, "category_id": k, "bbox": [10, 10, 20, 20]} for k in (1, 2)
+    ]
+    paths = {name: tmp_path / name for name in (
+        "annotations.json", "predictions.json", "filters.json", "split.json", "grid.json",
+        "timing.jsonl",
+    )}
+    paths["annotations.json"].write_text(json.dumps({
+        "images": images, "annotations": annotations,
+        "categories": [{"id": 1, "name": "apple|pear"}, {"id": 2, "name": "line\nbreak"}],
+    }))
+    paths["predictions.json"].write_text(json.dumps([
+        {"image_id": k, "category_id": k, "bbox": [10, 10, 20, 20], "score": 0.9,
+         "prompt": "two\nlines|x"}
+        for k in (1, 2)
+    ]))
+    paths["filters.json"].write_text(json.dumps({"two\nlines|x": {"any": True}}))
+    paths["grid.json"].write_text(json.dumps({"rows": [
+        {"label": "k|shot\r\n1", "manifest": "split.json", "predictions": "predictions.json"},
+    ]}))
+    paths["timing.jsonl"].write_text(
+        json.dumps({"model": "m|1\n2", "image_id": 1, "latency_ms": 10}) + "\n"
+    )
+    assert main([
+        "split", "--annotations", str(paths["annotations.json"]), "--kind", "train-test",
+        "--fraction", "0.5", "--seed", "1", "--out", str(paths["split.json"]),
+    ]) == 0
+    return {name: str(path) for name, path in paths.items()}
+
+
+EVALUATION_TABLE = (
+    "| Category | mAP | AP50 | mAR |\n"
+    "| --- | --- | --- | --- |\n"
+    "| apple\\|pear | 100.0 | 100.0 | 100.0 |\n"
+    "| line<br>break | 100.0 | 100.0 | 100.0 |\n"
+    "| (mean) | 100.0 | 100.0 | 100.0 |\n"
+)
+
+
+class TestMarkdownEscaping:
+    """In a markdown cell a backslash or pipe is escaped and a line break is
+    ``<br>``, so a name neither adds cells to its row nor splits it; a
+    heading turns line breaks into ``<br>``. CSV and JSON keep names as
+    they are."""
+
+    def test_stats_names_and_regions(self, capsys, awkward_names):
+        argv = ["stats", "--annotations", awkward_names["annotations.json"]]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (
+            "| Category | # imgs | # bboxes | avg bboxes/image | avg size/instance | Region |\n"
+            "| --- | --- | --- | --- | --- | --- |\n"
+            "| apple\\|pear | 1 | 1 | 1 | 400 | north\\|south\\\\x |\n"
+            "| line<br>break | 1 | 1 | 1 | 400 | a<br>b |\n"
+            "| Total | 2 | 2 | 1 | 400 | a<br>b & north\\|south\\\\x |\n"
+        )
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert [row[0] for row in csv.reader(io.StringIO(out, newline=""))][1:3] == [
+            "apple|pear", "line\nbreak",
+        ]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert [c["region"] for c in json.loads(out)["categories"]] == ["north|south\\x", "a\r\nb"]
+
+    def test_evaluate_and_rec_eval(self, capsys, awkward_names):
+        argv = [
+            "--annotations", awkward_names["annotations.json"],
+            "--predictions", awkward_names["predictions.json"],
+            "--split", awkward_names["split.json"], "--format", "markdown",
+        ]
+        assert run(capsys, "evaluate", *argv) == (0, EVALUATION_TABLE, "")
+        code, out, err = run(
+            capsys, "rec-eval", *argv, "--filters", awkward_names["filters.json"]
+        )
+        assert (code, out, err) == (0, "## two<br>lines|x\n\n" + EVALUATION_TABLE, "")
+
+    def test_report_labels_and_categories(self, capsys, awkward_names):
+        code, out, err = run(
+            capsys, "report", "--annotations", awkward_names["annotations.json"],
+            "--grid", awkward_names["grid.json"],
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "| Setting | apple\\|pear mAP | apple\\|pear AP50 | apple\\|pear mAR"
+            " | line<br>break mAP | line<br>break AP50 | line<br>break mAR |\n"
+            "| --- | --- | --- | --- | --- | --- | --- |\n"
+            "| k\\|shot<br>1 | 100.0 | 100.0 | 100.0 | 100.0 | 100.0 | 100.0 |\n"
+        )
+
+    def test_bench_models(self, capsys, awkward_names):
+        code, out, err = run(capsys, "bench", "--timings", awkward_names["timing.jsonl"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "| Model | FPS (imgs/s) | Inference time per image (ms) |\n"
+            "| --- | --- | --- |\n"
+            "| m\\|1<br>2 | 100.0 | 10.0 |\n"
+        )
 
 
 class TestIngestLabelme:
@@ -2012,8 +2195,10 @@ def golden_inputs(tmp_path_factory):
         "predictions": str(corpus["golden"]["predictions"]),
     }]
     for name, rows in (("synthetic30", syn30_rows), ("golden", golden_rows)):
-        corpus[name]["grid"] = directory / f"{name}_grid.json"
-        corpus[name]["grid"].write_text(json.dumps({"rows": rows}))
+        for output_format in ("markdown", "csv", "json"):
+            grid = directory / f"{name}_{output_format}.json"
+            grid.write_text(json.dumps({"format": output_format, "rows": rows}))
+            corpus[name][f"grid {output_format}"] = grid
     return corpus
 
 
@@ -2128,7 +2313,7 @@ def output_argv(case, golden_inputs):
     paths = golden_inputs[corpus]
     argv = [command, "--annotations", str(paths["annotations"])]
     if command == "report":
-        argv += ["--grid", str(paths["grid"])]
+        argv += ["--grid", str(paths[f"grid {output_format}"])]
     else:
         argv += ["--predictions", str(paths["predictions"])]
         if scope != "all-images":
@@ -2140,7 +2325,8 @@ def output_argv(case, golden_inputs):
         if settings == "custom":
             argv += ["--weights", "2,0.5,3", "--no-unmatched-contrastive"]
     else:
-        argv += ["--format", output_format]
+        if command != "report":  # a report's grid file sets its format
+            argv += ["--format", output_format]
         if settings == "custom":
             argv += ["--max-dets", "7", "--thresholds", "0.3,0.5,0.7"]
     return argv

@@ -76,6 +76,16 @@ class TestLoadCoco:
         with pytest.raises(ParseError, match="byte offset"):
             load_coco(path)
 
+    def test_syntax_error_offset_counts_utf8_bytes(self, tmp_path):
+        """Each ``é`` is two bytes: the stray ``}`` is character 75 and byte 78."""
+        path = tmp_path / "broken.json"
+        data = '{"images": [{"id": 1, "file_name": "ééé.jpg", "width": 9}], "categories": [}'
+        path.write_bytes(data.encode("utf-8"))
+        assert (data.index("[}") + 1, path.read_bytes().index(b"[}") + 1) == (75, 78)
+        with pytest.raises(ParseError) as raised:
+            load_coco(path)
+        assert str(raised.value) == f"{path}: Expecting value (byte offset 78)"
+
     def test_negative_dimensions(self, tmp_path):
         path = minimal_coco(
             tmp_path, images=[{"id": 1, "file_name": "a.jpg", "width": -5, "height": 80}]

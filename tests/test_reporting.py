@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fruitbench.datamodel import CategoryStats, DatasetStats
-from fruitbench.errors import ValidationError
+from fruitbench.errors import ParseError, ValidationError
 from fruitbench.evaluation import CategoryReport, EvaluationReport
 from fruitbench.reporting import (
     ExperimentGrid,
@@ -230,6 +230,17 @@ class TestLoadTimingLog:
         record = {"model": f"a{separator}b", "image_id": 1, "latency_ms": 10.0}
         path.write_text(json.dumps(record, ensure_ascii=False) + "\r\n\n", encoding="utf-8")
         assert [r.model for r in load_timing_log(path)] == [f"a{separator}b"]
+
+    def test_syntax_error_offset_counts_utf8_bytes_of_its_line(self, tmp_path):
+        """The offset is into the bad line: its ``é`` is two bytes, so the
+        stray ``}`` is character 44 and byte 45."""
+        path = tmp_path / "lat.jsonl"
+        good = json.dumps({"model": "é", "image_id": 1, "latency_ms": 1.0}, ensure_ascii=False)
+        bad = '{"model": "é", "image_id": 2, "latency_ms": }'
+        path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as raised:
+            load_timing_log(path)
+        assert str(raised.value) == f"{path}:2: Expecting value (byte offset 45)"
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "lat.jsonl"
